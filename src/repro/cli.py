@@ -173,11 +173,32 @@ def _arm_fault_spec(
     process and all its children; returns an error message (exit 2) for
     a malformed plan, else None.
 
+    The deprecated ``--fault-after N`` / ``--coordinator-fault-after N``
+    aliases become plans here (README § Fault injection has the table).
+
     The firing log and ``once`` markers land in ``OUT_DIR.faults`` —
     *beside* the export directory, never inside it, so injected faults
     cannot dirty the manifest layout they are attacking.
     """
-    spec_text = getattr(args, "fault_spec", None)
+    legacy = []
+    if args.fault_after is not None:
+        site = (
+            "distributed.worker.block:kind=sigkill,once=true"
+            if args.backend == "distributed"
+            else "writer.block.done:kind=raise"
+        )
+        legacy.append(f"{site},after={args.fault_after}")
+    if args.coordinator_fault_after is not None:
+        legacy.append(
+            "distributed.coordinator.checkpoint:kind=sigkill,"
+            f"after={args.coordinator_fault_after + 1}"
+        )
+    if args.fault_spec and legacy:
+        return (
+            f"{command}: --fault-spec cannot be combined with "
+            "--fault-after/--coordinator-fault-after"
+        )
+    spec_text = args.fault_spec or ";".join(legacy)
     if not spec_text:
         return None
     from repro.faults import FaultPlanError, arm_process, plan_from_cli_arg
@@ -189,6 +210,15 @@ def _arm_fault_spec(
     state_dir = os.path.abspath(args.out_dir) + ".faults"
     arm_process(plan, state_dir=state_dir)
     return None
+
+
+def _export_failures() -> tuple:
+    """Export failures reported in one line with exit 1, not a traceback:
+    injected faults, spent retries, I/O errors and lost pool workers."""
+    from repro.engine import RetryError, WorkerDiedError
+    from repro.faults import FaultInjected
+
+    return (FaultInjected, RetryError, OSError, WorkerDiedError)
 
 
 def _fleet_stats_writing_csv(generator, when, args):
@@ -297,14 +327,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_fleet_export(args: argparse.Namespace) -> int:
     """``fleet export``: sharded segment + manifest writer (resumable)."""
     from repro.engine import (
-        RetryError,
         StateError,
         export_fleet,
         export_fleet_blocks,
         parse_endpoint,
         resume_export,
     )
-    from repro.faults import FaultInjected
 
     problem = _check_fleet_ints(args, "fleet export")
     if problem:
@@ -394,8 +422,6 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
                     lease_depth=args.lease_depth,
                     token=token,
                     metrics_path=args.metrics,
-                    fault_after=args.fault_after,
-                    coordinator_fault_after=args.coordinator_fault_after,
                 )
             else:
                 when = year_fraction(parse_date(args.date))
@@ -410,10 +436,8 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
                     chunk_size=args.chunk_size,
                     lease_blocks=args.lease_blocks,
                     lease_depth=args.lease_depth,
-                    fault_after=args.fault_after,
                     token=token,
                     metrics_path=args.metrics,
-                    coordinator_fault_after=args.coordinator_fault_after,
                 )
         except (RuntimeError, ValueError, OSError) as error:
             # RuntimeError covers worker-fleet death (incl. ProtocolError
@@ -436,49 +460,44 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
             )
         if args.metrics:
             print(f"metrics: {args.metrics}")
-    elif args.resume:
+    elif args.resume or args.checkpoint_every:
         try:
-            result = resume_export(generator, args.out_dir)
+            if args.resume:
+                result = resume_export(generator, args.out_dir)
+            else:
+                result = export_fleet_blocks(
+                    generator,
+                    year_fraction(parse_date(args.date)),
+                    args.size,
+                    args.seed,
+                    args.out_dir,
+                    shards=args.shards,
+                    fmt=args.format,
+                    checkpoint_every=args.checkpoint_every,
+                    # The parent `fleet` parser always defines --chunk-size;
+                    # for the block layout it bounds the reducer fold
+                    # batches (and is pinned into the plan as part of the
+                    # determinism envelope).
+                    chunk_size=args.chunk_size,
+                )
         except StateError as error:
             sys.stderr.write(f"fleet export --resume: {error}\n")
             return 1
-        manifest = result.manifest
-        if result.statistics is None:
-            print(f"{args.out_dir} is already finalised; nothing to resume")
-        else:
-            fresh = len(manifest.segments) - result.resumed_blocks
-            print(
-                f"resumed: {result.resumed_blocks} block(s) restored from "
-                f"checkpoints, {fresh} regenerated"
-            )
-    elif args.checkpoint_every:
-        when = year_fraction(parse_date(args.date))
-        try:
-            result = export_fleet_blocks(
-                generator,
-                when,
-                args.size,
-                args.seed,
-                args.out_dir,
-                shards=args.shards,
-                fmt=args.format,
-                checkpoint_every=args.checkpoint_every,
-                # The parent `fleet` parser always defines --chunk-size; for
-                # the block layout it bounds the reducer fold batches (and is
-                # pinned into the plan as part of the determinism envelope).
-                chunk_size=args.chunk_size,
-                fault_after=args.fault_after,
-            )
-        except (FaultInjected, RetryError, OSError) as error:
-            # Injected or persistent I/O failure: a typed one-line exit,
-            # never a traceback.  (The legacy --fault-after RuntimeError
-            # keeps propagating — the interrupt smokes pin it.)
+        except _export_failures() as error:
             sys.stderr.write(
                 f"fleet export: {error} — the partial layout in "
                 f"{args.out_dir} resumes with --resume\n"
             )
             return 1
         manifest = result.manifest
+        if args.resume and result.statistics is None:
+            print(f"{args.out_dir} is already finalised; nothing to resume")
+        elif args.resume:
+            fresh = len(manifest.segments) - result.resumed_blocks
+            print(
+                f"resumed: {result.resumed_blocks} block(s) restored from "
+                f"checkpoints, {fresh} regenerated"
+            )
     else:
         when = year_fraction(parse_date(args.date))
         try:
@@ -491,7 +510,7 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
                 shards=args.shards,
                 fmt=args.format,
             )
-        except (FaultInjected, RetryError, OSError) as error:
+        except _export_failures() as error:
             sys.stderr.write(
                 f"fleet export: {error} — the per-shard layout keeps no "
                 "checkpoints; re-run the export\n"
@@ -771,7 +790,6 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
         return 2
     generator = spec.make_generator()
     seed = args.seed + spec.seed_offset
-    fault_after = getattr(args, "fault_after", None)
     if args.backend == "distributed":
         from repro.engine import (
             export_fleet_distributed,
@@ -783,11 +801,7 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
                 # Size, date, seed, lease grid and reducers all come from
                 # the plan the interrupted run pinned into --out-dir.
                 result = resume_fleet_distributed(
-                    generator,
-                    args.out_dir,
-                    workers=args.workers,
-                    fault_after=fault_after,
-                    coordinator_fault_after=args.coordinator_fault_after,
+                    generator, args.out_dir, workers=args.workers
                 )
             else:
                 result = export_fleet_distributed(
@@ -800,8 +814,6 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
                     chunk_size=args.chunk_size,
                     lease_blocks=args.lease_blocks,
                     reducers=spec.profile(),
-                    fault_after=fault_after,
-                    coordinator_fault_after=args.coordinator_fault_after,
                 )
         except (RuntimeError, ValueError, OSError) as error:
             sys.stderr.write(f"fleet scenario run: {error}\n")
@@ -816,55 +828,46 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
                 f"resumed: {result.resumed_leases} lease(s) restored from "
                 "checkpoints"
             )
-    elif args.resume:
-        from repro.engine import StateError, resume_export
+    elif args.resume or args.checkpoint_every:
+        from repro.engine import StateError, export_fleet_blocks, resume_export
 
         try:
-            result = resume_export(
-                generator,
-                args.out_dir,
-                reducers=spec.profile(),
-                fault_after=fault_after,
-            )
+            if args.resume:
+                result = resume_export(
+                    generator, args.out_dir, reducers=spec.profile()
+                )
+            else:
+                result = export_fleet_blocks(
+                    generator,
+                    when,
+                    args.size,
+                    seed,
+                    args.out_dir,
+                    shards=args.shards,
+                    checkpoint_every=args.checkpoint_every,
+                    chunk_size=args.chunk_size,
+                    reducers=spec.profile(),
+                )
         except StateError as error:
             sys.stderr.write(f"fleet scenario run --resume: {error}\n")
             return 1
-        manifest = result.manifest
-        if result.statistics is None:
-            print(f"{args.out_dir} is already finalised; nothing to resume")
-        else:
-            fresh = len(manifest.segments) - result.resumed_blocks
-            print(
-                f"resumed: {result.resumed_blocks} block(s) restored from "
-                f"checkpoints, {fresh} regenerated"
-            )
-    elif args.checkpoint_every:
-        from repro.engine import RetryError, export_fleet_blocks
-        from repro.faults import FaultInjected
-
-        try:
-            result = export_fleet_blocks(
-                generator,
-                when,
-                args.size,
-                seed,
-                args.out_dir,
-                shards=args.shards,
-                checkpoint_every=args.checkpoint_every,
-                chunk_size=args.chunk_size,
-                reducers=spec.profile(),
-                fault_after=fault_after,
-            )
-        except (FaultInjected, RetryError, OSError) as error:
+        except _export_failures() as error:
             sys.stderr.write(
                 f"fleet scenario run: {error} — the partial layout in "
                 f"{args.out_dir} resumes with --resume\n"
             )
             return 1
         manifest = result.manifest
+        if args.resume and result.statistics is None:
+            print(f"{args.out_dir} is already finalised; nothing to resume")
+        elif args.resume:
+            fresh = len(manifest.segments) - result.resumed_blocks
+            print(
+                f"resumed: {result.resumed_blocks} block(s) restored from "
+                f"checkpoints, {fresh} regenerated"
+            )
     else:
-        from repro.engine import RetryError, export_fleet
-        from repro.faults import FaultInjected
+        from repro.engine import export_fleet
 
         try:
             manifest = export_fleet(
@@ -875,7 +878,7 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
                 args.out_dir,
                 shards=args.shards,
             )
-        except (FaultInjected, RetryError, OSError) as error:
+        except _export_failures() as error:
             sys.stderr.write(
                 f"fleet scenario run: {error} — the per-shard layout keeps "
                 "no checkpoints; re-run the export\n"
@@ -1400,10 +1403,8 @@ def build_parser() -> argparse.ArgumentParser:
         "writer.block.write:kind=torn-write,after=3); firings are logged "
         "to OUT_DIR.faults/ — see README § Fault injection",
     )
-    # Deprecated aliases of --fault-spec, kept for the existing tests and
-    # CI smokes: deterministic crash injection counting blocks per worker
-    # (the first local worker SIGKILLs itself under the distributed
-    # backend) and, for the coordinator, lease checkpoints.
+    # Deprecated aliases of --fault-spec (see _arm_fault_spec), kept for
+    # the CI smokes.
     p_fleet_export.add_argument(
         "--fault-after", type=int, default=None, help=argparse.SUPPRESS
     )
@@ -1801,7 +1802,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.func(args)
     finally:
-        if getattr(args, "fault_spec", None):
+        if hasattr(args, "fault_spec"):
             # In-process callers (tests) must not inherit an armed plan
             # from a previous invocation's environment exports.
             from repro.faults import deactivate

@@ -13,8 +13,12 @@ Layers
     (update/merge/result) every statistics consumer shares, plus the
     quantile-sketch, histogram and ECDF reducers and the
     :class:`~repro.engine.reduce.ReducerSet` bundle.
+:mod:`~repro.engine.pool`
+    The one fan-out dispatcher: persistent workers that report a worker
+    dying mid-task as :class:`WorkerDiedError`, plus zero-copy
+    shared-memory block hand-off.
 :mod:`~repro.engine.sharding`
-    ``multiprocessing`` fan-out over RNG blocks with reducer-set reduction.
+    Fan-out over RNG blocks with reducer-set reduction.
 :mod:`~repro.engine.writer`
     Sharded fleet export: per-shard CSV/NPZ segments plus a sha256
     manifest (``fleet export`` / ``fleet verify``), and the resumable
@@ -65,6 +69,7 @@ from repro.engine.distributed import (
 )
 from repro.engine.pool import (
     BlockBuffer,
+    WorkerDiedError,
     WorkerPool,
     create_block_buffer,
     pool_stats,
@@ -134,6 +139,7 @@ __all__ = [
     "generator_schema",
     "CorrelationAccumulator",
     "MomentAccumulator",
+    "WorkerDiedError",
     "WorkerPool",
     "as_matrix",
     "create_block_buffer",

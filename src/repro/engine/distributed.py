@@ -13,10 +13,11 @@ Topology
 Workers speak the same protocol whichever way the TCP connection was
 established:
 
-* ``export_fleet_distributed(..., workers=N)`` spawns N local worker
-  processes (``multiprocessing``, honouring the engine's start-method
-  override) that dial the coordinator's loopback listener and write
-  their block segments straight into ``out_dir``.
+* ``export_fleet_distributed(..., workers=N)`` runs N local workers as
+  tasks on the engine's persistent pool (:mod:`repro.engine.pool`,
+  honouring its start-method override); they dial the coordinator's
+  loopback listener and write their block segments straight into
+  ``out_dir``.
 * ``serve_worker(host, port)`` (CLI: ``fleet serve-worker``) listens for
   a coordinator; ``export_fleet_distributed(..., connect=[(host, port)])``
   dials it.  Attached workers ship segment bytes inline (base64) because
@@ -116,7 +117,6 @@ import hashlib
 import hmac
 import json
 import os
-import signal
 import socket
 import struct
 import threading
@@ -129,7 +129,7 @@ from queue import Empty, Queue
 import numpy as np
 
 from repro.engine.accumulate import CorrelationAccumulator, MomentAccumulator
-from repro.engine.pool import discard_pool, get_pool, persistence_enabled
+from repro.engine.pool import get_pool
 from repro.engine.retry import (
     DIAL_RETRY,
     RECONNECT_RETRY,
@@ -139,7 +139,6 @@ from repro.engine.retry import (
 from repro.engine.reduce import ChunkedFold, QuantileReducer, ReducerSet
 from repro.engine.sharding import (
     FleetStatistics,
-    _pool_context,
     _resolve_factories,
     _when_as_float,
 )
@@ -167,7 +166,6 @@ from repro.engine.writer import (
     _write_json_atomic,
 )
 from repro.faults.injector import fire as _fire
-from repro.faults.injector import plan_is_active
 from repro.faults.sites import (
     KIND_FRAME_CORRUPT,
     KIND_FRAME_DROP,
@@ -635,14 +633,12 @@ def _worker_loop(
     sock.settimeout(worker_timeout)
     seeds = block_seeds(root, size)
     out_dir = job.get("out_dir")
-    fault_after = job.get("fault_after")
 
     stop = threading.Event()
     heartbeat = threading.Thread(
         target=_heartbeat_loop, args=(send, stop, HEARTBEAT_INTERVAL), daemon=True
     )
     heartbeat.start()
-    written = 0
     leases_done = 0
     credits = 0
     assigned: "deque[tuple[int, int]]" = deque()
@@ -706,12 +702,7 @@ def _worker_loop(
                     entry["data"] = base64.b64encode(data).decode("ascii")
                 blocks.append(entry)
                 fold.add(block)
-                written += 1
                 _fire(SITE_WORKER_BLOCK)
-                if fault_after is not None and written >= int(fault_after):
-                    # Crash injection for the tests/CI: die the hard way,
-                    # exactly like an OOM-killed or power-cycled worker.
-                    os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
             fold.flush()
             send(
                 {
@@ -777,33 +768,6 @@ def _local_worker_main(host: str, port: int, token: "str | None" = None) -> None
             continue  # lost the coordinator mid-job: try one fresh session
         finally:
             sock.close()
-
-
-class _PooledWorkerHandle:
-    """Process-shaped view of a local worker running inside the persistent
-    pool, so the coordinator's liveness/teardown code needs no branches.
-
-    ``is_alive`` maps to the task not having completed, ``join`` waits on
-    the ``AsyncResult``, and ``terminate`` discards the whole pool — a
-    single pool task cannot be killed, and a worker a caller wants dead is
-    a worker the pool should not hand to the next fan-out anyway.
-    """
-
-    def __init__(self, pool, result):
-        self._pool = pool
-        self._result = result
-
-    def is_alive(self) -> bool:
-        return not self._result.ready()
-
-    def join(self, timeout: "float | None" = None) -> None:
-        try:
-            self._result.get(timeout=timeout)
-        except Exception:  # timeouts and worker errors surface elsewhere
-            pass
-
-    def terminate(self) -> None:
-        discard_pool(self._pool)
 
 
 def serve_worker(
@@ -987,10 +951,8 @@ class _Coordinator:
         factories: dict,
         size: int,
         worker_timeout: float,
-        fault_after: "int | None" = None,
         token: "str | None" = None,
         lease_depth: int = DEFAULT_LEASE_DEPTH,
-        coordinator_fault_after: "int | None" = None,
         checkpoint_log=None,
         completed: "dict | None" = None,
     ):
@@ -1000,11 +962,8 @@ class _Coordinator:
         self.factories = factories
         self.size = size
         self.worker_timeout = worker_timeout
-        self.fault_after = fault_after
-        self.fault_assigned = False
         self.token = token
         self.lease_depth = lease_depth
-        self.coordinator_fault_after = coordinator_fault_after
         self.checkpoint_log = checkpoint_log
         self.events: Queue = Queue()
         self.remotes: "list[_Remote]" = []
@@ -1015,11 +974,11 @@ class _Coordinator:
         self.requeued = 0
         self.stolen = 0
         self.drained = 0
-        self.checkpointed = 0
         self.workers_seen = 0
         self.last_progress = time.monotonic()
         self.last_error: "BaseException | None" = None
-        self.processes: "list" = []
+        #: Local workers' pool tasks (:class:`~repro.engine.pool.AsyncTask`).
+        self.tasks: "list" = []
         self.lease_events: "list[dict]" = []
         self.worker_metrics: "dict[str, dict]" = {}
 
@@ -1214,9 +1173,6 @@ class _Coordinator:
             self._worker_entry(remote)
             job = dict(self.job)
             job["out_dir"] = self.out_dir if remote.local else None
-            if self.fault_after is not None and remote.local and not self.fault_assigned:
-                job["fault_after"] = self.fault_after
-                self.fault_assigned = True
             self._send(remote, job)
         elif kind == "ready":
             if remote.state != "active":
@@ -1294,15 +1250,6 @@ class _Coordinator:
         _fire(SITE_COORDINATOR_CHECKPOINT, path=self.checkpoint_log.name)
         self.checkpoint_log.write(_checkpoint_line(lease, entry))
         self.checkpoint_log.flush()
-        self.checkpointed += 1
-        if (
-            self.coordinator_fault_after is not None
-            and self.checkpointed >= self.coordinator_fault_after
-        ):
-            # Crash injection for the resume tests/CI: kill the
-            # *coordinator* the hard way with the checkpoint durable.
-            os.fsync(self.checkpoint_log.fileno())
-            os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
 
     def _validate_result(
         self, remote: _Remote, lease: "tuple[int, int]", message: dict
@@ -1363,7 +1310,7 @@ class _Coordinator:
                     self._drop(remote, f"{remote.name} heartbeat timeout")
             self._steal(now)
             if not any(remote.alive for remote in self.remotes):
-                if any(process.is_alive() for process in self.processes):
+                if not all(task.wait(0) for task in self.tasks):
                     if now - self.last_progress > self.worker_timeout:
                         if self.workers_seen == 0:
                             raise RuntimeError(
@@ -1540,11 +1487,9 @@ def export_fleet_distributed(
     worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
     manifest_name: str = "manifest.json",
     start_method: "str | None" = None,
-    fault_after: "int | None" = None,
     lease_depth: int = DEFAULT_LEASE_DEPTH,
     token: "str | None" = None,
     metrics_path: "str | None" = None,
-    coordinator_fault_after: "int | None" = None,
 ) -> DistributedExportResult:
     """Export a fleet through coordinator-scheduled distributed workers.
 
@@ -1562,10 +1507,8 @@ def export_fleet_distributed(
     run's ``FleetDistributedMetrics`` JSON.  The run checkpoints every
     completed lease (see :func:`resume_fleet_distributed`).  ``reducers``
     accepts the :data:`WIRE_REDUCER_FACTORIES` subset by name (factories
-    cannot travel a JSON wire); ``fault_after`` makes the first local
-    worker SIGKILL itself after that many blocks and
-    ``coordinator_fault_after`` SIGKILLs the coordinator itself after
-    that many lease checkpoints (crash injection for tests/CI).  Raises
+    cannot travel a JSON wire).  Local workers are tasks on the
+    persistent pool (:func:`~repro.engine.pool.get_pool`).  Raises
     :class:`RuntimeError` when every worker has died with leases
     outstanding.
     """
@@ -1584,8 +1527,6 @@ def export_fleet_distributed(
         raise ValueError("need at least one worker (workers >= 1 or connect=...)")
     if worker_timeout <= 0:
         raise ValueError("worker_timeout must be positive")
-    if coordinator_fault_after is not None and coordinator_fault_after < 1:
-        raise ValueError("coordinator_fault_after must be at least 1")
     to_json = getattr(getattr(generator, "parameters", None), "to_json", None)
     if to_json is None:
         raise ValueError(
@@ -1637,8 +1578,6 @@ def export_fleet_distributed(
         lease_depth=lease_depth,
         manifest_name=manifest_name,
         start_method=start_method,
-        fault_after=fault_after,
-        coordinator_fault_after=coordinator_fault_after,
         token=token,
         metrics_path=metrics_path,
     )
@@ -1651,11 +1590,9 @@ def resume_fleet_distributed(
     connect: "list[tuple[str, int]] | tuple" = (),
     worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
     start_method: "str | None" = None,
-    fault_after: "int | None" = None,
     lease_depth: int = DEFAULT_LEASE_DEPTH,
     token: "str | None" = None,
     metrics_path: "str | None" = None,
-    coordinator_fault_after: "int | None" = None,
 ) -> DistributedExportResult:
     """Finish an interrupted distributed export byte-identically.
 
@@ -1777,8 +1714,6 @@ def resume_fleet_distributed(
         lease_depth=lease_depth,
         manifest_name=manifest_name,
         start_method=start_method,
-        fault_after=fault_after,
-        coordinator_fault_after=coordinator_fault_after,
         token=token,
         metrics_path=metrics_path,
     )
@@ -1803,8 +1738,6 @@ def _run_distributed(
     lease_depth: int,
     manifest_name: str,
     start_method: "str | None",
-    fault_after: "int | None",
-    coordinator_fault_after: "int | None",
     token: "str | None",
     metrics_path: "str | None",
 ) -> DistributedExportResult:
@@ -1846,10 +1779,8 @@ def _run_distributed(
         factories,
         size,
         worker_timeout,
-        fault_after,
         token=token,
         lease_depth=lease_depth,
-        coordinator_fault_after=coordinator_fault_after,
         checkpoint_log=checkpoint_log,
         completed=completed,
     )
@@ -1859,44 +1790,20 @@ def _run_distributed(
     try:
         if coordinator.pending:
             if workers:
+                # The pool comes before the listener: a worker forked
+                # after the bind would inherit the listening socket and,
+                # orphaned by a coordinator crash, redial into its backlog
+                # instead of seeing the refusal that lets it exit.  Forking
+                # here also precedes every coordinator thread.
+                pool = get_pool(workers, start_method)
                 listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 listener.bind(("127.0.0.1", 0))
                 listener.listen(workers)
                 port = listener.getsockname()[1]
-                # Fork the worker processes *before* starting any
-                # coordinator threads — forking a threaded process is the
-                # deadlock _pool_context exists to avoid.  Healthy runs go
-                # through the persistent pool (workers already warm after
-                # the first fan-out); fault injection — of a worker *or*
-                # of this coordinator — keeps raw processes, because a
-                # process that SIGKILLs itself (or loses its parent to
-                # SIGKILL) would poison a pool that outlives this call.
-                if (
-                    fault_after is None
-                    and coordinator_fault_after is None
-                    and not plan_is_active()
-                    and persistence_enabled()
-                ):
-                    pool = get_pool(workers, start_method)
-                    for _ in range(workers):
-                        coordinator.processes.append(
-                            _PooledWorkerHandle(
-                                pool,
-                                pool.apply_async(
-                                    _local_worker_main, ("127.0.0.1", port, token)
-                                ),
-                            )
-                        )
-                else:
-                    context = _pool_context(start_method)
-                    for _ in range(workers):
-                        process = context.Process(
-                            target=_local_worker_main,
-                            args=("127.0.0.1", port, token),
-                            daemon=True,
-                        )
-                        process.start()
-                        coordinator.processes.append(process)
+                for _ in range(workers):
+                    coordinator.tasks.append(
+                        pool.apply_async(_local_worker_main, ("127.0.0.1", port, token))
+                    )
                 threading.Thread(
                     target=coordinator._accept_loop, args=(listener,), daemon=True
                 ).start()
@@ -1914,11 +1821,11 @@ def _run_distributed(
                 remote.sock.close()
             except OSError:
                 pass
-        for process in coordinator.processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
+        # With every socket closed the local workers return promptly; a
+        # worker's death or error already surfaced through its leases.
+        for task in coordinator.tasks:
+            if not task.wait(5):
+                task.kill()
     elapsed = time.perf_counter() - start
 
     records: "list[SegmentRecord]" = []

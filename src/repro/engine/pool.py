@@ -1,34 +1,29 @@
-"""Persistent worker pools and zero-copy block hand-off.
+"""The engine's one fan-out dispatcher, and zero-copy block hand-off.
 
-Every multiprocess fan-out in the engine used to spawn a fresh
-``multiprocessing.Pool`` and tear it down with the call.  On small and
-medium fleets that spawn cost *dominates*: the committed
-``BENCH_engine_scale`` baseline shows sharded export stuck near
-0.3 M hosts/s against 2.9 M hosts/s raw generation, and
-``sharded_speedup`` < 1 on one vCPU, purely because every call pays
-process startup again.  This module keeps the workers warm instead:
+Every multiprocess fan-out — ``generate_sharded``, ``export_fleet``,
+``export_fleet_blocks``/``resume_export`` and the distributed backend's
+local workers — runs on one persistent worker set, fault plan or not:
 
 :func:`get_pool` / :func:`pool_map`
-    A process-wide registry of persistent pools, one per resolved start
-    method.  The first fan-out spawns the workers; every later
-    ``generate_sharded`` / ``export_fleet`` / ``export_fleet_blocks`` /
-    distributed-local-worker call in the same process reuses them, so a
-    CLI command, a benchmark run or a service embedding pays spawn cost
-    once per process, not once per call.  ``REPRO_POOL_PERSIST=0``
-    restores the old spawn-per-call behaviour (the pool is still used,
-    but torn down after each call).
+    A process-wide registry of persistent :class:`WorkerPool` instances,
+    one per resolved start method, so a CLI command, a benchmark run or
+    a service embedding pays spawn cost once per process, not per call.
+:class:`WorkerPool`
+    One pipe per worker; the parent waits on the pipes and the process
+    sentinels together.  A worker that dies mid-task (SIGKILL, OOM kill)
+    is *reported*: its siblings finish, then the fan-out raises
+    :class:`WorkerDiedError`, and the next fan-out replaces the worker.
+    Each task carries the caller's fault plan; the worker re-arms it
+    with fresh counters (or disarms) before passing ``pool.task``.
 :class:`BlockBuffer`
-    Zero-copy ndarray hand-off over ``multiprocessing.shared_memory``:
-    the parent allocates one buffer, workers attach by name and write
-    their row ranges in place, and no column data is ever pickled
-    through a result queue.  Platforms (or configurations,
-    ``REPRO_BLOCK_HANDOFF=pickle``) without usable shared memory fall
-    back to pickled ndarray returns transparently — the caller asks for
-    a buffer, gets ``None``, and ships arrays the classic way.
+    Zero-copy ndarray hand-off over a shared-memory file; where none can
+    be created the caller gets ``None`` and ships arrays pickled.
 
-Workers stay daemonic and are terminated at interpreter exit (the same
-``terminate()`` the old ``with Pool():`` blocks issued), so persistence
-changes when spawn cost is paid, never what runs or what is left behind.
+Nothing outlives its owner: a worker exits on EOF from its pipe, so a
+SIGKILLed owner leaves none behind, and :func:`shutdown_pools` (also the
+atexit hook) reaps every worker.  A pool belongs to the process that
+created it: a fork child closes the pipe ends it inherited and starts
+from an empty registry, never touching its parent's workers.
 """
 
 from __future__ import annotations
@@ -36,18 +31,17 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import signal
 import threading
 import time
+from collections import deque
+from multiprocessing.connection import wait
+from multiprocessing.pool import ExceptionWithTraceback
 
 import numpy as np
 
-#: Set to ``0`` to disable cross-call pool persistence (each fan-out then
-#: spawns and tears down its own pool, as the engine did before PR 7).
-ENV_POOL_PERSIST = "REPRO_POOL_PERSIST"
-
-#: Set to ``pickle`` to force the pickled-ndarray fallback path even where
-#: shared memory is available (exercised by the test suite).
-ENV_BLOCK_HANDOFF = "REPRO_BLOCK_HANDOFF"
+from repro.faults.injector import armed_state, fire, rearm
+from repro.faults.sites import SITE_POOL_TASK
 
 
 def resolve_start_method(start_method: "str | None" = None) -> str:
@@ -79,12 +73,103 @@ def resolve_start_method(start_method: "str | None" = None) -> str:
     return method
 
 
-class WorkerPool:
-    """A ``multiprocessing.Pool`` that outlives a single fan-out call.
+class WorkerDiedError(RuntimeError):
+    """A pool worker died before returning its task's result.
 
-    Thin by design: the scheduling semantics are exactly
-    ``Pool.map(chunksize=1)`` / ``Pool.apply_async``, plus the counters
-    the benchmarks and tests read (``jobs_dispatched``, ``maps_run``).
+    ``payload`` is the task's index in its fan-out; ``exitcode`` is the
+    worker's exit status (negative: killed by that signal), ``None``
+    when the task never reached a worker.
+    """
+
+    def __init__(self, payload: int, exitcode: "int | None"):
+        super().__init__(
+            f"pool worker died (exit code {exitcode}) while running payload "
+            f"{payload}"
+        )
+        self.payload = payload
+        self.exitcode = exitcode
+
+
+def _worker_main(conn) -> None:
+    """A pool worker: run ``(func, args, faults)`` tasks until EOF, each
+    reply ``(result, None)`` or ``(None, exception)``.  Ctrl-C is the
+    owner's to handle; the worker exits on the EOF that follows it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            func, args, faults = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            rearm(faults)
+            fire(SITE_POOL_TASK)
+            reply = (func(*args), None)
+        except BaseException as error:  # noqa: BLE001 - must cross the pipe
+            reply = (None, ExceptionWithTraceback(error, error.__traceback__))
+        try:
+            conn.send(reply)  # an unpicklable reply kills the worker: reported
+        except OSError:
+            return  # the owner is gone
+        func = args = reply = None  # hold nothing while idle
+
+
+class _Worker:
+    __slots__ = ("process", "conn", "task")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.task: "AsyncTask | None" = None
+
+
+class AsyncTask:
+    """One submitted task.  Waiting on it drives the whole pool: every
+    finished task's result and every worker death is collected, and
+    queued tasks go out as workers free up."""
+
+    def __init__(self, pool: "WorkerPool", message: tuple, payload: int):
+        self._pool = pool
+        self._message = message
+        self.payload = payload
+        self.worker: "_Worker | None" = None
+        self.done = False
+        self.value = None
+        self.error: "BaseException | None" = None
+
+    def _finish(self, value=None, error: "BaseException | None" = None) -> None:
+        self.worker = None
+        self.value, self.error, self.done = value, error, True
+
+    def wait(self, timeout: "float | None" = None) -> bool:
+        """Whether the task finished (or lost its worker) within
+        ``timeout`` seconds: ``0`` only polls, ``None`` waits as long as
+        that takes."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.done:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            self._pool._poll(None if remaining is None else max(remaining, 0.0))
+            if remaining is not None and remaining <= 0:
+                break
+        return self.done
+
+    def kill(self) -> None:
+        """Kill the worker running this task and wait until the pool has
+        noticed; the next fan-out replaces the worker."""
+        if self.worker is not None:
+            self.worker.process.kill()
+        self.wait()
+
+
+#: Parent-side pipe ends of every worker this process owns; a fork child
+#: closes them all, so a worker reads EOF once its owner is gone.
+_PARENT_ENDS: set = set()
+
+
+class WorkerPool:
+    """A persistent worker set that outlives a single fan-out call.
+
+    One payload per task, handed to whichever worker is idle; the
+    benchmarks and tests read ``jobs_dispatched`` and ``maps_run``.
     """
 
     def __init__(self, processes: int, start_method: "str | None" = None):
@@ -94,24 +179,134 @@ class WorkerPool:
         self.processes = processes
         self.jobs_dispatched = 0
         self.maps_run = 0
-        context = multiprocessing.get_context(self.start_method)
-        self._pool = context.Pool(processes=processes)
+        self._context = multiprocessing.get_context(self.start_method)
+        self._lock = threading.RLock()
+        self._queue: "deque[AsyncTask]" = deque()
+        self._workers: "list[_Worker]" = []
+        self.replenish()
 
     def map(self, func, payloads: list) -> list:
-        """Run ``func`` over ``payloads``, one payload per task."""
+        """Run ``func`` over ``payloads``, one payload per task.
+
+        Every task finishes (or loses its worker) before this returns;
+        the first failure in payload order is then raised — the task's
+        own exception, or :class:`WorkerDiedError`.
+        """
         self.jobs_dispatched += len(payloads)
         self.maps_run += 1
-        return self._pool.map(func, payloads, chunksize=1)
+        faults = armed_state()
+        with self._lock:
+            tasks = [
+                self._submit((func, (payload,), faults), index)
+                for index, payload in enumerate(payloads)
+            ]
+        for task in tasks:
+            task.wait()
+        for task in tasks:
+            if task.error is not None:
+                raise task.error
+        return [task.value for task in tasks]
 
-    def apply_async(self, func, args: tuple = ()):
-        """Submit one task; returns the ``AsyncResult``."""
+    def apply_async(self, func, args: tuple = ()) -> AsyncTask:
+        """Submit one task without waiting for it."""
         self.jobs_dispatched += 1
-        return self._pool.apply_async(func, args)
+        with self._lock:
+            return self._submit((func, tuple(args), armed_state()), 0)
+
+    def replenish(self) -> None:
+        """Replace the workers that died since the last fan-out.  Spawning
+        is eager, so callers fork here, before opening anything a worker
+        must not inherit."""
+        with self._lock:
+            self._poll(0)
+            for worker in list(self._workers):
+                if worker.task is None and not worker.process.is_alive():
+                    self._retire(worker)
+            while len(self._workers) < self.processes:
+                ours, theirs = self._context.Pipe()
+                _PARENT_ENDS.add(ours)
+                process = self._context.Process(
+                    target=_worker_main, args=(theirs,), daemon=True
+                )
+                try:
+                    process.start()
+                finally:
+                    theirs.close()
+                self._workers.append(_Worker(process, ours))
 
     def close(self) -> None:
-        """Terminate the workers (idempotent)."""
-        self._pool.terminate()
-        self._pool.join()
+        """Reap every worker (idempotent); see :meth:`_retire`."""
+        with self._lock:
+            for worker in list(self._workers):
+                self._retire(worker)
+            self._dispatch()  # fails whatever is still queued
+
+    def _retire(self, worker: _Worker) -> None:
+        """Drop ``worker`` and reap it — closing its pipe ends an idle
+        worker, one still running after a second is killed — failing the
+        task it held with :class:`WorkerDiedError`."""
+        self._workers.remove(worker)
+        _PARENT_ENDS.discard(worker.conn)
+        worker.conn.close()
+        worker.process.join(1.0)
+        if worker.process.exitcode is None:
+            worker.process.kill()
+            worker.process.join()
+        if worker.task is not None:
+            worker.task._finish(
+                error=WorkerDiedError(worker.task.payload, worker.process.exitcode)
+            )
+
+    def _submit(self, message: tuple, payload: int) -> AsyncTask:
+        task = AsyncTask(self, message, payload)
+        self._queue.append(task)
+        self._dispatch()
+        return task
+
+    def _dispatch(self) -> None:
+        for worker in self._workers:
+            if not self._queue:
+                return
+            if worker.task is not None:
+                continue
+            task = self._queue.popleft()
+            try:
+                worker.conn.send(task._message)
+            except OSError:
+                pass  # it died while idle: _poll reports that as this task's end
+            except Exception as error:  # the task does not pickle
+                task._finish(error=error)
+                continue
+            worker.task, task.worker = task, worker
+        # No worker left (only the next fan-out spawns more): fail the rest.
+        while self._queue and not self._workers:
+            task = self._queue.popleft()
+            task._finish(error=WorkerDiedError(task.payload, None))
+
+    def _poll(self, timeout: "float | None") -> None:
+        """Collect every reply and worker death ready within ``timeout``."""
+        with self._lock:
+            busy = {}  # pipe and sentinel -> busy worker
+            for worker in self._workers:
+                if worker.task is not None:
+                    busy[worker.conn] = busy[worker.process.sentinel] = worker
+            if busy:
+                for worker in {busy[ready] for ready in wait(list(busy), timeout)}:
+                    self._collect(worker)
+            self._dispatch()
+
+    def _collect(self, worker: _Worker) -> None:
+        try:
+            reply = worker.conn.recv() if worker.conn.poll() else None
+        except (EOFError, OSError):
+            reply = None  # torn reply: the worker died mid-send
+        except Exception as error:  # a reply that does not unpickle
+            reply = (None, error)
+        if reply is None:
+            self._retire(worker)
+        else:
+            task, worker.task = worker.task, None
+            task._finish(*reply)
 
 
 _LOCK = threading.Lock()
@@ -120,53 +315,51 @@ _SPAWN_COUNT = 0  # pools created since import; tests pin reuse through it
 _ATEXIT_ARMED = False
 
 
-def persistence_enabled() -> bool:
-    """Whether pools persist across calls (``REPRO_POOL_PERSIST`` != 0)."""
-    return os.environ.get(ENV_POOL_PERSIST, "1") != "0"
+def _forget_pools_after_fork() -> None:
+    """In a fork child: close the inherited worker pipe ends and start
+    from an empty registry (the parent's pools are not this process's)."""
+    global _LOCK
+    _LOCK = threading.Lock()
+    for conn in _PARENT_ENDS:
+        conn.close()
+    _PARENT_ENDS.clear()
+    _POOLS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools_after_fork)
 
 
 def get_pool(processes: int, start_method: "str | None" = None) -> WorkerPool:
     """The persistent pool for ``start_method``, grown to ``processes``.
 
-    One pool lives per resolved start method.  A request for more
-    processes than the pool holds replaces it with a larger one (the old
-    workers are terminated first); a request for fewer reuses the larger
-    pool — idle workers cost nothing, and the caller's payload list
-    alone decides how much runs in parallel.
+    A fan-out starts here, so this is where workers that died since the
+    last one are replaced.  A request for more processes than the pool
+    holds replaces it with a larger one (the old workers are reaped
+    first); a request for fewer reuses the larger pool — idle workers
+    cost nothing, and the caller's payload list alone decides how much
+    runs in parallel.
     """
     global _SPAWN_COUNT, _ATEXIT_ARMED
     method = resolve_start_method(start_method)
     with _LOCK:
         pool = _POOLS.get(method)
-        if pool is None or pool.processes < processes:
-            if pool is not None:
-                pool.close()
-            pool = WorkerPool(processes, method)
-            _POOLS[method] = pool
-            _SPAWN_COUNT += 1
-            if not _ATEXIT_ARMED:
-                atexit.register(shutdown_pools)
-                _ATEXIT_ARMED = True
+        if pool is not None and pool.processes >= processes:
+            pool.replenish()
+            return pool
+        if pool is not None:
+            pool.close()
+        pool = _POOLS[method] = WorkerPool(processes, method)
+        _SPAWN_COUNT += 1
+        if not _ATEXIT_ARMED:
+            atexit.register(shutdown_pools)
+            _ATEXIT_ARMED = True
         return pool
 
 
-def discard_pool(pool: WorkerPool) -> None:
-    """Terminate ``pool`` and drop it from the registry if present.
-
-    The recovery path for a pool a caller believes is wedged (e.g. a
-    distributed local worker that never exited): the next fan-out simply
-    spawns a fresh one.
-    """
-    with _LOCK:
-        for method, registered in list(_POOLS.items()):
-            if registered is pool:
-                del _POOLS[method]
-    pool.close()
-
-
 def shutdown_pools() -> None:
-    """Terminate every persistent pool (benchmarks measure cold starts
-    by calling this between timings; also the atexit hook)."""
+    """Reap every persistent pool's workers (benchmarks measure cold
+    starts by calling this between timings; also the atexit hook)."""
     with _LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
@@ -192,122 +385,14 @@ def pools_spawned() -> int:
     return _SPAWN_COUNT
 
 
-def _faulted_task_main(func, payload, index, queue):
-    """Child entry of a fault-armed fan-out task (module-level so it
-    pickles under fork and spawn alike): pass the ``pool.task``
-    injection site, run the payload, ship back the result or the
-    exception.  A SIGKILL'd child ships nothing — the parent notices the
-    missing index and raises instead of hanging the way ``Pool.map``
-    would on a dead worker."""
-    from repro.faults.injector import fire
-    from repro.faults.sites import SITE_POOL_TASK
-
-    try:
-        fire(SITE_POOL_TASK)
-        queue.put((index, "ok", func(payload)))
-    except BaseException as error:  # noqa: BLE001 - must cross the process
-        queue.put((index, "error", error))
-
-
-def _faulted_map(func, payloads: list, start_method: "str | None") -> list:
-    """Fan-out used while a fault plan is live: raw processes + a result
-    queue, so an injected SIGKILL/torn-write surfaces as a raised error
-    (resumable) rather than a wedged ``Pool.map``."""
-    import queue as _queue_mod
-
-    context = multiprocessing.get_context(resolve_start_method(start_method))
-    queue = context.Queue()
-    processes = []
-    for index, payload in enumerate(payloads):
-        process = context.Process(
-            target=_faulted_task_main,
-            args=(func, payload, index, queue),
-            daemon=True,
-        )
-        process.start()
-        processes.append(process)
-    results: "dict[int, tuple]" = {}
-
-    def _drain(timeout: float) -> bool:
-        try:
-            index, status, value = queue.get(timeout=timeout)
-        except _queue_mod.Empty:
-            return False
-        results[index] = (status, value)
-        return True
-
-    try:
-        while len(results) < len(payloads):
-            if _drain(0.2):
-                continue
-            dead = [
-                index
-                for index, process in enumerate(processes)
-                if index not in results and process.exitcode is not None
-            ]
-            if not dead:
-                continue
-            # A result can still be in flight in the queue's feeder
-            # thread for a moment after its process exits; give it a
-            # short grace drain before declaring the worker dead.
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and any(
-                index not in results for index in dead
-            ):
-                _drain(0.2)
-            for index in dead:
-                if index not in results:
-                    raise RuntimeError(
-                        f"fan-out worker for payload {index} died with exit "
-                        f"code {processes[index].exitcode} before returning "
-                        "a result (injected fault?)"
-                    )
-    finally:
-        for process in processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-    ordered = []
-    for index in range(len(payloads)):
-        status, value = results[index]
-        if status == "error":
-            raise value
-        ordered.append(value)
-    return ordered
-
-
 def pool_map(
     func, payloads: list, processes: int, start_method: "str | None" = None
 ) -> list:
-    """Fan ``payloads`` out over the persistent pool (the engine's one
-    fan-out entry point).
-
-    With persistence disabled the pool is created for this call and torn
-    down after it — byte-for-byte the engine's old behaviour.  A payload
-    that *raises* propagates after every task finished, exactly like
-    ``Pool.map``; the pool stays healthy and keeps its workers either
-    way (a raised task is a normal result, not a dead process).
-
-    A live fault plan (see :mod:`repro.faults`) bypasses pools entirely
-    for :func:`_faulted_map`'s raw processes: persistent workers may
-    have been forked *before* the plan was armed and would silently not
-    fire, a SIGKILL'd worker must not poison a pool that outlives this
-    call — and ``Pool.map`` would simply hang on a worker that dies.
-    """
+    """Fan ``payloads`` out over the persistent pool — the engine's one
+    fan-out entry point (see :meth:`WorkerPool.map`)."""
     if not payloads:
         return []
-    from repro.faults.injector import plan_is_active
-
-    processes = min(processes, len(payloads))
-    if plan_is_active():
-        return _faulted_map(func, payloads, start_method)
-    if not persistence_enabled():
-        pool = WorkerPool(processes, start_method)
-        try:
-            return pool.map(func, payloads)
-        finally:
-            pool.close()
-    return get_pool(processes, start_method).map(func, payloads)
+    return get_pool(min(processes, len(payloads)), start_method).map(func, payloads)
 
 
 # -- zero-copy block hand-off ------------------------------------------------
@@ -400,12 +485,9 @@ def create_block_buffer(shape, dtype=np.float64) -> "BlockBuffer | None":
 
     ``None`` (rather than an exception) is the fallback signal so call
     sites read as one branch: platforms without a writable shared-memory
-    mount, a full ``/dev/shm``, and the explicit
-    ``REPRO_BLOCK_HANDOFF=pickle`` override all land here, and the
-    workers ship their arrays pickled as before.
+    mount and a full ``/dev/shm`` both land here, and the workers ship
+    their arrays pickled instead.
     """
-    if os.environ.get(ENV_BLOCK_HANDOFF) == "pickle":
-        return None
     try:
         return BlockBuffer.create(shape, dtype)
     except (OSError, ValueError):

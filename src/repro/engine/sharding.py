@@ -12,14 +12,13 @@ is bounded by ``chunk_size`` hosts rather than the fleet size.
 from __future__ import annotations
 
 import datetime as _dt
-import multiprocessing
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.engine.accumulate import CorrelationAccumulator, MomentAccumulator
-from repro.engine.pool import pool_map, resolve_start_method
+from repro.engine.pool import pool_map
 from repro.engine.reduce import (
     ChunkedFold,
     QuantileReducer,
@@ -152,23 +151,6 @@ def _run_shard(payload: tuple):
     return shard, reducers, digests
 
 
-def _pool_context(
-    start_method: "str | None" = None,
-) -> multiprocessing.context.BaseContext:
-    """The multiprocessing context every engine fan-out spawns through.
-
-    Start-method resolution (explicit argument, then
-    ``REPRO_START_METHOD``, then fork-with-spawn-fallback) lives in
-    :func:`repro.engine.pool.resolve_start_method`; an unsupported name
-    raises :class:`ValueError` naming the source of the bad value and
-    the platform's choices.  Since PR 7 the fan-outs themselves go
-    through the persistent pools of :mod:`repro.engine.pool` — this
-    context is what the pools (and the distributed backend's raw worker
-    processes) spawn from.
-    """
-    return multiprocessing.get_context(resolve_start_method(start_method))
-
-
 def generate_sharded(
     generator,
     when: "_dt.date | float",
@@ -197,9 +179,9 @@ def generate_sharded(
 
     ``shards=1`` runs in-process (no pool), which is also the single-process
     baseline the scale benchmark compares against.  ``start_method``
-    overrides the worker-pool start method (see :func:`_pool_context`;
-    threaded callers should pass ``"spawn"`` or set
-    ``REPRO_START_METHOD``).
+    overrides the worker-pool start method (see
+    :func:`~repro.engine.pool.resolve_start_method`; threaded callers
+    should pass ``"spawn"`` or set ``REPRO_START_METHOD``).
     """
     if shards < 1:
         raise ValueError("shards must be at least 1")

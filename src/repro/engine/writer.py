@@ -851,8 +851,7 @@ def _write_block_shard(payload: tuple):
     ``checkpoint`` (when resuming) must describe this exact shard range;
     recorded block files are re-verified against their digests and — being
     deterministic — simply rewritten if missing or corrupt, without
-    touching the restored reducer state.  ``fault_after`` (tests/CI only)
-    raises after this worker has written that many new blocks.
+    touching the restored reducer state.
     """
     (
         generator,
@@ -868,7 +867,6 @@ def _write_block_shard(payload: tuple):
         chunk_size,
         factories,
         checkpoint,
-        fault_after,
     ) = payload
     seeds = block_seeds(root, size)
     reducers = ReducerSet.from_factories(factories)
@@ -939,7 +937,6 @@ def _write_block_shard(payload: tuple):
             },
         )
 
-    written = 0
     for index in range(start, block_hi):
         block = _generate_block(generator, when, size, seeds, index)
         name = _block_name(index, fmt)
@@ -964,12 +961,7 @@ def _write_block_shard(payload: tuple):
             done % checkpoint_every == 0 or index + 1 == block_hi
         ):
             write_checkpoint()
-        written += 1
         _fire(SITE_BLOCK_DONE)
-        if fault_after is not None and written >= fault_after:
-            raise RuntimeError(
-                f"injected fault after {written} block(s) in shard {shard}"
-            )
     fold.flush()
     return shard, records, reducers, digests, restored, shard_payload.hexdigest()
 
@@ -987,7 +979,6 @@ def export_fleet_blocks(
     reducers: "dict[str, ReducerFactory] | None" = None,
     quantiles: bool = False,
     manifest_name: str = "manifest.json",
-    fault_after: "int | None" = None,
     start_method: "str | None" = None,
 ) -> BlockExportResult:
     """Export a fleet as per-block segments with reducer checkpoints.
@@ -1069,7 +1060,7 @@ def export_fleet_blocks(
     _write_json_atomic(os.path.join(out_dir, PLAN_NAME), plan)
     return _run_block_export(
         generator, plan, ranges, root, out_dir, factories,
-        [None] * len(ranges), fault_after, start_method,
+        [None] * len(ranges), start_method,
     )
 
 
@@ -1079,7 +1070,6 @@ def resume_export(
     manifest_name: str = "manifest.json",
     reducers: "dict[str, ReducerFactory] | None" = None,
     quantiles: bool = False,
-    fault_after: "int | None" = None,
     start_method: "str | None" = None,
 ) -> BlockExportResult:
     """Finish an interrupted block-layout export.
@@ -1258,13 +1248,13 @@ def resume_export(
         checkpoints.append(checkpoint)
     return _run_block_export(
         generator, plan, ranges, root, out_dir, factories, checkpoints,
-        fault_after, start_method,
+        start_method,
     )
 
 
 def _run_block_export(
     generator, plan, ranges, root, out_dir, factories, checkpoints,
-    fault_after, start_method=None,
+    start_method=None,
 ) -> BlockExportResult:
     """Drive the shard workers and finalise a block-layout manifest."""
     fmt, size, when = plan["format"], plan["size"], plan["when"]
@@ -1283,7 +1273,6 @@ def _run_block_export(
             plan.get("chunk_size", DEFAULT_CHUNK_SIZE),
             factories,
             checkpoints[shard],
-            fault_after,
         )
         for shard, (lo, hi) in enumerate(ranges)
     ]

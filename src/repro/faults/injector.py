@@ -20,15 +20,16 @@ Every firing is appended as one JSON line to the firing log (``O_APPEND``
 single-write, so concurrent workers interleave whole lines), which is
 what ``fleet chaos`` compares across runs to prove replay determinism.
 
-Plans reach child processes two ways: a fork child inherits the armed
-in-process state directly, and any child (spawn, or a CLI subprocess)
-re-arms from the environment — ``REPRO_FAULT_PLAN`` (a plan file path;
-its directory becomes the state dir) or ``REPRO_FAULT_PLAN_JSON`` (the
-plan JSON itself, with ``REPRO_FAULT_STATE`` naming the state dir).
-Because a *persistent* pool worker may have been forked before the plan
-was armed, the engine's fan-outs bypass persistent pools whenever
-:func:`plan_is_active` says a plan is live (see
-:func:`repro.engine.pool.pool_map`).
+Plans reach other processes two ways.  A CLI subprocess (or any fresh
+interpreter) arms itself from the environment — ``REPRO_FAULT_PLAN`` (a
+plan file path; its directory becomes the state dir) or
+``REPRO_FAULT_PLAN_JSON`` (the plan JSON itself, with
+``REPRO_FAULT_STATE`` naming the state dir).  A persistent pool worker
+may have been forked long before the plan was armed, so every pool task
+carries :func:`armed_state` and the worker calls :func:`rearm` with it
+before passing the ``pool.task`` site: fresh counters under the caller's
+plan, or disarmed when the caller has none (see
+:mod:`repro.engine.pool`).
 """
 
 from __future__ import annotations
@@ -172,6 +173,23 @@ def plan_is_active() -> bool:
 def active_plan() -> "FaultPlan | None":
     state = _resolve_state()
     return None if state is _INACTIVE else state.plan  # type: ignore[union-attr]
+
+
+def armed_state() -> "tuple | None":
+    """The live plan as a picklable ``(plan, state_dir, log_path)``, or
+    ``None`` — what a pool task carries to its worker."""
+    state = _resolve_state()
+    if state is _INACTIVE:
+        return None
+    return (state.plan, state.state_dir, state.log_path)  # type: ignore[union-attr]
+
+
+def rearm(armed: "tuple | None") -> None:
+    """Arm an :func:`armed_state` triple with fresh counters, or disarm
+    for ``None`` — ignoring the environment, which a forked worker may
+    have inherited stale."""
+    global _STATE
+    _STATE = _INACTIVE if armed is None else _InjectorState(*armed)
 
 
 def _claim_once(state: _InjectorState, spec_index: int) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.writer as writer
 from repro.engine import (
     COLUMNAR_FORMAT,
     FleetManifest,
@@ -118,7 +119,7 @@ class TestColumnarExport:
         self, columnar_export, paper_generator, tmp_path, monkeypatch
     ):
         _, manifest = columnar_export
-        monkeypatch.setenv("REPRO_BLOCK_HANDOFF", "pickle")
+        monkeypatch.setattr(writer, "create_block_buffer", lambda *args: None)
         fallback = export_fleet(
             paper_generator,
             SEPT_2010,

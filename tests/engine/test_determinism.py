@@ -118,26 +118,26 @@ class TestStartMethodOverride:
         assert spawned.moments.means() == forked.moments.means()
 
     def test_explicit_start_method_wins(self):
-        from repro.engine.sharding import _pool_context
+        from repro.engine import resolve_start_method
 
-        assert _pool_context("spawn").get_start_method() == "spawn"
+        assert resolve_start_method("spawn") == "spawn"
 
     def test_env_override_is_honoured(self, monkeypatch):
-        from repro.engine.sharding import _pool_context
+        from repro.engine import resolve_start_method
 
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        assert _pool_context().get_start_method() == "spawn"
+        assert resolve_start_method() == "spawn"
         # an explicit argument still beats the environment
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            assert _pool_context("fork").get_start_method() == "fork"
+            assert resolve_start_method("fork") == "fork"
 
     def test_unsupported_start_method_is_rejected(self):
-        from repro.engine.sharding import _pool_context
+        from repro.engine import resolve_start_method
 
         with pytest.raises(ValueError, match="unsupported"):
-            _pool_context("frobnicate")
+            resolve_start_method("frobnicate")
 
     def test_spawn_export_round_trips(self, paper_generator, tmp_path):
         from repro.engine import export_fleet, verify_manifest

@@ -55,6 +55,7 @@ from repro.engine.distributed import (
     recv_frame,
     send_frame,
 )
+from repro.faults import FaultPlan, FaultSpec, activate, deactivate
 
 SEPT_2010 = 2010.667
 SEED = 20110611
@@ -70,6 +71,18 @@ def golden(tmp_path_factory, paper_generator):
         shards=1, checkpoint_every=0, quantiles=True,
     )
     return out, result
+
+
+@pytest.fixture
+def worker_sigkill_after_block(tmp_path):
+    """Arm one local worker's SIGKILL after its first block (the plan
+    the CLI's legacy ``--fault-after 1`` builds on this backend)."""
+    spec = FaultSpec(
+        site="distributed.worker.block", kind="sigkill", after=1, once=True
+    )
+    activate(FaultPlan(faults=(spec,)), state_dir=str(tmp_path / "faults"))
+    yield
+    deactivate()
 
 
 def _payload_bytes(out_dir, manifest) -> bytes:
@@ -227,14 +240,14 @@ class TestDistributedByteIdentity:
 
 class TestWorkerFailure:
     def test_sigkilled_worker_blocks_are_reassigned(
-        self, tmp_path, paper_generator, golden
+        self, tmp_path, paper_generator, golden, worker_sigkill_after_block
     ):
         """One worker SIGKILLs itself mid-run; the export must not change."""
         golden_dir, golden_result = golden
         out = tmp_path / "killed"
         result = export_fleet_distributed(
             paper_generator, SEPT_2010, SIZE, SEED, str(out),
-            workers=2, lease_blocks=1, quantiles=True, fault_after=1,
+            workers=2, lease_blocks=1, quantiles=True,
         )
         assert result.reassigned_leases >= 1
         assert result.manifest.to_json() == golden_result.manifest.to_json()
@@ -243,13 +256,15 @@ class TestWorkerFailure:
         )
         assert verify_manifest(str(out / "manifest.json")).ok
 
-    def test_lone_worker_death_fails_loudly(self, tmp_path, paper_generator):
+    def test_lone_worker_death_fails_loudly(
+        self, tmp_path, paper_generator, worker_sigkill_after_block
+    ):
         with pytest.raises(RuntimeError, match="workers died"):
             export_fleet_distributed(
-                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                workers=1, lease_blocks=1, fault_after=1,
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path / "out"),
+                workers=1, lease_blocks=1,
             )
-        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def _fake_worker(listener, behaviour):
@@ -472,8 +487,7 @@ def _make_coordinator(leases, size=16_384, lease_depth=1):
 
     return _Coordinator(
         job={"type": "job"}, leases=leases, out_dir=".",
-        factories={}, size=size, worker_timeout=60.0, fault_after=None,
-        lease_depth=lease_depth,
+        factories={}, size=size, worker_timeout=60.0, lease_depth=lease_depth,
     )
 
 
@@ -650,7 +664,7 @@ class TestArgumentValidation:
             {"chunk_size": 0},
             {"workers": -1},
             {"worker_timeout": 0.0},
-            {"coordinator_fault_after": 0},
+            {"worker_timeout": -1.0},
         ],
     )
     def test_rejects_bad_numbers(self, tmp_path, paper_generator, kwargs):
@@ -750,6 +764,51 @@ class TestCliSubprocessCrashInjection:
         assert doc["kind"] == "FleetDistributedMetrics"
         assert doc["resumed_leases"] >= 1
         assert not (dist / DISTRIBUTED_PLAN_NAME).exists()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="process-tree check reads /proc"
+    )
+    def test_coordinator_crash_leaves_no_orphan_holding_the_pipe(self, tmp_path):
+        """A SIGKILLed coordinator's local workers must exit at once: the
+        piped stdout closes within 10 s and nothing of its session lives."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", "export",
+             "--size", str(SIZE), "--seed", str(SEED),
+             "--out-dir", str(tmp_path / "dist"), "--backend", "distributed",
+             "--workers", "2", "--lease-blocks", "1",
+             "--coordinator-fault-after", "2"],
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the crashed export's stdout pipe stayed open 10 s")
+        assert proc.returncode == -signal.SIGKILL
+        # a worker closes its descriptors a moment before it is reaped
+        deadline = time.monotonic() + 5
+        while _session_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_members(proc.pid) == {}
+
+
+def _session_members(session: int) -> "dict[int, str]":
+    """Live (non-zombie) processes of ``session``: pid -> /proc stat line."""
+    members = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "r", encoding="ascii") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        if fields[0] not in "ZX" and int(fields[3]) == session:
+            members[int(entry)] = stat
+    return members
 
 
 def _cli_env():
@@ -968,21 +1027,23 @@ class TestWorkerReadDeadline:
 class TestStallDiagnostics:
     """S2 regression: the stall error must say whether any work happened."""
 
-    class _Alive:
-        def is_alive(self):
-            return True
+    class _Running:
+        """A local worker's pool task that never finishes."""
+
+        def wait(self, timeout=None):
+            return False
 
     def test_reports_when_no_worker_ever_connected(self):
         coordinator = _make_coordinator([(0, 1)])
         coordinator.worker_timeout = 0.2
-        coordinator.processes.append(self._Alive())
+        coordinator.tasks.append(self._Running())
         with pytest.raises(RuntimeError, match="no worker connected within"):
             coordinator.run()
 
     def test_reports_progress_made_before_the_fleet_went_silent(self):
         coordinator = _make_coordinator([(0, 1), (1, 2)])
         coordinator.worker_timeout = 0.2
-        coordinator.processes.append(self._Alive())
+        coordinator.tasks.append(self._Running())
         coordinator.workers_seen = 1
         coordinator.completed[(0, 1)] = {}
         with pytest.raises(
@@ -1060,55 +1121,14 @@ class TestMetricsDocument:
 
 
 class TestPooledWorkerHandle:
-    """S4: the process-shaped adapter over pool AsyncResults."""
-
-    def test_join_swallows_timeouts_and_worker_errors(self):
-        from repro.engine.distributed import _PooledWorkerHandle
-
-        class Timeouting:
-            def ready(self):
-                return False
-
-            def get(self, timeout=None):
-                raise multiprocessing.TimeoutError()
-
-        handle = _PooledWorkerHandle(pool=None, result=Timeouting())
-        assert handle.is_alive()
-        handle.join(timeout=0.01)  # must not raise
-
-        class Raising:
-            def ready(self):
-                return True
-
-            def get(self, timeout=None):
-                raise RuntimeError("worker blew up")
-
-        handle = _PooledWorkerHandle(pool=None, result=Raising())
-        assert not handle.is_alive()
-        handle.join()  # errors surface through lease reassignment, not join
-
-    def test_terminate_discards_the_pool(self):
-        from repro.engine.distributed import _PooledWorkerHandle
-        from repro.engine.pool import get_pool, persistence_enabled, pools_spawned
-
-        if not persistence_enabled():
-            pytest.skip("persistent pools disabled in this environment")
-        pool = get_pool(1)
-        before = pools_spawned()
-        _PooledWorkerHandle(pool, result=None).terminate()
-        rebuilt = get_pool(1)
-        assert rebuilt is not pool
-        assert pools_spawned() == before + 1
+    """Local workers are tasks on the persistent pool; the coordinator
+    holds their task handles."""
 
     def test_pooled_worker_completes_a_reassigned_lease(
         self, tmp_path, paper_generator, golden
     ):
         """A remote worker takes a lease and dies; the pooled local worker
         must absorb the requeue and the export must stay byte-identical."""
-        from repro.engine.pool import persistence_enabled
-
-        if not persistence_enabled():
-            pytest.skip("persistent pools disabled in this environment")
         golden_dir, golden_result = golden
 
         def take_and_die(conn, job):
@@ -1132,6 +1152,29 @@ class TestPooledWorkerHandle:
             golden_dir, golden_result.manifest
         )
 
+    def test_sigkilled_local_worker_is_replaced_by_the_next_export(
+        self, tmp_path, paper_generator, golden, worker_sigkill_after_block
+    ):
+        """The SIGKILLed worker's task reports its death instead of hanging
+        the teardown, and the next export runs on a full pool again."""
+        from repro.engine.pool import get_pool, pools_spawned
+
+        _, golden_result = golden
+        export_fleet_distributed(
+            paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path / "a"),
+            workers=2, lease_blocks=1, quantiles=True,
+        )
+        deactivate()
+        spawned = pools_spawned()
+        result = export_fleet_distributed(
+            paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path / "b"),
+            workers=2, lease_blocks=1, quantiles=True,
+        )
+        assert pools_spawned() == spawned  # healed in place, not rebuilt
+        assert result.workers == 2
+        assert all(w.process.is_alive() for w in get_pool(2)._workers)
+        assert result.manifest.to_json() == golden_result.manifest.to_json()
+
 
 def _coordinator_crash_main(out_dir):
     """Child body for the fork-based coordinator SIGKILL tests: the export
@@ -1139,11 +1182,16 @@ def _coordinator_crash_main(out_dir):
     from repro.core.generator import CorrelatedHostGenerator
     from repro.core.parameters import ModelParameters
 
+    # The plan `--coordinator-fault-after 2` builds: die as the third lease
+    # checkpoint is about to be appended, with two lines on disk.
+    spec = FaultSpec(
+        site="distributed.coordinator.checkpoint", kind="sigkill", after=3
+    )
+    activate(FaultPlan(faults=(spec,)))
     export_fleet_distributed(
         CorrelatedHostGenerator(ModelParameters.paper_reference()),
         SEPT_2010, SIZE, SEED, out_dir,
         workers=2, lease_blocks=1, quantiles=True,
-        coordinator_fault_after=2,
     )
 
 

@@ -3,13 +3,15 @@
 The contract under test: an export interrupted after *k* blocks and then
 resumed produces a manifest, a CSV payload concatenation and reduced
 statistics **identical** to an uninterrupted run of the same parameters.
-Interruption is injected three ways — the writer's own deterministic
-fault hook, a monkeypatched block writer that dies mid-file (leaving a
-truncated segment behind), and a real ``SIGKILL`` of a CLI subprocess.
+Interruption is injected three ways — a fault plan on the writer's
+``writer.block.done`` site, a monkeypatched block writer that dies
+mid-file (leaving a truncated segment behind), and a real ``SIGKILL`` of
+a CLI subprocess.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -30,12 +32,27 @@ from repro.engine import (
     resume_export,
     verify_manifest,
 )
+from repro.faults import FaultInjected, FaultPlan, FaultSpec, activate, deactivate
 from repro.timeutil import parse_date, year_fraction
 
 SEPT_2010 = 2010.667
 SEED = 20110611
 SIZE = 20_000  # five RNG blocks
 CHECKPOINT_EVERY = 2
+
+
+@contextlib.contextmanager
+def _interrupted_after(blocks: int):
+    """Expect the export inside to die of the plan ``--fault-after
+    blocks`` arms on the local layouts: every shard worker raises after
+    writing its ``blocks``-th block."""
+    spec = FaultSpec(site="writer.block.done", kind="raise", after=blocks)
+    activate(FaultPlan(faults=(spec,)))
+    try:
+        with pytest.raises(FaultInjected, match="injected fault"):
+            yield
+    finally:
+        deactivate()
 
 
 def _payload_bytes(out_dir, manifest) -> bytes:
@@ -91,7 +108,7 @@ class TestInjectedFault:
         """Kill after k blocks (before/after/on a checkpoint boundary)."""
         golden_dir, golden_result = golden
         out = tmp_path / "interrupted"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with _interrupted_after(fault_after):
             export_fleet_blocks(
                 paper_generator,
                 SEPT_2010,
@@ -101,7 +118,6 @@ class TestInjectedFault:
                 shards=1,
                 checkpoint_every=CHECKPOINT_EVERY,
                 quantiles=True,
-                fault_after=fault_after,
             )
         assert (out / writer.PLAN_NAME).exists()
         assert not (out / "manifest.json").exists()
@@ -119,10 +135,10 @@ class TestInjectedFault:
             shards=2, checkpoint_every=1, quantiles=True,
         )
         out = tmp_path / "interrupted2"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with _interrupted_after(1):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(out),
-                shards=2, checkpoint_every=1, quantiles=True, fault_after=1,
+                shards=2, checkpoint_every=1, quantiles=True,
             )
         resumed = resume_export(paper_generator, str(out), quantiles=True)
         assert resumed.resumed_blocks >= 1
@@ -179,11 +195,10 @@ class TestMonkeypatchedWriterFault:
         """Corruption of an already-checkpointed block file heals on resume."""
         golden_dir, golden_result = golden
         out = tmp_path / "tampered"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with _interrupted_after(3):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(out),
                 shards=1, checkpoint_every=CHECKPOINT_EVERY, quantiles=True,
-                fault_after=3,
             )
         target = out / "block-000000.csv"
         target.write_bytes(b"flipped" + target.read_bytes()[7:])
@@ -209,10 +224,10 @@ class TestResumeRejections:
             resume_export(paper_generator, str(tmp_path))
 
     def test_wrong_plan_version_rejected(self, tmp_path, paper_generator):
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(1):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=1,
+                shards=1, checkpoint_every=1,
             )
         plan_path = tmp_path / writer.PLAN_NAME
         plan = json.loads(plan_path.read_text())
@@ -222,10 +237,10 @@ class TestResumeRejections:
             resume_export(paper_generator, str(tmp_path))
 
     def test_corrupt_checkpoint_rejected(self, tmp_path, paper_generator):
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(2):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         checkpoint_path = tmp_path / "checkpoint-0000.json"
         checkpoint = json.loads(checkpoint_path.read_text())
@@ -242,10 +257,10 @@ class TestResumeRejections:
         from repro.core.laws import ExponentialLaw
         from repro.core.parameters import ModelParameters
 
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(2):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         other_params = dataclasses.replace(
             ModelParameters.paper_reference(),
@@ -271,10 +286,10 @@ class TestResumeRejections:
         self, tmp_path, paper_generator, mutate, match
     ):
         """Every plan corruption mode is a StateError, never a raw TypeError."""
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(1):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=1,
+                shards=1, checkpoint_every=1,
             )
         plan_path = tmp_path / writer.PLAN_NAME
         plan = json.loads(plan_path.read_text())
@@ -304,10 +319,10 @@ class TestResumeRejections:
     def test_corrupt_checkpoint_fields_raise_state_error(
         self, tmp_path, paper_generator, mutate
     ):
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(2):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         checkpoint_path = tmp_path / "checkpoint-0000.json"
         checkpoint = json.loads(checkpoint_path.read_text())
@@ -317,10 +332,10 @@ class TestResumeRejections:
             resume_export(paper_generator, str(tmp_path))
 
     def test_reducer_mismatch_rejected(self, tmp_path, paper_generator):
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(1):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, quantiles=True, fault_after=1,
+                shards=1, checkpoint_every=1, quantiles=True,
             )
         with pytest.raises(StateError, match="reducer"):
             resume_export(paper_generator, str(tmp_path), quantiles=False)
@@ -334,10 +349,10 @@ class TestResumeRejections:
         (Simulates resuming in an environment whose RNG stream differs;
         here the recorded digest is forged instead.)
         """
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(2):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         # tear block 0 on disk and forge its checkpointed digests so the
         # (correct) regeneration cannot match them
@@ -355,10 +370,10 @@ class TestResumeRejections:
     ):
         """An npz rewrite records the bytes actually on disk (zip metadata
         is not byte-stable), so the healed export still verifies."""
-        with pytest.raises(RuntimeError):
+        with _interrupted_after(3):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, fmt="npz", checkpoint_every=1, fault_after=3,
+                shards=1, fmt="npz", checkpoint_every=1,
             )
         (tmp_path / "block-000001.npz").unlink()
         resumed = resume_export(paper_generator, str(tmp_path))

@@ -17,6 +17,7 @@ from repro.engine import (
     resume_export,
     verify_manifest,
 )
+from repro.faults import FaultInjected, FaultPlan, FaultSpec, activate, deactivate
 from repro.scenarios import get_scenario_spec, iter_scenario_specs
 
 SEED = 20110611
@@ -80,11 +81,17 @@ class TestCrashResume:
             spec.make_generator(), WHEN, SIZE, SEED, str(whole_dir),
             checkpoint_every=1, reducers=spec.profile(),
         )
-        with pytest.raises(RuntimeError, match="injected fault"):
-            export_fleet_blocks(
-                spec.make_generator(), WHEN, SIZE, SEED, str(crash_dir),
-                checkpoint_every=1, reducers=spec.profile(), fault_after=1,
-            )
+        # the plan `--fault-after 1` arms: die after the first block
+        fault = FaultSpec(site="writer.block.done", kind="raise", after=1)
+        activate(FaultPlan(faults=(fault,)))
+        try:
+            with pytest.raises(FaultInjected, match="injected fault"):
+                export_fleet_blocks(
+                    spec.make_generator(), WHEN, SIZE, SEED, str(crash_dir),
+                    checkpoint_every=1, reducers=spec.profile(),
+                )
+        finally:
+            deactivate()
         resumed = resume_export(
             spec.make_generator(), str(crash_dir), reducers=spec.profile()
         )

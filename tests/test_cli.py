@@ -242,10 +242,14 @@ class TestFleetResumableExport:
 
     def test_interrupt_then_resume_roundtrip(self, tmp_path, capsys):
         out_dir = tmp_path / "resume"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
                   "--checkpoint-every", "1", "--fault-after", "1"])
-        capsys.readouterr()
+            == 1
+        )
+        err = capsys.readouterr().err
+        assert "injected fault" in err and "--resume" in err
+        assert len(err.splitlines()) == 1  # one typed line, no traceback
         assert not (out_dir / "manifest.json").exists()
         assert (
             main(["fleet", "export", "--resume", "--out-dir", str(out_dir)]) == 0
@@ -287,10 +291,12 @@ class TestFleetResumableExport:
         import json
 
         out_dir = tmp_path / "chunked"
-        with pytest.raises(RuntimeError):
+        assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
                   "--checkpoint-every", "1", "--chunk-size", "4321",
                   "--fault-after", "1"])
+            == 1
+        )
         capsys.readouterr()
         plan = json.loads((out_dir / "manifest.partial.json").read_text())
         assert plan["chunk_size"] == 4321
@@ -329,12 +335,47 @@ class TestFleetExportForce:
 
     def test_resume_does_not_need_force(self, tmp_path, capsys):
         out_dir = tmp_path / "resumable"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
                   "--checkpoint-every", "1", "--fault-after", "1"])
-        capsys.readouterr()
+            == 1
+        )
+        assert "injected fault" in capsys.readouterr().err
         assert main(["fleet", "export", "--resume",
                      "--out-dir", str(out_dir)]) == 0
+
+
+class TestLostPoolWorker:
+    """A pool worker SIGKILLed mid-task ends the export in one typed line
+    (exit 1) that says how to recover, never in a traceback or a hang."""
+
+    KILL_ONE = ["--fault-spec", "pool.task:kind=sigkill,once=true"]
+
+    @pytest.mark.parametrize(
+        "layout, hint",
+        [([], "re-run the export"), (["--checkpoint-every", "2"], "--resume")],
+    )
+    def test_fleet_export(self, tmp_path, capsys, layout, hint):
+        out_dir = tmp_path / "out"
+        assert main(["fleet", "export", "--size", "9000", "--shards", "2",
+                     "--out-dir", str(out_dir), *layout, *self.KILL_ONE]) == 1
+        err = capsys.readouterr().err
+        assert "pool worker died (exit code -9)" in err and hint in err
+        assert len(err.splitlines()) == 1
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_fleet_scenario_run(self, tmp_path, capsys):
+        assert main(["fleet", "scenario", "run", "availability", "--size",
+                     "9000", "--shards", "2", "--out-dir", str(tmp_path / "out"),
+                     *self.KILL_ONE]) == 1
+        err = capsys.readouterr().err
+        assert "pool worker died" in err and len(err.splitlines()) == 1
+
+    def test_legacy_alias_with_fault_spec_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["fleet", "export", "--size", "9000", "--out-dir",
+                     str(tmp_path / "out"), "--checkpoint-every", "1",
+                     "--fault-after", "1", *self.KILL_ONE]) == 2
+        assert "cannot be combined with --fault-after" in capsys.readouterr().err
 
 
 class TestFleetStartMethodEnv:
