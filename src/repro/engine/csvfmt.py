@@ -5,31 +5,50 @@ Every fleet export path renders host rows with the printf format
 ``np.savetxt`` applies that format one Python ``%`` call per row, which
 profiles as ~85 % of ``fleet export`` wall-clock — far more than generating
 the hosts.  :func:`encode_csv_rows` produces the *same bytes* in a handful
-of whole-column numpy passes: it computes every field's correctly-rounded
-scaled integer, lays the variable-width rows out with a cumulative-offset
-pass, and scatters digit characters straight into one ``uint8`` buffer.
+of whole-column numpy passes over a fixed-slot layout:
+
+* **Slots.**  Each field gets a slot sized from its column's maximum
+  digit count: an optional sign position (only when the column has a
+  negative row), the integer digits, the point and fraction digits (only
+  for ``%.Nf`` with ``N > 0``) and the separator (``,``, or ``\\n`` after
+  the last field).  All slots side by side form one ``(rows, W)`` ``uint8``
+  matrix — ``W`` is 34 for the host format.
+* **Digits.**  Every digit position is one strided column, written for all
+  rows at once by ``nq = q // 10; digit = q - 10 * nq`` (numpy divides by
+  a scalar quickly; its ``%`` and ``divmod`` are several times slower).
+  Columns whose maximum fits narrow to ``int32`` first.
+* **Compaction.**  A boolean mask of the same shape drops each row's
+  leading-zero positions and unused sign positions, so the ``-`` a
+  negative row keeps in its sign slot lands just before its first digit.
+  One boolean compaction of the matrix yields the row bytes in order.
 
 Byte identity is the hard constraint (export manifests pin payload sha256
 digests), and it hinges on exact rounding:
 
-* ``%.df`` prints the decimal expansion of the *binary* double, correctly
-  rounded to ``d`` fractional digits with ties to even.  That equals
-  round-half-even of the exact product ``x * 10**d`` — and on platforms
-  where ``np.longdouble`` carries a >= 60-bit mantissa the product of a
-  53-bit double with ``10`` or ``100`` (4 and 7 extra bits) is *exact* in
-  long double, so ``np.rint`` over long doubles reproduces printf's
-  rounding bit for bit.
+* ``%.Nf`` prints the decimal expansion of the *binary* double, correctly
+  rounded to ``N`` fractional digits with ties to even — round-half-even
+  of the exact product ``x * 10**N``.  The encoder computes
+  ``p = x * 10**N`` in float64 and ``r = rint(p)``.  ``p`` is the double
+  nearest the exact product, and below ``2**52`` every half-integer is a
+  double, so a half-integer lying strictly between ``p`` and the exact
+  product would be nearer to it than ``p`` is — impossible.  Hence ``r``
+  is exact unless ``p`` is itself a half-integer.  Rows where
+  ``|p - r| == 0.5`` or ``|p| >= 2**52``, and only those, take the exact
+  route: on platforms where ``np.longdouble`` carries a >= 60-bit
+  mantissa the product of a 53-bit double with ``10`` or ``100`` (4 and
+  7 extra bits) is exact in long double, so ``np.rint`` over it
+  reproduces printf's rounding bit for bit.  ``%.0f`` needs no product.
 * ``%d`` truncates toward zero (``np.trunc``), and an integral ``0`` never
-  prints a sign even for negative inputs, while ``%.df`` signs anything
-  with the sign bit set (``-0.04`` → ``-0.0``).
+  prints a sign even for negative inputs, while ``%.Nf`` signs anything
+  with the sign bit set (``-0.04`` → ``-0.0``).  ``%.0f`` prints no point.
 
 Inputs outside the fast path — non-finite values, magnitudes at or above
 :data:`FAST_PATH_LIMIT` (where scaled integers stop fitting comfortably in
-``int64`` and ``%.1f`` starts printing hundreds of digits), or a platform
-whose long double adds no precision — fall back to CPython's own ``%``
-formatting applied to whole chunks at once, which is identical by
-construction (it is the same code path ``np.savetxt`` uses, minus the
-per-row driver loop).
+``int64`` and ``%.1f`` starts printing hundreds of digits), more than two
+fractional digits, or a platform whose long double adds no precision —
+fall back to CPython's own ``%`` formatting applied to whole chunks at
+once, which is identical by construction (it is the same code path
+``np.savetxt`` uses, minus the per-row Python loop).
 """
 
 from __future__ import annotations
@@ -40,8 +59,7 @@ import numpy as np
 
 #: Magnitudes at or above this leave the vectorised path: the widest
 #: fast-path field scale (100, see :data:`_MAX_FAST_DECIMALS`) times this
-#: stays well inside int64, and the digit tables below cover every width
-#: that can occur underneath it.
+#: stays well inside int64.
 FAST_PATH_LIMIT = 1e15
 
 #: Fractional digits beyond this route the whole call to the fallback:
@@ -50,10 +68,9 @@ FAST_PATH_LIMIT = 1e15
 #: push scaled integers toward int64 overflow below FAST_PATH_LIMIT.
 _MAX_FAST_DECIMALS = 2
 
-#: ``10**k`` for ``k`` in 1..18 — ``searchsorted`` against this gives the
-#: decimal digit count of any non-negative int64 below ``FAST_PATH_LIMIT``
-#: after scaling.
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+#: Below this every half-integer is a double, so the float64 ``rint`` of a
+#: scaled field is exact except on ties (see the module docstring).
+_HALF_INTEGER_LIMIT = 2.0**52
 
 #: Whether ``np.longdouble`` products of a double with 10/100 are exact
 #: (53 + 7 bits must fit the mantissa); x86 extended (64 bits) and IEEE
@@ -107,30 +124,33 @@ def _encode_rows_fallback(matrix: np.ndarray, fmt: str) -> bytes:
     return b"".join(pieces)
 
 
-def _scaled_fields(matrix: np.ndarray, specs) -> "list[tuple]":
-    """Per field: ``(negative mask, |int part|, |fraction|, digit count, width)``."""
-    fields = []
-    for j, decimals in enumerate(specs):
-        x = matrix[:, j]
-        if decimals is None:
-            value = np.trunc(x).astype(np.int64)
-            negative = value < 0  # an integral 0 prints unsigned
-            magnitude = np.abs(value)
-            int_part, fraction = magnitude, None
-            extra = 0
-        else:
-            scale = 10**decimals
-            # Exact in long double (53 + <=7 bits), so rint reproduces
-            # printf's correctly-rounded ties-to-even decimal.
-            scaled = np.rint(x.astype(np.longdouble) * scale).astype(np.int64)
-            negative = np.signbit(x)  # %.1f signs -0.04 as "-0.0"
-            magnitude = np.abs(scaled)
-            int_part, fraction = magnitude // scale, magnitude % scale
-            extra = decimals + 1  # "." plus the fixed fractional digits
-        digits = np.searchsorted(_POW10, int_part, side="right") + 1
-        width = digits + negative + extra
-        fields.append((negative, int_part, fraction, digits, width))
-    return fields
+def _scaled_magnitudes(
+    column: np.ndarray, decimals: "int | None"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(negative mask, |scaled integer|)`` of one field, as printf rounds it.
+
+    ``decimals`` is ``None`` for ``%d`` (truncation toward zero; an
+    integral zero prints unsigned) and the fractional digit count for
+    ``%.Nf`` (round half to even of the exact ``|x| * 10**N``; the sign
+    bit decides the sign, so ``-0.04`` prints ``-0.0``).
+    """
+    if decimals is None:
+        value = np.trunc(column)
+        return value < 0, np.abs(value).astype(np.int64)
+    scale = 10**decimals
+    product = np.abs(column) * scale
+    rounded = np.rint(product)
+    scaled = rounded.astype(np.int64)
+    if decimals:
+        # Only a float64 tie, or a product past 2**52, can round apart
+        # from the exact product: redo those rows in long double.
+        inexact = (np.abs(product - rounded) == 0.5) | (
+            product >= _HALF_INTEGER_LIMIT
+        )
+        if inexact.any():
+            exact = np.abs(column[inexact]).astype(np.longdouble) * scale
+            scaled[inexact] = np.rint(exact).astype(np.int64)
+    return np.signbit(column), scaled
 
 
 def encode_csv_rows(matrix: "np.ndarray", fmt: str) -> bytes:
@@ -138,10 +158,12 @@ def encode_csv_rows(matrix: "np.ndarray", fmt: str) -> bytes:
     to ``np.savetxt(handle, matrix, fmt=fmt)``.
 
     ``matrix`` must be a 2-D float array with one column per format field.
-    Finite, moderate values take the vectorised digit-scatter path; any
+    Finite, moderate values take the vectorised fixed-slot path; any
     non-finite or huge value routes the whole call through the chunked
     CPython fallback (still byte-identical, still far cheaper than the
-    per-row ``np.savetxt`` loop).
+    per-row ``np.savetxt`` loop).  Working memory is about ten bytes per
+    row per slot column (the matrix, its mask and the compaction's
+    indices), so callers bound it by encoding block by block.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -153,42 +175,51 @@ def encode_csv_rows(matrix: "np.ndarray", fmt: str) -> bytes:
         )
     if matrix.shape[0] == 0:
         return b""
+    # ``max`` propagates NaN, so this one reduction also rejects non-finite
+    # values.
     if (
         not _EXACT_LONGDOUBLE
         or any(d is not None and d > _MAX_FAST_DECIMALS for d in specs)
-        or not np.all(np.isfinite(matrix) & (np.abs(matrix) < FAST_PATH_LIMIT))
+        or not np.abs(matrix).max() < FAST_PATH_LIMIT
     ):
         return _encode_rows_fallback(matrix, fmt)
 
-    fields = _scaled_fields(matrix, specs)
-    widths = np.column_stack([field[4] for field in fields])
-    # Cumulative end offset of each field *including* its one-byte
-    # separator (',' between fields, '\n' after the last).
-    ends = np.cumsum(widths + 1, axis=1)
-    row_lengths = ends[:, -1].copy()
-    row_starts = np.concatenate(([0], np.cumsum(row_lengths)[:-1]))
-    ends += row_starts[:, None]
-
-    out = np.empty(int(row_lengths.sum()), dtype=np.uint8)
-    out[ends[:, :-1] - 1] = ord(",")
-    out[ends[:, -1] - 1] = ord("\n")
+    # One slot per field, sized from its column's widest row:
+    # [sign][integer digits][point and fraction digits][separator].
+    slots = []
+    width = 0
     for j, decimals in enumerate(specs):
-        negative, int_part, fraction, digits, _ = fields[j]
-        last = ends[:, j] - 2  # last character of the field
-        if decimals is not None:
-            for k in range(decimals):
-                fraction, digit = np.divmod(fraction, 10)
-                out[last - k] = 48 + digit
-            last = last - decimals  # the decimal point's position
-            out[last] = ord(".")
-            last = last - 1  # ones digit of the integer part
-        for k in range(int(digits.max())):
-            int_part, digit = np.divmod(int_part, 10)
-            if k == 0:
-                out[last] = 48 + digit
-            else:
-                covered = digits > k
-                out[last[covered] - k] = 48 + digit[covered]
-        if negative.any():
-            out[(last - digits)[negative]] = ord("-")
-    return out.tobytes()
+        negative, scaled = _scaled_magnitudes(matrix[:, j], decimals)
+        fraction = decimals or 0
+        top = int(scaled.max())
+        int_digits = len(str(top // 10**fraction))
+        signed = bool(negative.any())
+        ones = width + signed + int_digits - 1  # column of the ones digit
+        width = ones + (fraction + 1 if fraction else 0) + 2
+        if top < 2**31:
+            scaled = scaled.astype(np.int32)  # numpy divides int32 faster
+        slots.append((negative if signed else None, scaled, fraction, int_digits, ones))
+
+    rows = np.empty((matrix.shape[0], width), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    for negative, q, fraction, int_digits, ones in slots:
+        for k in range(fraction, 0, -1):  # fraction digits, right to left
+            nq = q // 10
+            rows[:, ones + 1 + k] = q - 10 * nq + 48
+            q = nq
+        if fraction:
+            rows[:, ones + 1] = ord(".")
+        rows[:, ones + fraction + 2 if fraction else ones + 1] = ord(",")
+        for k in range(int_digits):  # integer digits, right to left
+            if k:
+                keep[:, ones - k] = q > 0  # a leading zero is dropped
+            nq = q // 10
+            rows[:, ones - k] = q - 10 * nq + 48
+            q = nq
+        if negative is not None:
+            # The leading zeros between the sign slot and the first digit
+            # are dropped, so a kept "-" lands just before the first digit.
+            rows[:, ones - int_digits] = ord("-")
+            keep[:, ones - int_digits] = negative
+    rows[:, -1] = ord("\n")
+    return np.compress(keep.ravel(), rows.ravel()).tobytes()

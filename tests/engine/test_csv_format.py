@@ -6,7 +6,11 @@ reproduces ``np.savetxt`` output *exactly* — including the printf corner
 cases: truncation-toward-zero of ``%d``, the signed ``-0.0`` of ``%.1f``
 on tiny negatives, correctly-rounded ties (``0.25`` → ``0.2``), sub-ULP
 neighbours of rounding boundaries, and the huge/tiny magnitudes that
-leave the vectorised fast path for the chunked ``%`` fallback.
+leave the vectorised fast path for the chunked ``%`` fallback.  The
+fixed-slot kernel adds its own edges: rows whose float64 product is a tie
+or at least 2**52 (the only rows that take the long-double route), a sign
+placed before fewer digits than the column maximum, and slot widths that
+depend on the rows in the call.
 """
 
 from __future__ import annotations
@@ -106,6 +110,15 @@ class TestByteIdentity:
         )
         assert encode_csv_rows(matrix, HOST_CSV_FMT) == savetxt_bytes(matrix)
 
+    def test_non_finite_values_fall_back_identically(self):
+        # One NaN or infinity anywhere sends the whole call to the fallback.
+        matrix = np.array(
+            [[1.0, np.nan, np.inf, -np.inf, np.nan], [2.0, 1.5, 2.5, 3.5, 4.25]]
+        )
+        data = encode_csv_rows(matrix, HOST_CSV_FMT)
+        assert data == savetxt_bytes(matrix)
+        assert data == b"1,nan,inf,-inf,nan\n2,1.5,2.5,3.5,4.25\n"
+
     def test_fast_path_limit_edges_stay_identical(self):
         near = np.nextafter(FAST_PATH_LIMIT, 0)
         matrix = np.array(
@@ -122,6 +135,41 @@ class TestByteIdentity:
     def test_single_row_wide_format(self):
         fmt = "%.2f,%d"
         matrix = np.array([[3.14159, 9.99], [-2.5, -3.99]])
+        assert encode_csv_rows(matrix, fmt) == savetxt_bytes(matrix, fmt)
+
+    def test_zero_decimals_print_no_point(self):
+        fmt = "%.0f,%d"
+        matrix = np.array([[2.5, 3.7], [-0.4, 10.5]])
+        data = encode_csv_rows(matrix, fmt)
+        assert data == savetxt_bytes(matrix, fmt)
+        assert data == b"2,3\n-0,10\n"
+
+    def test_sign_sits_before_the_first_digit(self):
+        # Negative rows with fewer digits than their column's widest row,
+        # and a %d field where an unsigned "0" (-0.7) sits next to -12.
+        fmt = "%d,%.1f,%.2f"
+        matrix = np.array(
+            [[-0.7, -3.0, 123.456], [-12.0, -12345.6, -0.5], [3.0, 7.25, -1.0]]
+        )
+        data = encode_csv_rows(matrix, fmt)
+        assert data == savetxt_bytes(matrix, fmt)
+        assert data == b"0,-3.0,123.46\n-12,-12345.6,-0.50\n3,7.2,-1.00\n"
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    @pytest.mark.parametrize("boundary", [2**52, 2**53])
+    def test_products_across_binade_boundaries(self, decimals, boundary):
+        # At |x * 10**d| >= 2**52 the float64 product is an integer, and
+        # from 2**53 on it skips integers, so such rows must take the exact
+        # long-double route.
+        scale = 10**decimals
+        ks = np.arange(boundary - 6, boundary + 7, dtype=np.float64)
+        ties = np.concatenate([(ks + 0.5) / scale, (ks + 0.25) / scale])
+        column = np.concatenate(
+            [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)]
+        )
+        matrix = np.concatenate([column, -column])[:, None]
+        fmt = f"%.{decimals}f"
+        assert np.abs(matrix).max() < FAST_PATH_LIMIT
         assert encode_csv_rows(matrix, fmt) == savetxt_bytes(matrix, fmt)
 
     def test_many_decimals_route_to_fallback_identically(self):
@@ -157,3 +205,44 @@ class TestByteIdentityProperties:
     def test_arbitrary_finite_doubles_match_savetxt(self, values):
         matrix = np.asarray([values])
         assert encode_csv_rows(matrix, HOST_CSV_FMT) == savetxt_bytes(matrix)
+
+    @given(
+        data=st.data(),
+        decimals=st.sampled_from([0, 1, 2]),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ties_and_neighbours_match_savetxt(self, data, decimals, negative):
+        # x = (k + 0.5) / 10**d puts |x * 10**d| on a tie of the float64
+        # product, from 1 up to 2**53 (across the 2**52 boundary) while x
+        # stays below FAST_PATH_LIMIT.  A tie and its two neighbours are
+        # exactly where the float64 and the exact product can round apart.
+        scale = 10**decimals
+        upper = min(2**53, int(FAST_PATH_LIMIT) * scale)
+        bits = data.draw(st.integers(0, upper.bit_length() - 2), label="bits")
+        k = data.draw(st.integers(2**bits, min(2 ** (bits + 1), upper)), label="k")
+        tie = (-1.0 if negative else 1.0) * (k + 0.5) / scale
+        matrix = np.array(
+            [[np.nextafter(tie, -np.inf)], [tie], [np.nextafter(tie, np.inf)]]
+        )
+        fmt = f"%.{decimals}f"
+        assert np.abs(matrix).max() < FAST_PATH_LIMIT
+        assert encode_csv_rows(matrix, fmt) == savetxt_bytes(matrix, fmt)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=2, max_value=300),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_split_invariance(self, seed, rows, cuts):
+        # Slot widths come from the rows in each call; the bytes must not.
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-2.0, 8.0, size=(rows, 1))
+        matrix = rng.normal(0.0, 1.0, size=(rows, 5)) * scales
+        bounds = sorted({0, rows, *(int(c * rows) for c in cuts)})
+        pieces = [
+            encode_csv_rows(matrix[lo:hi], HOST_CSV_FMT)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert b"".join(pieces) == encode_csv_rows(matrix, HOST_CSV_FMT)
