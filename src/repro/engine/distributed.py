@@ -485,6 +485,23 @@ def _recv_exact(sock: socket.socket, n: int, allow_eof: bool) -> "bytes | None":
     return b"".join(pieces)
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """End a peer connection now: shut both directions, then close.
+
+    A bare ``close()`` racing a reader thread blocked in ``recv()`` on
+    the same socket sends no FIN, so the peer would wait out its read
+    deadline; ``shutdown`` tears the connection down regardless.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer already hung up
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def parse_endpoint(spec: str) -> "tuple[str, int]":
     """Parse a ``HOST:PORT`` worker endpoint, validating the port range."""
     host, sep, port_text = spec.rpartition(":")
@@ -1043,10 +1060,7 @@ class _Coordinator:
         remote.alive = False
         remote.idle = False
         remote.credits = 0
-        try:
-            remote.sock.close()
-        except OSError:
-            pass
+        _hang_up(remote.sock)
         outstanding = list(remote.leases)
         remote.leases.clear()
         requeued = False
@@ -1817,10 +1831,7 @@ def _run_distributed(
         if listener is not None:
             listener.close()
         for remote in coordinator.remotes:
-            try:
-                remote.sock.close()
-            except OSError:
-                pass
+            _hang_up(remote.sock)
         # With every socket closed the local workers return promptly; a
         # worker's death or error already surfaced through its leases.
         for task in coordinator.tasks:

@@ -51,6 +51,8 @@ class QuantileSketch:
         if compression < 20:
             raise ValueError("compression must be at least 20")
         self.compression = int(compression)
+        #: ``(k(0), k(1))``: the clip range of the scale, computed once.
+        self._k_range = (self._k(0.0), self._k(1.0))
         self.count = 0
         self._means = np.empty(0)
         self._weights = np.empty(0)
@@ -122,63 +124,81 @@ class QuantileSketch:
     def _compress(self) -> None:
         """Merge buffered points and centroids into a fresh centroid set.
 
-        One vectorised t-digest merge pass with the k1 scale function
-        ``k(q) = (c / 2π) asin(2q − 1)``: a centroid may span cumulative
-        quantiles ``[q0, q1]`` only while ``k(q1) − k(q0) <= 1``.  Instead
-        of walking the sorted values one Python iteration at a time, the
-        pass precomputes the cumulative weights and finds each centroid's
-        span with one ``searchsorted`` against the inverse-scale boundary
-        — O(centroids · log n) instead of O(n) interpreter work — then
-        reduces every span's weighted mean with ``np.add.reduceat``.
-        Weights are sums of 1.0s (exact in float64), so the cumulative
-        weights, span totals and the emitted ``k`` positions are exact and
-        the segmentation is independent of how the pass is driven; the
-        property suite pins centroid-for-centroid equality against a
-        scalar reference loop of the same recurrence.
+        **Order.**  The pass walks the pending points in the order a
+        stable sort of ``[centroids, merged centroid sets in merge order,
+        unit values in arrival order]`` gives: among equal values the
+        earlier source comes first.  Every input but the units is already
+        sorted, so the order is built by merging, never by sorting the
+        whole concatenation.  Each merged set goes into the centroids at
+        ``searchsorted(side="right")`` (after equal centroids), the units
+        are sorted on their own, and the centroids go into them at
+        ``searchsorted(side="left")`` (before equal units); ``np.insert``
+        keeps values inserted at one position in their own order.  Equal
+        finite floats are bit-identical, with one exception: ``-0.0`` and
+        ``+0.0``, which ``np.sort`` may swap.  A zero's sign reaches the
+        output through span sums and the ``clip`` bounds, so when
+        centroids are present the zero run of the sorted units is
+        rewritten in arrival order.  With no centroids the sorted units
+        are the whole pass, and that path has always been the plain sort.
+
+        **Spans.**  One vectorised t-digest merge pass with the k1 scale
+        function ``k(q) = (c / 2π) asin(2q − 1)``: a centroid may span
+        cumulative quantiles ``[q0, q1]`` only while
+        ``k(q1) − k(q0) <= 1``.  The pass precomputes the cumulative
+        weights and finds each centroid's span with one ``searchsorted``
+        against the inverse-scale boundary — O(centroids · log n) instead
+        of O(n) interpreter work — then reduces every span's weighted mean
+        with ``np.add.reduceat``.
+
+        **Whole weights.**  Every weight is a sum of 1.0s, a whole number
+        that float64 holds exactly (``from_state`` refuses any other), so
+        the cumulative weights, span totals and ``k`` positions are exact
+        and the segmentation does not depend on how the pass is driven.
+        The property suite pins the result centroid for centroid, bit for
+        bit, against a stable-sort, scalar-loop reference.
         """
         if not self._pending():
             return
         unit_values = self._buffer
         if self._scalars:
             unit_values = unit_values + [np.asarray(self._scalars, dtype=float)]
-        unit_only = self._means.size == 0 and not self._weighted
-        unit_total = sum(v.size for v in unit_values)
-        if unit_only:
-            x = np.concatenate(unit_values) if len(unit_values) != 1 else unit_values[0]
-            w = None
+        if len(unit_values) == 1:
+            raw = unit_values[0]
         else:
-            values = [self._means] + [m for m, _ in self._weighted] + unit_values
-            weights = (
-                [self._weights]
-                + [w for _, w in self._weighted]
-                + [np.ones(unit_total)]
-            )
-            x = np.concatenate(values)
-            w = np.concatenate(weights)
+            raw = np.concatenate(unit_values) if unit_values else np.empty(0)
+        means, weights = self._means, self._weights
+        for other_means, other_weights in self._weighted:
+            at = np.searchsorted(means, other_means, side="right")
+            means = np.insert(means, at, other_means)
+            weights = np.insert(weights, at, other_weights)
         self._buffer = []
         self._scalars = []
         self._weighted = []
         self._buffered = 0
-        if x.size == 0:
-            return
-        if unit_only:
-            # All weights are 1.0: sort values directly (ties carry
-            # identical value and weight, so stability is irrelevant) and
-            # the cumulative weight is just the 1-based position.
-            x = np.sort(x)
+        x = np.sort(raw)
+        if means.size:
+            # Zeros back in arrival order (np.sort may swap -0.0/+0.0).
+            lo = np.searchsorted(x, 0.0, side="left")
+            hi = np.searchsorted(x, 0.0, side="right")
+            if hi - lo > 1:
+                x[lo:hi] = raw[raw == 0.0]
+            at = np.searchsorted(x, means, side="left")
+            w = np.insert(np.ones(x.size), at, weights)
+            x = np.insert(x, at, means)
+            total = w.sum()
+            cumulative = np.cumsum(w)
+        elif x.size:
+            # Unit weights only: the cumulative weight is the position.
+            w = None
             total = float(x.size)
             cumulative = np.arange(1.0, total + 1.0)
         else:
-            order = np.argsort(x, kind="stable")
-            x, w = x[order], w[order]
-            total = w.sum()
-            cumulative = np.cumsum(w)
+            return
 
         n = x.size
         bounds: "list[int]" = []
         start = 0
-        k_lo = self._k(0.0)
-        k_max = self._k(1.0)
+        k_lo, k_max = self._k_range
         while start < n:
             if k_lo + 1.0 >= k_max:
                 bounds.append(n)
@@ -194,7 +214,7 @@ class QuantileSketch:
 
         edges = np.asarray(bounds, dtype=np.intp)
         starts = np.concatenate(([0], edges[:-1]))
-        if unit_only:
+        if w is None:
             sizes = np.diff(np.concatenate(([0], edges))).astype(float)
             means = np.add.reduceat(x, starts) / sizes
         else:
@@ -219,7 +239,8 @@ class QuantileSketch:
 
     def _k_inverse(self, k: float) -> float:
         """The quantile whose k1 potential is ``k`` (clipped into [0, 1])."""
-        k = min(self._k(1.0), max(self._k(0.0), k))
+        k_min, k_max = self._k_range
+        k = min(k_max, max(k_min, k))
         return 0.5 * (np.sin(2.0 * np.pi * k / self.compression) + 1.0)
 
     # -- serialization -----------------------------------------------------
@@ -272,6 +293,11 @@ class QuantileSketch:
             raise StateError(
                 f"{kind} state centroids must be finite with finite positive "
                 "weights"
+            )
+        if np.any(weights != np.floor(weights)):
+            raise StateError(
+                f"{kind} state weights must be whole numbers (sums of unit "
+                "weights)"
             )
         low = float(state_field(state, kind, "min"))
         high = float(state_field(state, kind, "max"))

@@ -342,7 +342,8 @@ class TestProtocolFailureHandling:
         port, thread = _serving(behaviour)
         with pytest.raises(RuntimeError, match="state version|workers died"):
             self._export(paper_generator, tmp_path, port)
-        thread.join(timeout=10)
+        thread.join(timeout=2)
+        assert not thread.is_alive()
 
     def test_rejected_result_requeues_lease_to_healthy_workers(
         self, tmp_path, paper_generator, golden
@@ -383,7 +384,8 @@ class TestProtocolFailureHandling:
             workers=1, connect=[("127.0.0.1", port)],
             lease_blocks=2, quantiles=True,
         )
-        thread.join(timeout=10)
+        thread.join(timeout=2)
+        assert not thread.is_alive()
         assert result.reassigned_leases >= 1
         assert result.manifest.to_json() == golden_result.manifest.to_json()
         assert _payload_bytes(out, result.manifest) == _payload_bytes(
@@ -400,7 +402,8 @@ class TestProtocolFailureHandling:
         port, thread = _serving(behaviour)
         with pytest.raises(RuntimeError, match="workers died"):
             self._export(paper_generator, tmp_path, port)
-        thread.join(timeout=10)
+        thread.join(timeout=2)
+        assert not thread.is_alive()
 
     def test_garbage_frame_retires_the_worker(self, tmp_path, paper_generator):
         def behaviour(conn, job):
@@ -409,7 +412,8 @@ class TestProtocolFailureHandling:
         port, thread = _serving(behaviour)
         with pytest.raises(RuntimeError, match="workers died"):
             self._export(paper_generator, tmp_path, port)
-        thread.join(timeout=10)
+        thread.join(timeout=2)
+        assert not thread.is_alive()
 
     def test_wrong_protocol_version_hello_is_refused(
         self, tmp_path, paper_generator
@@ -432,7 +436,8 @@ class TestProtocolFailureHandling:
         thread.start()
         with pytest.raises(RuntimeError, match="protocol"):
             self._export(paper_generator, tmp_path, port)
-        thread.join(timeout=10)
+        thread.join(timeout=2)
+        assert not thread.is_alive()
 
 
 class TestServeWorker:
@@ -943,7 +948,8 @@ class TestAuthentication:
                 workers=0, connect=[("127.0.0.1", port)],
                 worker_timeout=5.0, token="the-secret",
             )
-        thread.join(timeout=10)
+        thread.join(timeout=2)
+        assert not thread.is_alive()
 
     def test_token_holding_worker_refuses_a_tokenless_coordinator(
         self, tmp_path, paper_generator

@@ -11,6 +11,12 @@ centroids and weights to be **bit-identical** — weights are sums of 1.0s
 predicates are exact and any disagreement is a real bug, not float
 noise.  A second, independent check recomputes each span's weighted mean
 directly and bounds the distance to the reduceat result.
+
+The oracle orders the weighted pass with ``argsort(kind="stable")`` over
+the sources concatenated in their order (centroids, merged sets, unit
+chunks, the scalar run), while ``_compress`` builds that order by a
+sorted merge.  Equality is checked on bit patterns: ``-0.0 == 0.0``
+compares true, so a value comparison would miss a swapped signed zero.
 """
 
 from __future__ import annotations
@@ -93,6 +99,58 @@ def direct_span_means(x, w, starts, edges):
     )
 
 
+def assert_same_bits(actual, expected):
+    """Exact float64 equality that tells ``-0.0`` from ``+0.0``."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def pending_pass(sketch):
+    """The oracle's input for the sketch's next ``_compress``: every
+    source concatenated in source order, unit chunks then the scalar
+    run."""
+    units = list(sketch._buffer)
+    if sketch._scalars:
+        units.append(np.asarray(sketch._scalars, dtype=float))
+    unit_total = sum(u.size for u in units)
+    x = np.concatenate([sketch._means] + [m for m, _ in sketch._weighted] + units)
+    w = np.concatenate(
+        [sketch._weights] + [w for _, w in sketch._weighted] + [np.ones(unit_total)]
+    )
+    unit_only = sketch._means.size == 0 and not sketch._weighted
+    return x, w, unit_only
+
+
+class OracleCheckedSketch(QuantileSketch):
+    """A sketch whose every compress pass is checked against the oracle."""
+
+    def __init__(self, compression):
+        super().__init__(compression)
+        self.checked_passes = 0
+
+    def _compress(self):
+        if not self._pending():
+            return
+        x, w, unit_only = pending_pass(self)
+        super()._compress()
+        means, sizes, _ = oracle_merge_pass(x, w, self.compression, unit_only)
+        assert_same_bits(self._means, means)
+        assert_same_bits(self._weights, sizes)
+        self.checked_passes += 1
+
+
+def cores_column(rng, size):
+    """Tie-heavy integer column, like the cores resource."""
+    return rng.choice([1.0, 2.0, 4.0, 8.0, 16.0], size=size)
+
+
+def signed_zero_column(rng, size):
+    """Rounded normals: a long run of zeros of both signs at the median."""
+    return np.round(rng.normal(0.0, 3.0, size=size))
+
+
 class TestUnitWeightCompress:
     @given(
         seed=seeds,
@@ -115,8 +173,8 @@ class TestUnitWeightCompress:
         means, sizes, (xs, ws, starts, edges) = oracle_merge_pass(
             data.copy(), np.ones(data.size), compression, unit_only=True
         )
-        np.testing.assert_array_equal(sketch._means, means)
-        np.testing.assert_array_equal(sketch._weights, sizes)
+        assert_same_bits(sketch._means, means)
+        assert_same_bits(sketch._weights, sizes)
         assert float(sizes.sum()) == float(data.size)
         # independent mean computation agrees to float tolerance
         direct = direct_span_means(xs, ws, starts, edges)
@@ -175,8 +233,8 @@ class TestWeightedCompress:
         means, sizes, (xs, ws, starts, edges) = oracle_merge_pass(
             x, w, compression, unit_only=False
         )
-        np.testing.assert_array_equal(base._means, means)
-        np.testing.assert_array_equal(base._weights, sizes)
+        assert_same_bits(base._means, means)
+        assert_same_bits(base._weights, sizes)
         assert float(sizes.sum()) == float(left + right + fresh)
         direct = direct_span_means(xs, ws, starts, edges)
         np.testing.assert_allclose(means, direct, rtol=1e-9, atol=0.0)
@@ -192,3 +250,113 @@ class TestWeightedCompress:
         merged._compress()
         assert float(merged._weights.sum()) == float(data.size)
         assert np.all(np.diff(merged._means) >= 0)
+
+
+COLUMNS = {
+    "lognormal": lambda rng, size: rng.lognormal(mean=2.0, sigma=1.0, size=size),
+    "cores": cores_column,
+    "signed zeros": signed_zero_column,
+}
+columns = st.sampled_from(sorted(COLUMNS))
+
+
+class TestMergeOrder:
+    """Inputs the lognormal/normal draws above never produce: ties between
+    sources and zeros of both signs, where only the merge order decides
+    the bits."""
+
+    @given(
+        seed=seeds,
+        chunks=st.integers(min_value=2, max_value=5),
+        extra=st.integers(min_value=0, max_value=1_000),
+        compression=st.sampled_from([20, 50, 200]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tie_heavy_integer_column(self, seed, chunks, extra, compression):
+        rng = np.random.default_rng(seed)
+        sketch = OracleCheckedSketch(compression)
+        for _ in range(chunks):
+            sketch.update(cores_column(rng, 10 * compression + extra))
+        assert sketch.checked_passes == chunks
+
+    @given(
+        seed=seeds,
+        size=st.integers(min_value=1_000, max_value=4_000),
+        compression=st.sampled_from([20, 50, 200]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_centroids_equal_to_pending_units(self, seed, size, compression):
+        rng = np.random.default_rng(seed)
+        sketch = OracleCheckedSketch(compression)
+        sketch.update(rng.lognormal(mean=2.0, sigma=1.0, size=size))
+        sketch._compress()
+        ties = rng.choice(sketch._means, size=size)
+        sketch.update(np.concatenate([ties, rng.lognormal(2.0, 1.0, size // 4)]))
+        sketch._compress()
+        assert sketch.checked_passes == 2
+
+    @given(
+        seed=seeds,
+        size=st.integers(min_value=500, max_value=5_000),
+        chunks=st.integers(min_value=2, max_value=4),
+        compression=st.sampled_from([50, 200]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_chunks_mixing_signed_zeros(self, seed, size, chunks, compression):
+        rng = np.random.default_rng(seed)
+        sketch = OracleCheckedSketch(compression)
+        for _ in range(chunks):
+            sketch.update(signed_zero_column(rng, size))
+            for value in signed_zero_column(rng, 5):
+                sketch.update(float(value))
+            sketch._compress()
+        assert sketch.checked_passes >= chunks
+
+    @given(
+        seed=seeds,
+        column=columns,
+        sets=st.integers(min_value=2, max_value=4),
+        fresh=st.integers(min_value=0, max_value=2_000),
+        scalars=st.integers(min_value=0, max_value=30),
+        compression=st.sampled_from([20, 100]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_pending_sets_units_and_scalars(
+        self, seed, column, sets, fresh, scalars, compression
+    ):
+        draw = COLUMNS[column]
+        rng = np.random.default_rng(seed)
+        sketch = OracleCheckedSketch(compression).update(draw(rng, 1_500))
+        sketch._compress()
+        for _ in range(sets):
+            other = QuantileSketch(compression).update(draw(rng, 1_500))
+            other._compress()
+            sketch._weighted.append((other._means.copy(), other._weights.copy()))
+        if fresh:
+            sketch._buffer = [draw(rng, fresh)]
+        sketch._scalars = [float(v) for v in draw(rng, scalars)]
+        sketch._compress()
+        assert sketch.checked_passes == 2
+
+    @given(
+        seed=seeds,
+        steps=st.lists(
+            st.tuples(columns, st.sampled_from(["update", "merge", "restore"])),
+            min_size=3,
+            max_size=8,
+        ),
+        compression=st.sampled_from([20, 50]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_streamed_compressing_updates(self, seed, steps, compression):
+        rng = np.random.default_rng(seed)
+        sketch = OracleCheckedSketch(compression)
+        for column, step in steps:
+            data = COLUMNS[column](rng, 10 * compression + int(rng.integers(0, 500)))
+            if step == "merge":
+                sketch.merge(OracleCheckedSketch(compression).update(data))
+                continue
+            if step == "restore":
+                sketch = OracleCheckedSketch.from_state(sketch.to_state())
+            sketch.update(data)
+        assert sketch.checked_passes >= 1

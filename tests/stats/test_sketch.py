@@ -228,7 +228,8 @@ class TestScalarFastPath:
 
 
 class TestStateFiniteness:
-    """from_state must refuse payloads carrying non-finite centroids."""
+    """from_state must refuse payloads carrying non-finite centroids or
+    non-integral weights."""
 
     def _state(self):
         return QuantileSketch().update([1.0, 2.0, 3.0]).to_state()
@@ -255,4 +256,14 @@ class TestStateFiniteness:
         state = self._state()
         state["weights"][0] = float("nan")
         with pytest.raises(StateError, match="finite|weights"):
+            QuantileSketch.from_state(state)
+
+    def test_fractional_weights_rejected(self):
+        """Weights summing to the count but not whole would restore and
+        interpolate a median of 1.25 from two points 1 and 2."""
+        from repro.stats.state import StateError
+
+        state = QuantileSketch().update([1.0, 2.0]).to_state()
+        state["weights"] = [1.5, 0.5]
+        with pytest.raises(StateError, match="whole numbers"):
             QuantileSketch.from_state(state)
