@@ -78,9 +78,10 @@ Resumable runs
 --------------
 Before any worker spawns the coordinator writes a plan
 (:data:`DISTRIBUTED_PLAN_NAME`, kind ``FleetDistributedPlan``) pinning
-the run parameters, then appends one ``FleetLeaseCheckpoint`` envelope
-line to :data:`DISTRIBUTED_LEASE_LOG` per completed lease — the same
-``stats/state.py`` envelope contract the PR 3 checkpoint layer uses.
+the run parameters, then appends one fsynced ``FleetLeaseCheckpoint``
+envelope line to :data:`DISTRIBUTED_LEASE_LOG` per completed lease — the
+same ``stats/state.py`` envelope contract the block writer's checkpoint
+journal uses.
 :func:`resume_fleet_distributed` (CLI: ``fleet export --backend
 distributed --resume``) validates the plan against the generator,
 re-verifies every checkpointed block file on disk, restores the reducer
@@ -157,10 +158,12 @@ from repro.engine.writer import (
     MANIFEST_VERSION,
     FleetManifest,
     SegmentRecord,
+    _append_journal,
     _block_name,
     _generator_fingerprint,
     _hash_file_into,
     _load_json,
+    _read_journal,
     _read_matching_block,
     _remove_quiet,
     _write_json_atomic,
@@ -1258,12 +1261,14 @@ class _Coordinator:
         self._checkpoint(lease, entry)
 
     def _checkpoint(self, lease: "tuple[int, int]", entry: dict) -> None:
-        """Append one lease-completion envelope to the checkpoint log."""
+        """Append one fsynced lease-completion line to the checkpoint log."""
         if self.checkpoint_log is None:
             return
-        _fire(SITE_COORDINATOR_CHECKPOINT, path=self.checkpoint_log.name)
-        self.checkpoint_log.write(_checkpoint_line(lease, entry))
-        self.checkpoint_log.flush()
+        _append_journal(
+            self.checkpoint_log,
+            [_lease_checkpoint(lease, entry)],
+            site=SITE_COORDINATOR_CHECKPOINT,
+        )
 
     def _validate_result(
         self, remote: _Remote, lease: "tuple[int, int]", message: dict
@@ -1350,8 +1355,8 @@ class _Coordinator:
 # -- plan / checkpoint log ---------------------------------------------------
 
 
-def _checkpoint_line(lease: "tuple[int, int]", entry: dict) -> str:
-    """One ``FleetLeaseCheckpoint`` envelope as a checkpoint-log line."""
+def _lease_checkpoint(lease: "tuple[int, int]", entry: dict) -> dict:
+    """One ``FleetLeaseCheckpoint`` envelope, a checkpoint-log line."""
     blocks = [
         {
             "index": record.block_lo,
@@ -1361,7 +1366,7 @@ def _checkpoint_line(lease: "tuple[int, int]", entry: dict) -> str:
         }
         for record, (_, digest) in zip(entry["records"], entry["digests"])
     ]
-    payload = make_envelope(
+    return make_envelope(
         LEASE_CHECKPOINT_KIND,
         DISTRIBUTED_STATE_VERSION,
         {
@@ -1371,7 +1376,6 @@ def _checkpoint_line(lease: "tuple[int, int]", entry: dict) -> str:
             "reducers": entry["reducers"].to_state(),
         },
     )
-    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _build_plan(
@@ -1418,30 +1422,20 @@ def _load_lease_checkpoints(
 
     Every checkpointed block file is re-verified against its recorded
     size and sha256 (:func:`_read_matching_block`); a lease whose files
-    vanished or rotted is silently treated as incomplete and re-run.  A
-    torn *final* line — the coordinator was killed mid-append — is
-    discarded; malformed JSON anywhere earlier is corruption and raises
-    :class:`StateError`, as do envelope/lease-grid/reducer mismatches.
+    vanished or rotted is silently treated as incomplete and re-run.  The
+    log is read through the block writer's journal reader: a torn *final*
+    line — the coordinator was killed mid-append — is discarded and its
+    lease re-run; malformed JSON anywhere earlier is corruption and
+    raises :class:`StateError`, as do envelope/lease-grid/reducer
+    mismatches.
     """
     path = os.path.join(out_dir, DISTRIBUTED_LEASE_LOG)
     completed: "dict[tuple[int, int], dict]" = {}
     if not os.path.exists(path):
         return completed
     expected = set(leases)
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for number, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            if number == len(lines):
-                break  # torn tail from the crash; its lease is re-run
-            raise StateError(
-                f"lease checkpoint line {number} of {path} is not valid JSON"
-            )
+    payloads, _ = _read_journal(path, "lease checkpoint")
+    for payload in payloads:
         require_state(payload, LEASE_CHECKPOINT_KIND, DISTRIBUTED_STATE_VERSION)
         lo = state_field(payload, LEASE_CHECKPOINT_KIND, "block_lo")
         hi = state_field(payload, LEASE_CHECKPOINT_KIND, "block_hi")
@@ -1780,12 +1774,13 @@ def _run_distributed(
     # Rewrite the log from the restored entries rather than appending: a
     # torn tail line from the crash would otherwise sit mid-file after
     # this run's first checkpoint, corrupting any *second* resume.
-    checkpoint_log = open(
-        os.path.join(out_dir, DISTRIBUTED_LEASE_LOG), "w", encoding="utf-8"
-    )
-    for lease in sorted(completed):
-        checkpoint_log.write(_checkpoint_line(lease, completed[lease]))
-    checkpoint_log.flush()
+    checkpoint_log = open(os.path.join(out_dir, DISTRIBUTED_LEASE_LOG), "wb")
+    if completed:
+        _append_journal(
+            checkpoint_log,
+            [_lease_checkpoint(lease, completed[lease])
+             for lease in sorted(completed)],
+        )
     coordinator = _Coordinator(
         job,
         leases,

@@ -12,15 +12,16 @@ Two segment layouts share the manifest schema:
 ``layout="shard"`` (:func:`export_fleet`)
     One segment per shard — the compact archival layout.
 ``layout="block"`` (:func:`export_fleet_blocks`)
-    One segment per RNG block, plus periodic reducer-state checkpoints,
-    so a killed export loses at most ``checkpoint_every`` blocks of work:
-    :func:`resume_export` scans the partial manifest and the shard
-    checkpoints, verifies digests, restores reducer state through the
-    ``to_state``/``from_state`` contract and regenerates only the missing
-    blocks — producing a manifest, payload bytes and statistics identical
-    to an uninterrupted run (the per-block ``SeedSequence.spawn`` contract
-    makes regenerated blocks byte-identical, and checkpoint cadence is a
-    run parameter so sketch compression points line up too).
+    One segment per RNG block, plus an append-only checkpoint journal per
+    shard, so a killed export loses at most ``checkpoint_every`` blocks of
+    work: :func:`resume_export` scans the partial manifest and joins each
+    shard's journal lines, verifies digests, restores reducer state
+    through the ``to_state``/``from_state`` contract and regenerates only
+    the missing blocks — producing a manifest, payload bytes and
+    statistics identical to an uninterrupted run (the per-block
+    ``SeedSequence.spawn`` contract makes regenerated blocks
+    byte-identical, and checkpoint cadence is a run parameter so sketch
+    compression points line up too).
     :func:`compact_export` merges a completed block layout back into the
     per-shard layout byte-identically (CSV).
 
@@ -51,8 +52,9 @@ import hashlib
 import io
 import json
 import os
+import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -632,17 +634,25 @@ def read_columnar_export(manifest_path: str) -> "tuple[FleetManifest, dict]":
 #
 # The distributed backend reuses this layer's building blocks for its own
 # plan/checkpoint files (`distributed-plan.json` + the per-lease log):
-# `_write_json_atomic`, `_load_json`, `_remove_quiet`,
-# `_generator_fingerprint` and the `_read_matching_block` re-verification
-# all serve both resume paths, so the two crash-recovery formats cannot
-# drift in how they persist, validate, or distrust on-disk state.
+# `_write_json_atomic`, `_load_json`, the `_append_journal` /
+# `_read_journal` pair, `_remove_quiet`, `_generator_fingerprint` and the
+# `_read_matching_block` re-verification all serve both resume paths, so
+# the two crash-recovery formats cannot drift in how they persist,
+# validate, or distrust on-disk state.
 
 #: The partial-manifest file a resumable export writes before any segment;
 #: its presence (without a final manifest) marks an interrupted run.
 PLAN_NAME = "manifest.partial.json"
 
-#: Schema version of plan and shard-checkpoint payloads.
-CHECKPOINT_STATE_VERSION = 1
+#: Schema version of plan and shard-checkpoint payloads.  Version 2
+#: replaced the rewritten ``checkpoint-SSSS.json`` with the append-only
+#: ``checkpoint-SSSS.jsonl`` journal; a version-1 partial export is
+#: refused rather than resumed.
+CHECKPOINT_STATE_VERSION = 2
+
+#: Checkpoint files of any build: journals, version-1 checkpoints and
+#: their temp files.  A fresh export removes them all.
+_CHECKPOINT_FILE = re.compile(r"checkpoint-\d{4,}\.json(l|\.tmp)?")
 
 
 @dataclass
@@ -651,7 +661,7 @@ class BlockExportResult:
 
     ``statistics`` carries the run's merged reducers (``None`` only when
     :func:`resume_export` found the export already finalised — the
-    checkpoints holding reducer state are removed on success).
+    journals holding reducer state are removed on success).
     ``resumed_blocks`` counts blocks restored from checkpoints rather
     than generated (0 on an uninterrupted run).
     """
@@ -665,35 +675,87 @@ def _block_name(index: int, fmt: str) -> str:
     return f"block-{index:06d}.{fmt}"
 
 
-def _checkpoint_name(shard: int) -> str:
-    return f"checkpoint-{shard:04d}.json"
+def _journal_name(shard: int) -> str:
+    return f"checkpoint-{shard:04d}.jsonl"
 
 
-def _write_json_atomic(
-    path: str, payload: dict, fault_site: "str | None" = None
-) -> None:
+def _write_json_atomic(path: str, payload: dict) -> None:
     """Write JSON via a temp file + rename, so a kill never half-writes it.
 
-    ``fault_site`` marks the write as a *checkpoint* write: it becomes an
-    injection site, and the temp file is fsynced before the rename so a
-    checkpoint named durable actually is (plain plan/metrics writes skip
-    the barrier — losing one costs nothing a rerun doesn't fix).
+    Plan and metrics writes skip the fsync barrier — losing one costs
+    nothing a rerun doesn't fix; checkpoints go through
+    :func:`_append_journal`, which does fsync.
     """
     tmp = path + ".tmp"
     data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    if fault_site is not None:
-        _fire(fault_site, path=tmp, data=data)
     with open(tmp, "wb") as handle:
         handle.write(data)
-        if fault_site is not None:
-            handle.flush()
-            _fire(SITE_CHECKPOINT_FSYNC)
-            os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 
+def _append_journal(
+    handle,
+    entries: "list[dict]",
+    site: "str | None" = None,
+    fsync_site: "str | None" = None,
+) -> None:
+    """Append compact JSON lines to an open binary journal, durably.
+
+    All lines go out in one write, then one fsync.  ``site`` makes the
+    append an injection point — a ``torn-write`` there appends a prefix
+    of the lines, as a crash mid-append would — and ``fsync_site`` marks
+    the barrier.
+    """
+    data = b"".join(
+        json.dumps(entry, separators=(",", ":")).encode("utf-8") + b"\n"
+        for entry in entries
+    )
+    if site is not None:
+        _fire(site, path=handle.name, data=data, append=True)
+    handle.write(data)
+    handle.flush()
+    if fsync_site is not None:
+        _fire(fsync_site)
+    os.fsync(handle.fileno())
+
+
+def _read_journal(path: str, kind: str) -> "tuple[list[dict], int]":
+    """The complete lines of an append-only journal and the bytes they span.
+
+    Each line is one JSON object.  A crash mid-append leaves at most one
+    torn line, at the end: a final line that lacks its newline or does
+    not parse is dropped, and the returned byte count stops before it, so
+    a resumed run can cut the file back there before appending.  A
+    malformed line anywhere earlier is corruption and raises
+    :class:`StateError`.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as error:
+        raise StateError(f"cannot read {kind} {path}: {error}")
+    *complete, tail = data.split(b"\n")
+    entries: "list[dict]" = []
+    kept = 0
+    for number, line in enumerate(complete, start=1):
+        if line.strip():
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict):
+                if number == len(complete) and not tail:
+                    break  # torn tail from the crash; its work is redone
+                raise StateError(
+                    f"{kind} line {number} of {path} is not valid JSON"
+                )
+            entries.append(entry)
+        kept += len(line) + 1
+    return entries, kept
+
+
 def _load_json(path: str, kind: str) -> dict:
-    """Read a plan/checkpoint file, mapping any failure to a StateError."""
+    """Read a plan file, mapping any failure to a StateError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -841,17 +903,19 @@ def _write_block_shard(payload: tuple):
     """Worker: write blocks ``[block_lo, block_hi)`` as per-block segments.
 
     Reduces every block into the shard's :class:`ReducerSet` and, every
-    ``checkpoint_every`` blocks (and at the end of the range), atomically
-    writes a checkpoint carrying the completed segment records, the block
-    digests and the serialized reducer state.  A restart from that
-    checkpoint continues bit-identically: the reducer state round-trips
+    ``checkpoint_every`` blocks (and at the end of the range), appends one
+    fsynced line to the shard's checkpoint journal: the segment records
+    and block digests written since the previous line, the cumulative
+    ``blocks_done`` and the serialized reducer state.  A restart from
+    those lines continues bit-identically: the reducer state round-trips
     exactly, and regenerated blocks are byte-identical by the
     ``SeedSequence.spawn`` contract.
 
-    ``checkpoint`` (when resuming) must describe this exact shard range;
-    recorded block files are re-verified against their digests and — being
-    deterministic — simply rewritten if missing or corrupt, without
-    touching the restored reducer state.
+    ``checkpoint`` (when resuming) is the shard's journal as
+    :func:`_load_shard_journal` joined it; recorded block files are
+    re-verified against their digests and — being deterministic — simply
+    rewritten if missing or corrupt, without touching the restored
+    reducer state.
     """
     (
         generator,
@@ -876,15 +940,10 @@ def _write_block_shard(payload: tuple):
     # block order.  For a single-shard run this *is* the manifest's
     # payload digest, so the parent never re-reads the segments.
     shard_payload = hashlib.sha256()
-    start = block_lo
-    restored = 0
 
     if checkpoint is not None:
         reducers = ReducerSet.from_state(checkpoint["reducers"])
-        for record_payload, digest in zip(
-            checkpoint["segments"], checkpoint["digests"]
-        ):
-            record = SegmentRecord(**record_payload)
+        for record, digest in zip(checkpoint["segments"], checkpoint["digests"]):
             path = os.path.join(out_dir, record.path)
             data = _read_matching_block(path, record)
             if data is None:
@@ -902,14 +961,11 @@ def _write_block_shard(payload: tuple):
                 sha, nbytes, data = _write_block_file(path, block, fmt)
                 # Same rows, but the *file* may differ for npz (zip
                 # metadata is not byte-stable) — record what is on disk.
-                record = SegmentRecord(
-                    **{**asdict(record), "sha256": sha, "bytes": nbytes}
-                )
+                record = replace(record, sha256=sha, bytes=nbytes)
             shard_payload.update(data)
             records.append(record)
             digests.append((record.block_lo, bytes.fromhex(digest)))
-        start = block_lo + len(records)
-        restored = len(records)
+    restored = logged = len(records)
 
     # Reducer updates are batched through the shared ChunkedFold (the same
     # accumulation the statistics fan-out uses).  Flush points are a
@@ -918,26 +974,40 @@ def _write_block_shard(payload: tuple):
     # block sizes — so an uninterrupted run and a resumed run fold
     # identical chunks and stay bit-identical.
     fold = ChunkedFold(reducers, chunk_size)
+    journal_path = os.path.join(out_dir, _journal_name(shard))
+    if checkpoint_every:
+        # A resumed journal is cut back to its last complete line before
+        # anything is appended, so a torn tail from the crash never ends
+        # up mid-file where a second resume would reject it.
+        with open(journal_path, "ab") as journal:
+            journal.truncate(checkpoint["journal_bytes"] if checkpoint else 0)
 
     def write_checkpoint() -> None:
+        nonlocal logged
         fold.flush()
-        _write_json_atomic(
-            os.path.join(out_dir, _checkpoint_name(shard)),
-            fault_site=SITE_CHECKPOINT_WRITE,
-            payload={
-                "kind": "FleetShardCheckpoint",
-                "state_version": CHECKPOINT_STATE_VERSION,
-                "shard": shard,
-                "block_lo": block_lo,
-                "block_hi": block_hi,
-                "blocks_done": len(records),
-                "segments": [asdict(record) for record in records],
-                "digests": [digest.hex() for _, digest in digests],
-                "reducers": reducers.to_state(),
-            },
-        )
+        line = {
+            "kind": "FleetShardCheckpoint",
+            "state_version": CHECKPOINT_STATE_VERSION,
+            "shard": shard,
+            "block_lo": block_lo,
+            "block_hi": block_hi,
+            "blocks_done": len(records),
+            # vars() reads the flat record as it is; asdict() would
+            # deep-copy every field of every record.
+            "segments": [vars(record) for record in records[logged:]],
+            "digests": [digest.hex() for _, digest in digests[logged:]],
+            "reducers": reducers.to_state(),
+        }
+        with open(journal_path, "ab") as journal:
+            _append_journal(
+                journal,
+                [line],
+                site=SITE_CHECKPOINT_WRITE,
+                fsync_site=SITE_CHECKPOINT_FSYNC,
+            )
+        logged = len(records)
 
-    for index in range(start, block_hi):
+    for index in range(block_lo + restored, block_hi):
         block = _generate_block(generator, when, size, seeds, index)
         name = _block_name(index, fmt)
         sha, nbytes, data = _write_block_file(os.path.join(out_dir, name), block, fmt)
@@ -984,8 +1054,9 @@ def export_fleet_blocks(
     """Export a fleet as per-block segments with reducer checkpoints.
 
     The resumable counterpart of :func:`export_fleet`: every RNG block
-    becomes its own segment file, each shard worker checkpoints its
-    serialized reducer state every ``checkpoint_every`` blocks, and a
+    becomes its own segment file, each shard worker appends its new
+    segment records and serialized reducer state to its checkpoint
+    journal every ``checkpoint_every`` blocks, and a
     partial manifest (:data:`PLAN_NAME`) pins the run parameters so
     :func:`resume_export` can finish an interrupted run with identical
     manifest digests and statistics.  ``checkpoint_every`` and
@@ -1000,7 +1071,7 @@ def export_fleet_blocks(
     moments + correlation; plug in ``reducers``/``quantiles`` as in
     :func:`~repro.engine.sharding.generate_sharded`).
 
-    On success the checkpoints and partial manifest are removed; the
+    On success the journals and partial manifest are removed; the
     final manifest has ``layout="block"`` and verifies with
     :func:`verify_manifest` exactly like a shard-layout export.
     """
@@ -1053,10 +1124,13 @@ def export_fleet_blocks(
         "reducers": sorted(factories),
         "generator_sha256": _generator_fingerprint(generator),
     }
-    # A fresh export invalidates any previous run's checkpoints in this
-    # directory — remove them so a later resume cannot mix runs.
-    for shard in range(len(ranges)):
-        _remove_quiet(os.path.join(out_dir, _checkpoint_name(shard)))
+    # A fresh export invalidates every previous run's checkpoints in this
+    # directory, whatever shard count or build wrote them — remove them so
+    # this run never appends to another run's journal and a later resume
+    # cannot mix runs.
+    for entry in os.listdir(out_dir):
+        if _CHECKPOINT_FILE.fullmatch(entry):
+            _remove_quiet(os.path.join(out_dir, entry))
     _write_json_atomic(os.path.join(out_dir, PLAN_NAME), plan)
     return _run_block_export(
         generator, plan, ranges, root, out_dir, factories,
@@ -1075,18 +1149,19 @@ def resume_export(
     """Finish an interrupted block-layout export.
 
     Scans the partial manifest (:data:`PLAN_NAME`) and the per-shard
-    checkpoints, validates their schema versions, verifies the digests of
-    every checkpointed block file, restores reducer state through
-    ``from_state`` and regenerates only the blocks the interrupted run
-    never checkpointed.  The finished manifest, payload bytes and reduced
-    statistics are identical to an uninterrupted
+    checkpoint journals, validates their schema versions, verifies the
+    digests of every checkpointed block file, restores reducer state
+    through ``from_state`` and regenerates only the blocks the
+    interrupted run never checkpointed.  The finished manifest, payload
+    bytes and reduced statistics are identical to an uninterrupted
     :func:`export_fleet_blocks` run of the same parameters.
 
     ``generator`` and ``reducers``/``quantiles`` must match the original
     run (generator parameters are not serialized; reducer *names* are
     cross-checked against the plan).  A corrupted or wrong-version plan
-    or checkpoint raises :class:`~repro.stats.state.StateError`.  If the
-    export already finished, returns its manifest with ``statistics=None``.
+    or checkpoint raises :class:`~repro.stats.state.StateError`, and so
+    does a partial export an older build wrote.  If the export already
+    finished, returns its manifest with ``statistics=None``.
     """
     manifest_path = os.path.join(out_dir, manifest_name)
     plan_path = os.path.join(out_dir, PLAN_NAME)
@@ -1106,8 +1181,19 @@ def resume_export(
             f"{manifest_name}) found"
         )
     plan = _load_json(plan_path, "export plan")
+    state_version = plan.get("state_version")
+    if (
+        plan.get("kind") == "FleetExportPlan"
+        and isinstance(state_version, int)
+        and state_version < CHECKPOINT_STATE_VERSION
+    ):
+        raise StateError(
+            f"export plan {plan_path} has state_version {state_version}: an "
+            "older build wrote this partial export and this one cannot "
+            "resume it; re-run the export with --force"
+        )
     if plan.get("kind") != "FleetExportPlan" or (
-        plan.get("state_version") != CHECKPOINT_STATE_VERSION
+        state_version != CHECKPOINT_STATE_VERSION
     ):
         raise StateError(
             f"export plan {plan_path} has kind {plan.get('kind')!r} / "
@@ -1136,7 +1222,7 @@ def resume_export(
 
     size = _plan_int("size", 0)
     shards = _plan_int("shards", 1)
-    _plan_int("checkpoint_every", 0)
+    checkpoint_every = _plan_int("checkpoint_every", 0)
     _plan_int("chunk_size", 1)
     if plan.get("format") not in FORMATS:
         raise StateError(
@@ -1175,81 +1261,111 @@ def resume_export(
     ranges = shard_block_ranges(block_count(size), shards)
     checkpoints: "list[dict | None]" = []
     for shard, (lo, hi) in enumerate(ranges):
-        path = os.path.join(out_dir, _checkpoint_name(shard))
-        if not os.path.exists(path):
-            checkpoints.append(None)
-            continue
-        checkpoint = _load_json(path, "checkpoint")
-        if checkpoint.get("kind") != "FleetShardCheckpoint" or (
-            checkpoint.get("state_version") != CHECKPOINT_STATE_VERSION
-        ):
-            raise StateError(
-                f"checkpoint {path} has kind {checkpoint.get('kind')!r} / "
-                f"state_version {checkpoint.get('state_version')!r}; expected "
-                f"FleetShardCheckpoint v{CHECKPOINT_STATE_VERSION}"
-            )
-        done = checkpoint.get("blocks_done")
-        segments = checkpoint.get("segments")
-        digests = checkpoint.get("digests")
-        if (
-            checkpoint.get("shard") != shard
-            or checkpoint.get("block_lo") != lo
-            or checkpoint.get("block_hi") != hi
-            or not isinstance(done, int)
-            or not isinstance(segments, list)
-            or not isinstance(digests, list)
-            or not 0 <= done <= hi - lo
-            or len(segments) != done
-            or len(digests) != done
-        ):
-            raise StateError(
-                f"checkpoint {path} does not describe shard {shard} blocks "
-                f"[{lo}, {hi}) of this plan"
-            )
-        if not isinstance(checkpoint.get("reducers"), dict):
-            raise StateError(
-                f"checkpoint {path} is missing its serialized reducer state"
-            )
-        # Validate the pieces the worker will consume blindly, so every
-        # corruption mode surfaces as the documented StateError (not a
-        # KeyError/TypeError escaping through the pool).
-        for position, (entry, digest) in enumerate(zip(segments, digests)):
-            if not isinstance(digest, str):
-                raise StateError(f"checkpoint {path} has a non-string digest")
-            try:
-                bytes.fromhex(digest)
-            except ValueError:
-                raise StateError(
-                    f"checkpoint {path} has a malformed block digest {digest!r}"
-                )
-            if not isinstance(entry, dict):
-                raise StateError(f"checkpoint {path} has a malformed segment")
-            try:
-                record = SegmentRecord(**entry)
-            except TypeError as error:
-                raise StateError(
-                    f"checkpoint {path} has a malformed segment record: {error}"
-                )
-            # Blocks are written strictly in order, so the checkpoint's
-            # i-th record must be block lo+i exactly — a duplicated or
-            # shuffled record would otherwise splice the wrong rows into a
-            # manifest that still verifies.
-            if (
-                not isinstance(record.path, str)
-                or os.path.basename(record.path) != record.path
-                or record.block_lo != lo + position
-                or record.block_hi != lo + position + 1
-            ):
-                raise StateError(
-                    f"checkpoint {path} segment {record.path!r} is not "
-                    f"block {lo + position} of shard {shard} (blocks "
-                    f"[{lo}, {hi}) in order)"
-                )
-        checkpoints.append(checkpoint)
+        path = os.path.join(out_dir, _journal_name(shard))
+        checkpoints.append(
+            _load_shard_journal(path, shard, lo, hi, checkpoint_every)
+            if os.path.exists(path)
+            else None
+        )
     return _run_block_export(
         generator, plan, ranges, root, out_dir, factories, checkpoints,
         start_method,
     )
+
+
+def _load_shard_journal(
+    path: str, shard: int, lo: int, hi: int, checkpoint_every: int
+) -> "dict | None":
+    """Join one shard's checkpoint journal into the state a resume needs.
+
+    Returns the segment records and hex row digests of every
+    checkpointed block in order, the last line's reducer state and the
+    byte length of the complete lines (``None`` when no line survived).
+    Each line must continue the previous one at a checkpoint boundary:
+    its first record is the next block, ``blocks_done`` counts every
+    record so far, and it describes this plan's shard.  Everything the
+    worker consumes blindly is validated here, so every corruption mode
+    surfaces as the documented StateError (not a KeyError/TypeError
+    escaping through the pool).
+    """
+    lines, journal_bytes = _read_journal(path, "checkpoint journal")
+    if not lines:
+        return None
+    records: "list[SegmentRecord]" = []
+    digests: "list[str]" = []
+    for number, line in enumerate(lines, start=1):
+        where = f"checkpoint {path} line {number}"
+        if line.get("kind") != "FleetShardCheckpoint" or (
+            line.get("state_version") != CHECKPOINT_STATE_VERSION
+        ):
+            raise StateError(
+                f"{where} has kind {line.get('kind')!r} / state_version "
+                f"{line.get('state_version')!r}; expected "
+                f"FleetShardCheckpoint v{CHECKPOINT_STATE_VERSION}"
+            )
+        done = line.get("blocks_done")
+        segments = line.get("segments")
+        line_digests = line.get("digests")
+        if (
+            line.get("shard") != shard
+            or line.get("block_lo") != lo
+            or line.get("block_hi") != hi
+            or not isinstance(done, int)
+            or not isinstance(segments, list)
+            or not isinstance(line_digests, list)
+            or not len(records) < done <= hi - lo
+            or len(segments) != done - len(records)
+            or len(line_digests) != done - len(records)
+            or (
+                done != hi - lo
+                and (not checkpoint_every or done % checkpoint_every)
+            )
+        ):
+            raise StateError(
+                f"{where} does not continue shard {shard} blocks "
+                f"[{lo}, {hi}) of this plan at a checkpoint boundary"
+            )
+        if not isinstance(line.get("reducers"), dict):
+            raise StateError(f"{where} is missing its serialized reducer state")
+        for entry, digest in zip(segments, line_digests):
+            if not isinstance(digest, str):
+                raise StateError(f"{where} has a non-string digest")
+            try:
+                bytes.fromhex(digest)
+            except ValueError:
+                raise StateError(f"{where} has a malformed block digest {digest!r}")
+            if not isinstance(entry, dict):
+                raise StateError(f"{where} has a malformed segment")
+            try:
+                record = SegmentRecord(**entry)
+            except TypeError as error:
+                raise StateError(
+                    f"{where} has a malformed segment record: {error}"
+                )
+            # Blocks are written strictly in order, so the i-th record of
+            # the joined journal must be block lo+i exactly — a skipped,
+            # duplicated or shuffled record would otherwise splice the
+            # wrong rows into a manifest that still verifies.
+            position = lo + len(records)
+            if (
+                not isinstance(record.path, str)
+                or os.path.basename(record.path) != record.path
+                or record.block_lo != position
+                or record.block_hi != position + 1
+            ):
+                raise StateError(
+                    f"{where} segment {record.path!r} is not block "
+                    f"{position} of shard {shard} (blocks [{lo}, {hi}) in "
+                    "order)"
+                )
+            records.append(record)
+            digests.append(digest)
+    return {
+        "segments": records,
+        "digests": digests,
+        "reducers": lines[-1]["reducers"],
+        "journal_bytes": journal_bytes,
+    }
 
 
 def _run_block_export(
@@ -1327,10 +1443,10 @@ def _run_block_export(
         checkpoint_every=plan["checkpoint_every"],
     )
     manifest.save(os.path.join(out_dir, plan["manifest_name"]))
-    # Finalised: the plan and checkpoints are now redundant (and would
+    # Finalised: the plan and journals are now redundant (and would
     # otherwise mark the directory as an interrupted run).
     for shard in range(len(ranges)):
-        _remove_quiet(os.path.join(out_dir, _checkpoint_name(shard)))
+        _remove_quiet(os.path.join(out_dir, _journal_name(shard)))
     _remove_quiet(os.path.join(out_dir, PLAN_NAME))
 
     statistics = FleetStatistics(

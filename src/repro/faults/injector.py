@@ -240,26 +240,35 @@ def _sigkill() -> None:
     os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
 
 
-def _torn_write(spec: FaultSpec, site: str, path, data) -> None:
+def _torn_write(spec: FaultSpec, site: str, path, data, append: bool) -> None:
     """Leave a torn file behind and die: write a prefix of the payload,
-    fsync it so the truncation survives the kill, then SIGKILL."""
+    fsync it so the truncation survives the kill, then SIGKILL.
+
+    An ``append`` site keeps the file's existing bytes and tears only the
+    new tail, as a crash mid-append would."""
     if path is not None and data:
         keep = max(1, int(len(data) * spec.fraction))
-        with open(path, "wb") as handle:
+        with open(path, "ab" if append else "wb") as handle:
             handle.write(data[:keep])
             handle.flush()
             os.fsync(handle.fileno())
     _sigkill()
 
 
-def fire(site: str, path: "str | None" = None, data: "bytes | None" = None):
+def fire(
+    site: str,
+    path: "str | None" = None,
+    data: "bytes | None" = None,
+    append: bool = False,
+):
     """Pass through injection site ``site``; enact any scheduled fault.
 
     Self-enacting kinds raise or kill right here; cooperative kinds
     (frame-drop, frame-corrupt, heartbeat-stall) return a
     :class:`Firing` the call site must enact.  Returns ``None`` when
     nothing fires.  ``path``/``data`` let write sites expose the target
-    file and payload bytes to ``torn-write``.
+    file and payload bytes to ``torn-write``; ``append`` says the site
+    appends ``data`` to ``path`` rather than replacing it.
     """
     state = _resolve_state()
     if state is _INACTIVE:
@@ -290,11 +299,11 @@ def fire(site: str, path: "str | None" = None, data: "bytes | None" = None):
                 "pid": os.getpid(),
             },
         )
-        return _enact(spec, site, path, data)
+        return _enact(spec, site, path, data, append)
     return None
 
 
-def _enact(spec: FaultSpec, site: str, path, data):
+def _enact(spec: FaultSpec, site: str, path, data, append: bool):
     kind = spec.kind
     if kind == KIND_DELAY:
         time.sleep(spec.delay_seconds)
@@ -310,7 +319,7 @@ def _enact(spec: FaultSpec, site: str, path, data):
         _sigkill()
         return None  # pragma: no cover - unreachable after SIGKILL
     if kind == KIND_TORN_WRITE:
-        _torn_write(spec, site, path, data)
+        _torn_write(spec, site, path, data, append)
         return None  # pragma: no cover - unreachable after SIGKILL
     if kind == KIND_DIAL_REFUSE:
         raise ConnectionRefusedError(f"injected dial-refuse at {site}")

@@ -25,10 +25,11 @@ Fault kinds
 ``io-error``
     Raise ``OSError`` with the spec's errno (default ``ENOSPC``).
 ``torn-write``
-    Write only a prefix of the payload bytes to the target path, fsync
-    the torn file so it survives, then SIGKILL the process — the
-    power-cut model the resume tests were built on.  Only write sites
-    that hand ``fire()`` the path and bytes support it.
+    Write only a prefix of the payload bytes to the target path (after
+    its existing bytes, at a site that appends), fsync the torn file so
+    it survives, then SIGKILL the process — the power-cut model the
+    resume tests were built on.  Only write sites that hand ``fire()``
+    the path and bytes support it.
 ``fsync-error``
     Raise ``OSError(EIO)`` at a durability barrier.
 ``sigkill``
@@ -137,13 +138,13 @@ _SITES = (
         SITE_CHECKPOINT_WRITE,
         "repro.engine.writer",
         (KIND_IO_ERROR, KIND_TORN_WRITE, KIND_RAISE, KIND_SIGKILL, KIND_DELAY),
-        "a shard reducer-state checkpoint write (temp file, pre-rename)",
+        "a shard checkpoint-journal append (new records + reducer state)",
     ),
     FaultSite(
         SITE_CHECKPOINT_FSYNC,
         "repro.engine.writer",
         (KIND_FSYNC_ERROR, KIND_DELAY),
-        "the fsync barrier before a checkpoint rename",
+        "the fsync barrier after a checkpoint-journal append",
     ),
     FaultSite(
         SITE_MANIFEST_WRITE,

@@ -6,7 +6,8 @@ statistics **identical** to an uninterrupted run of the same parameters.
 Interruption is injected three ways — a fault plan on the writer's
 ``writer.block.done`` site, a monkeypatched block writer that dies
 mid-file (leaving a truncated segment behind), and a real ``SIGKILL`` of
-a CLI subprocess.
+a CLI subprocess.  Checkpoints live in one append-only journal per shard
+(``checkpoint-SSSS.jsonl``); the corruption cases edit its lines.
 """
 
 from __future__ import annotations
@@ -53,6 +54,23 @@ def _interrupted_after(blocks: int):
             yield
     finally:
         deactivate()
+
+
+def _journal(out_dir, shard: int = 0):
+    return out_dir / f"checkpoint-{shard:04d}.jsonl"
+
+
+def _journal_lines(path) -> "list[dict]":
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _rewrite_journal_line(path, index: int, mutate) -> None:
+    """Apply ``mutate`` to one parsed journal line and write it back."""
+    lines = path.read_text().splitlines()
+    entry = json.loads(lines[index])
+    mutate(entry)
+    lines[index] = json.dumps(entry)
+    path.write_text("".join(line + "\n" for line in lines))
 
 
 def _payload_bytes(out_dir, manifest) -> bytes:
@@ -242,10 +260,9 @@ class TestResumeRejections:
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
                 shards=1, checkpoint_every=1,
             )
-        checkpoint_path = tmp_path / "checkpoint-0000.json"
-        checkpoint = json.loads(checkpoint_path.read_text())
-        checkpoint["blocks_done"] = 999
-        checkpoint_path.write_text(json.dumps(checkpoint))
+        _rewrite_journal_line(
+            _journal(tmp_path), -1, lambda line: line.__setitem__("blocks_done", 999)
+        )
         with pytest.raises(StateError, match="checkpoint"):
             resume_export(paper_generator, str(tmp_path))
 
@@ -319,15 +336,15 @@ class TestResumeRejections:
     def test_corrupt_checkpoint_fields_raise_state_error(
         self, tmp_path, paper_generator, mutate
     ):
+        # One journal line carrying two records, so the duplicate and
+        # shuffle cases have something to reorder.
         with _interrupted_after(2):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1,
+                shards=1, checkpoint_every=2,
             )
-        checkpoint_path = tmp_path / "checkpoint-0000.json"
-        checkpoint = json.loads(checkpoint_path.read_text())
-        mutate(checkpoint)
-        checkpoint_path.write_text(json.dumps(checkpoint))
+        assert len(_journal_lines(_journal(tmp_path))) == 1
+        _rewrite_journal_line(_journal(tmp_path), 0, mutate)
         with pytest.raises(StateError, match="checkpoint"):
             resume_export(paper_generator, str(tmp_path))
 
@@ -357,11 +374,12 @@ class TestResumeRejections:
         # tear block 0 on disk and forge its checkpointed digests so the
         # (correct) regeneration cannot match them
         (tmp_path / "block-000000.csv").write_bytes(b"torn")
-        checkpoint_path = tmp_path / "checkpoint-0000.json"
-        checkpoint = json.loads(checkpoint_path.read_text())
-        checkpoint["digests"][0] = "ab" * 32
-        checkpoint["segments"][0]["sha256"] = "cd" * 32
-        checkpoint_path.write_text(json.dumps(checkpoint))
+
+        def forge(line):
+            line["digests"][0] = "ab" * 32
+            line["segments"][0]["sha256"] = "cd" * 32
+
+        _rewrite_journal_line(_journal(tmp_path), 0, forge)
         with pytest.raises(StateError, match="does not reproduce"):
             resume_export(paper_generator, str(tmp_path))
 
@@ -416,6 +434,270 @@ class TestResumeRejections:
         result = resume_export(paper_generator, str(tmp_path))
         assert result.statistics is None and result.resumed_blocks == 0
         assert (tmp_path / "manifest.json").read_text() == before
+
+
+class TestJournal:
+    """The append-only checkpoint journal: one line per checkpoint."""
+
+    @staticmethod
+    def _interrupt(generator, out, fault_after, checkpoint_every=CHECKPOINT_EVERY):
+        with _interrupted_after(fault_after):
+            export_fleet_blocks(
+                generator, SEPT_2010, SIZE, SEED, str(out),
+                shards=1, checkpoint_every=checkpoint_every, quantiles=True,
+            )
+
+    def test_torn_tail_is_dropped(self, tmp_path, paper_generator, golden):
+        golden_dir, golden_result = golden
+        out = tmp_path / "torn-tail"
+        self._interrupt(paper_generator, out, 4)
+        journal = _journal(out)
+        data = journal.read_bytes()
+        assert len(_journal_lines(journal)) == 2
+        journal.write_bytes(data[:-40])  # the second line, torn mid-append
+        resumed = resume_export(paper_generator, str(out), quantiles=True)
+        assert resumed.resumed_blocks == CHECKPOINT_EVERY
+        _assert_identical_runs(golden_dir, golden_result, out, resumed)
+
+    def test_torn_checkpoint_append_keeps_earlier_lines(
+        self, tmp_path, paper_generator, golden, monkeypatch
+    ):
+        """A torn write at ``writer.checkpoint.write`` tears only the line
+        being appended; resume restores the lines before it."""
+        import repro.faults.injector as injector
+
+        class Killed(BaseException):
+            pass
+
+        def _no_kill():
+            raise Killed
+
+        golden_dir, golden_result = golden
+        out = tmp_path / "torn-append"
+        monkeypatch.setattr(injector, "_sigkill", _no_kill)
+        spec = FaultSpec(site="writer.checkpoint.write", kind="torn-write", after=2)
+        activate(FaultPlan(faults=(spec,)))
+        try:
+            with pytest.raises(Killed):
+                export_fleet_blocks(
+                    paper_generator, SEPT_2010, SIZE, SEED, str(out),
+                    shards=1, checkpoint_every=CHECKPOINT_EVERY, quantiles=True,
+                )
+        finally:
+            deactivate()
+        data = _journal(out).read_bytes()
+        first, torn = data.split(b"\n")
+        assert json.loads(first)["blocks_done"] == CHECKPOINT_EVERY and torn
+        resumed = resume_export(paper_generator, str(out), quantiles=True)
+        assert resumed.resumed_blocks == CHECKPOINT_EVERY
+        _assert_identical_runs(golden_dir, golden_result, out, resumed)
+
+    def test_malformed_earlier_line_raises(self, tmp_path, paper_generator):
+        out = tmp_path / "malformed"
+        self._interrupt(paper_generator, out, 4)
+        journal = _journal(out)
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text('{"broken\n' + lines[1])
+        with pytest.raises(StateError, match="line 1 .* not valid JSON"):
+            resume_export(paper_generator, str(out), quantiles=True)
+
+    @pytest.mark.parametrize("recount", [False, True])
+    def test_line_that_skips_a_block_raises(
+        self, tmp_path, paper_generator, recount
+    ):
+        """Dropping a middle line leaves a gap; with ``blocks_done``
+        recounted to hide it, the first record still betrays it."""
+        out = tmp_path / "gap"
+        self._interrupt(paper_generator, out, 3, checkpoint_every=1)
+        journal = _journal(out)
+        lines = journal.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        journal.write_text(lines[0] + lines[2])
+        if recount:
+            _rewrite_journal_line(
+                journal, 1, lambda line: line.__setitem__("blocks_done", 2)
+            )
+        match = "is not block 1" if recount else "does not continue"
+        with pytest.raises(StateError, match=match):
+            resume_export(paper_generator, str(out), quantiles=True)
+
+    def test_line_off_a_checkpoint_boundary_raises(self, tmp_path, paper_generator):
+        """Reducer state is only restorable at the run's checkpoint
+        boundaries; a line ending elsewhere would double-fold a block."""
+        out = tmp_path / "off-boundary"
+        self._interrupt(paper_generator, out, 4)
+
+        def drop_last_block(line):
+            line["segments"].pop()
+            line["digests"].pop()
+            line["blocks_done"] -= 1
+
+        _rewrite_journal_line(_journal(out), -1, drop_last_block)
+        with pytest.raises(StateError, match="checkpoint boundary"):
+            resume_export(paper_generator, str(out), quantiles=True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "npz"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_torn_tail_resume_second_crash_second_resume(
+        self, tmp_path, paper_generator, shards, fmt
+    ):
+        """Torn tail, resume, a second crash, a second resume: the end
+        state equals an uninterrupted run."""
+        size = 12 * writer.RNG_BLOCK_SIZE  # six blocks per shard at shards=2
+        options = dict(shards=shards, fmt=fmt, checkpoint_every=2, quantiles=True)
+        golden_dir = tmp_path / "golden"
+        golden_result = export_fleet_blocks(
+            paper_generator, SEPT_2010, size, SEED, str(golden_dir), **options
+        )
+        out = tmp_path / "crashed"
+        with _interrupted_after(3):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, size, SEED, str(out), **options
+            )
+        journals = [_journal(out, shard) for shard in range(shards)]
+        for journal in journals:
+            data = journal.read_bytes()
+            assert data.count(b"\n") == 1
+            journal.write_bytes(data + data[: len(data) // 2])  # torn append
+        with _interrupted_after(3):
+            resume_export(paper_generator, str(out), quantiles=True)
+        for journal in journals:
+            # The torn tail was cut away before the resumed run appended.
+            lines, kept = writer._read_journal(str(journal), "journal")
+            assert [line["blocks_done"] for line in lines] == [2, 4]
+            assert kept == journal.stat().st_size
+        resumed = resume_export(paper_generator, str(out), quantiles=True)
+        assert resumed.resumed_blocks == 4 * shards
+        assert verify_manifest(str(out / "manifest.json")).ok
+        assert not any(journal.exists() for journal in journals)
+        if fmt == "csv":
+            _assert_identical_runs(golden_dir, golden_result, out, resumed)
+        else:
+            # npz zip members carry a write timestamp, so only the
+            # format-independent digests and the statistics must match.
+            def stable(manifest):
+                payload = json.loads(manifest.to_json())
+                payload.pop("payload_sha256")
+                for segment in payload["segments"]:
+                    segment.pop("sha256"), segment.pop("bytes")
+                return payload
+
+            assert stable(resumed.manifest) == stable(golden_result.manifest)
+            assert resumed.manifest.fleet_sha256 == golden_result.manifest.fleet_sha256
+            assert (
+                resumed.statistics.reducers.to_state()
+                == golden_result.statistics.reducers.to_state()
+            )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_line_carries_only_its_new_records(
+        self, tmp_path, paper_generator, shards
+    ):
+        """Checkpoint cost is linear: every line holds exactly
+        ``checkpoint_every`` new records (a shard's last line the rest),
+        and no record is written twice."""
+        out = tmp_path / "lines"
+        size = 20 * writer.RNG_BLOCK_SIZE
+        every = 3
+        # The manifest write fails after every block is checkpointed, so
+        # the journals survive for inspection.
+        activate(FaultPlan(faults=(
+            FaultSpec(site="writer.manifest.write", kind="io-error"),
+        )))
+        try:
+            with pytest.raises(OSError, match="injected io-error"):
+                export_fleet_blocks(
+                    paper_generator, SEPT_2010, size, SEED, str(out),
+                    shards=shards, checkpoint_every=every,
+                )
+        finally:
+            deactivate()
+        for shard, (lo, hi) in enumerate(writer.shard_block_ranges(20, shards)):
+            lines = _journal_lines(_journal(out, shard))
+            counts = [len(line["segments"]) for line in lines]
+            full, rest = divmod(hi - lo, every)
+            assert counts == [every] * full + ([rest] if rest else [])
+            assert [len(line["digests"]) for line in lines] == counts
+            blocks = [s["block_lo"] for line in lines for s in line["segments"]]
+            assert blocks == list(range(lo, hi))
+            assert [line["blocks_done"] for line in lines] == [
+                sum(counts[: i + 1]) for i in range(len(counts))
+            ]
+        resumed = resume_export(paper_generator, str(out))
+        assert resumed.resumed_blocks == 20
+        assert verify_manifest(str(out / "manifest.json")).ok
+
+
+class TestFreshRunsAndOldExports:
+    def test_fresh_export_removes_every_stale_checkpoint(
+        self, tmp_path, paper_generator, golden
+    ):
+        """Journals and version-1 checkpoints of any shard count go, so a
+        re-export never appends to another run's journal."""
+        golden_dir, golden_result = golden
+        out = tmp_path / "reused"
+        out.mkdir()
+        stale = {
+            "checkpoint-0000.jsonl": '{"kind":"FleetShardCheckpoint"}\n',
+            "checkpoint-0003.jsonl": "{}\n",
+            "checkpoint-0000.json": "{}",
+            "checkpoint-0001.json": "{}",
+            "checkpoint-0000.json.tmp": "{",
+        }
+        for name, text in stale.items():
+            (out / name).write_text(text)
+        (out / "notes.txt").write_text("not ours")
+        with _interrupted_after(3):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(out),
+                shards=1, checkpoint_every=CHECKPOINT_EVERY, quantiles=True,
+            )
+        checkpoints = sorted(p.name for p in out.glob("checkpoint-*"))
+        assert checkpoints == ["checkpoint-0000.jsonl"]
+        assert (out / "notes.txt").exists()
+        lines = _journal_lines(_journal(out))
+        assert [line["blocks_done"] for line in lines] == [CHECKPOINT_EVERY]
+        resumed = resume_export(paper_generator, str(out), quantiles=True)
+        _assert_identical_runs(golden_dir, golden_result, out, resumed)
+
+    def _older_build_partial_export(self, out, paper_generator):
+        """A partial export as a version-1 build left it: plan v1 and a
+        rewritten ``checkpoint-0000.json``."""
+        with _interrupted_after(2):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(out),
+                shards=1, checkpoint_every=1,
+            )
+        plan_path = out / writer.PLAN_NAME
+        plan = json.loads(plan_path.read_text())
+        plan["state_version"] = 1
+        plan_path.write_text(json.dumps(plan, indent=2))
+        _journal(out).unlink()
+        (out / "checkpoint-0000.json").write_text(
+            json.dumps({"kind": "FleetShardCheckpoint", "state_version": 1})
+        )
+
+    def test_older_build_partial_export_is_refused(self, tmp_path, paper_generator):
+        self._older_build_partial_export(tmp_path, paper_generator)
+        with pytest.raises(StateError, match="older build.*--force"):
+            resume_export(paper_generator, str(tmp_path))
+
+    def test_cli_resume_of_older_build_exits_1_with_one_line(
+        self, tmp_path, paper_generator, capsys
+    ):
+        from repro.cli import main
+
+        self._older_build_partial_export(tmp_path, paper_generator)
+        capsys.readouterr()
+        assert main(["fleet", "export", "--resume", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "older build" in err and "--force" in err
+        # --force starts over and leaves no version-1 checkpoint behind.
+        assert main(["fleet", "export", "--size", str(SIZE), "--out-dir",
+                     str(tmp_path), "--checkpoint-every", "2", "--force"]) == 0
+        assert not list(tmp_path.glob("checkpoint-*"))
+        assert verify_manifest(str(tmp_path / "manifest.json")).ok
 
 
 class TestCompaction:
@@ -486,12 +768,12 @@ class TestSigkillSubprocess:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        checkpoint = out / "checkpoint-0000.json"
+        journal = _journal(out)
         deadline = time.monotonic() + 120
         while (
             time.monotonic() < deadline
             and process.poll() is None
-            and not checkpoint.exists()
+            and not (journal.exists() and journal.stat().st_size > 0)
         ):
             time.sleep(0.005)
         if process.poll() is None:

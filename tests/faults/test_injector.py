@@ -121,6 +121,37 @@ class TestEnactment:
         assert excinfo.value.errno == errno_module.EIO
         assert "/x/block-0.csv" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "append, expected", [(False, b"0123"), (True, b"kept\n0123")]
+    )
+    def test_torn_write_appends_at_append_sites(
+        self, tmp_path, monkeypatch, append, expected
+    ):
+        """A torn append keeps the file's bytes and tears only the new
+        tail; a torn replacement leaves just the prefix."""
+        import repro.faults.injector as injector
+
+        class Killed(BaseException):
+            pass
+
+        def _no_kill():
+            raise Killed
+
+        monkeypatch.setattr(injector, "_sigkill", _no_kill)
+        target = tmp_path / "journal.jsonl"
+        target.write_bytes(b"kept\n")
+        activate(
+            plan_of(FaultSpec(site="writer.checkpoint.write", kind="torn-write"))
+        )
+        with pytest.raises(Killed):
+            fire(
+                "writer.checkpoint.write",
+                path=str(target),
+                data=b"01234567",
+                append=append,
+            )
+        assert target.read_bytes() == expected
+
     def test_dial_refuse_and_conn_reset_types(self):
         activate(
             plan_of(
