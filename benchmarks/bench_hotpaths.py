@@ -14,7 +14,10 @@ optimisations' correctness contracts while doing so:
   writing and then re-reading the file through the verify helper.
 * ``block_synthesis`` — raw correlated-host block generation
   (:meth:`CorrelatedHostGenerator.generate` over RNG blocks), the floor
-  any export optimisation converges toward.
+  any export optimisation converges toward, versus the step-by-step
+  component composition it replaced (binary-search class selection and
+  ``scipy.stats.norm.cdf``, every table resolved per block); all five
+  columns must be bit-identical.
 
 Each section reports best-of-``--repeats`` seconds plus derived speedups,
 printed and written to ``BENCH_hotpaths.json`` so the perf trajectory is
@@ -30,6 +33,7 @@ Run standalone (CI runs the 50k/200k configuration)::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -39,11 +43,14 @@ import tempfile
 import time
 
 import numpy as np
+from scipy import stats
 
+from repro.core.correlation import CorrelatedNormalSampler
 from repro.core.generator import CorrelatedHostGenerator
 from repro.engine.csvfmt import encode_csv_rows
 from repro.engine.streaming import RNG_BLOCK_SIZE, block_seeds
 from repro.engine.writer import HOST_CSV_FMT, _hash_file_into
+from repro.hosts.population import RESOURCE_LABELS, HostPopulation
 from repro.stats.sketch import QuantileSketch
 from repro.timeutil import parse_date, year_fraction
 
@@ -191,25 +198,73 @@ def bench_hash_while_write(data: bytes, repeats: int) -> dict:
     }
 
 
+def reference_quantile_class(chain, when: float, u: np.ndarray) -> np.ndarray:
+    """``RatioChain.quantile_class`` as it was: tables per call, binary search."""
+    if np.any((u < 0) | (u > 1)):
+        raise ValueError("uniform variates must lie in [0, 1]")
+    cumulative = np.cumsum(chain.probabilities(when))
+    cumulative[-1] = 1.0
+    idx = np.searchsorted(cumulative, u, side="left")
+    idx = np.clip(idx, 0, chain.n_classes - 1)
+    return np.asarray(chain.class_values, dtype=float)[idx]
+
+
+def reference_block(generator, sampler, when: float, size: int, rng) -> HostPopulation:
+    """The step-by-step Fig 11 composition ``generate`` replaced (yardstick)."""
+    cores = reference_quantile_class(
+        generator.core_model.chain, when, rng.random(size)
+    ).astype(int)
+    correlated = sampler.sample(size, rng)
+    u_mem = stats.norm.cdf(correlated[:, 0])
+    percore_mb = reference_quantile_class(generator.memory_model.chain, when, u_mem)
+    whetstone, dhrystone = generator.speed_model.from_normals(
+        when, correlated[:, 1], correlated[:, 2]
+    )
+    disk_gb = generator.disk_model.sample(when, size, rng)
+    return HostPopulation(
+        cores=cores.astype(float),
+        memory_mb=percore_mb * cores,
+        dhrystone=dhrystone,
+        whetstone=whetstone,
+        disk_gb=disk_gb,
+    )
+
+
 def bench_block_synthesis(generator, when: float, size: int, repeats: int) -> dict:
     seeds = block_seeds(np.random.SeedSequence(20110611), size)
+    reference = functools.partial(
+        reference_block,
+        generator,
+        CorrelatedNormalSampler(generator.parameters.correlation),
+    )
 
-    def run_blocks():
-        rows = 0
+    def blocks(generate):
         for index, seed in enumerate(seeds):
             lo = index * RNG_BLOCK_SIZE
-            block = generator.generate(
+            yield generate(
                 when, min(RNG_BLOCK_SIZE, size - lo), np.random.default_rng(seed)
             )
-            rows += len(block)
-        return rows
 
-    seconds, rows = best_of(run_blocks, repeats)
+    def run_blocks(generate):
+        return sum(len(block) for block in blocks(generate))
+
+    reference_seconds, _ = best_of(
+        lambda: run_blocks(reference), max(1, repeats - 1)
+    )
+    seconds, rows = best_of(lambda: run_blocks(generator.generate), repeats)
+    for block, expected in zip(blocks(generator.generate), blocks(reference)):
+        for label in RESOURCE_LABELS:
+            assert np.array_equal(
+                block.column(label).view(np.uint64),
+                expected.column(label).view(np.uint64),
+            ), f"generated {label} differs from the reference composition"
     return {
         "hosts": int(rows),
         "blocks": len(seeds),
+        "reference_seconds": reference_seconds,
         "seconds": seconds,
         "hosts_per_second": rows / seconds if seconds > 0 else None,
+        "speedup": reference_seconds / seconds if seconds > 0 else None,
     }
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
+from scipy import special as _special
 
 
 def nearest_correlation_psd(matrix: np.ndarray, eps: float = 1e-10) -> np.ndarray:
@@ -86,5 +86,8 @@ class CorrelatedNormalSampler:
 
         Used to convert the memory component of the correlated vector into
         the uniform that selects the per-core-memory class (Section V-F).
+        Calls ``scipy.special.ndtr`` directly: it is the function
+        ``scipy.stats.norm.cdf`` ends in, with the same bits and without
+        the per-call argument handling.
         """
-        return _sps.norm.cdf(z)
+        return _special.ndtr(np.asarray(z, dtype=float))

@@ -15,6 +15,13 @@ host is created by:
 The generated population reproduces the empirical correlations of Table VIII
 — cores/memory ≈ 0.7, Whetstone/Dhrystone ≈ 0.5 — without ever explicitly
 coupling the core-count draw to anything else.
+
+Steps 1 and 3 select classes from the cumulative probability tables of the
+core and per-core-memory ratio chains
+(:meth:`~repro.core.ratios.RatioChain.cumulative`).  Those tables depend on
+the date only, so the generator resolves both once per date and reuses them
+for every block drawn at that date; the steps, their draw order and the
+hosts they produce are the same as resolving them per block.
 """
 
 from __future__ import annotations
@@ -66,6 +73,10 @@ class CorrelatedHostGenerator:
         )
         self._disk = DiskModel(self._params.disk_mean, self._params.disk_variance)
         self._correlated = CorrelatedNormalSampler(self._params.correlation)
+        # (when, (core table, per-core-memory table)) of the last date, kept
+        # as one tuple so a concurrent caller never pairs one date's key
+        # with another date's tables.
+        self._date_tables: "tuple | None" = None
 
     @property
     def name(self) -> str:
@@ -107,9 +118,11 @@ class CorrelatedHostGenerator:
         """
         if size < 0:
             raise ValueError("size must be non-negative")
+        core_chain, memory_chain = self._cores.chain, self._memory.chain
+        core_table, memory_table = self._tables_at(when)
 
         # Step 1: core count, independent uniform draw (Fig 11 left branch).
-        cores = self._cores.sample(when, size, rng)
+        cores = core_chain.select_classes(core_table, rng.random(size))
 
         # Step 2: correlated normals for (mem/core, whetstone, dhrystone).
         correlated = self._correlated.sample(size, rng)
@@ -117,8 +130,7 @@ class CorrelatedHostGenerator:
 
         # Step 3: per-core memory from the Φ-uniform of the memory component.
         u_mem = CorrelatedNormalSampler.normals_to_uniforms(z_mem)
-        percore_mb = self._memory.from_uniform(when, u_mem)
-        memory_mb = percore_mb * cores
+        memory_mb = memory_chain.select_classes(memory_table, u_mem) * cores
 
         # Step 4: speeds renormalised to the predicted moments.
         whetstone, dhrystone = self._speed.from_normals(when, z_whet, z_dhry)
@@ -127,12 +139,23 @@ class CorrelatedHostGenerator:
         disk_gb = self._disk.sample(when, size, rng)
 
         return HostPopulation(
-            cores=cores.astype(float),
+            cores=cores,
             memory_mb=memory_mb,
             dhrystone=dhrystone,
             whetstone=whetstone,
             disk_gb=disk_gb,
         )
+
+    def _tables_at(self, when: "_dt.date | float") -> tuple:
+        """The core and per-core-memory cumulative tables at ``when``."""
+        memo = self._date_tables
+        if memo is None or memo[0] != when:
+            memo = (
+                when,
+                (self._cores.chain.cumulative(when), self._memory.chain.cumulative(when)),
+            )
+            self._date_tables = memo
+        return memo[1]
 
     def generate_host(
         self, when: "_dt.date | float", rng: np.random.Generator

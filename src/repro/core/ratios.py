@@ -89,6 +89,40 @@ class RatioChain:
         values = np.asarray(self.class_values, dtype=float)
         return float(probs[values >= value].sum())
 
+    def cumulative(self, when: "_dt.date | float") -> np.ndarray:
+        """Cumulative class probabilities at a date; the last entry is 1.0.
+
+        This is the table :meth:`select_classes` reads.  It depends on the
+        date only, so a caller drawing many blocks at one date can resolve
+        it once.
+        """
+        cumulative = np.cumsum(self.probabilities(when))
+        # Guard against floating-point sums slightly below 1.
+        cumulative[-1] = 1.0
+        return cumulative
+
+    def select_classes(
+        self, cumulative: np.ndarray, u: "float | np.ndarray"
+    ) -> np.ndarray:
+        """Class values that uniforms ``u`` in [0, 1] select from a table.
+
+        ``cumulative`` comes from :meth:`cumulative`.  A uniform selects the
+        class whose index is the number of thresholds strictly below it:
+        ``searchsorted(cumulative, u, side="left")``, counted instead of
+        binary-searched.  Both give the same index for every ``u`` in
+        [0, 1]: the running sum never decreases and the table ends at
+        1.0, so the thresholds below ``u`` form a prefix, the last one never
+        counts and no clip is needed.  NaN is rejected with the
+        out-of-range values.
+        """
+        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+        if not np.all((u_arr >= 0) & (u_arr <= 1)):
+            raise ValueError("uniform variates must lie in [0, 1]")
+        idx = np.zeros(u_arr.shape, dtype=np.intp)
+        for threshold in cumulative[:-1]:
+            idx += u_arr > threshold
+        return np.asarray(self.class_values, dtype=float)[idx]
+
     def quantile_class(self, when: "_dt.date | float", u: "float | np.ndarray") -> np.ndarray:
         """Map uniform variates ``u`` in [0, 1] to class values (inverse CDF).
 
@@ -96,15 +130,7 @@ class RatioChain:
         is pushed through Φ to a uniform, which then indexes the class
         distribution so that larger normals select larger classes.
         """
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u_arr < 0) | (u_arr > 1)):
-            raise ValueError("uniform variates must lie in [0, 1]")
-        cumulative = np.cumsum(self.probabilities(when))
-        # Guard against floating-point sums slightly below 1.
-        cumulative[-1] = 1.0
-        idx = np.searchsorted(cumulative, u_arr, side="left")
-        idx = np.clip(idx, 0, self.n_classes - 1)
-        return np.asarray(self.class_values, dtype=float)[idx]
+        return self.select_classes(self.cumulative(when), u)
 
     def sample(
         self, when: "_dt.date | float", size: int, rng: np.random.Generator

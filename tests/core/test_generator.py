@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import datetime as dt
+import pickle
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from repro.core.correlation import CorrelatedNormalSampler
 from repro.core.generator import CorrelatedHostGenerator
+from repro.core.laws import ExponentialLaw
+from repro.core.parameters import ModelParameters
+from repro.core.ratios import RatioChain
 from repro.hosts.host import Host
+from repro.hosts.population import RESOURCE_LABELS, HostPopulation
 
 SEPT_2010 = 2010.667
 
@@ -131,3 +143,159 @@ class TestComponentAccess:
         assert paper_generator.speed_model.dhrystone_moments(2010.0)[0] > 0
         assert paper_generator.disk_model.moments(2010.0)[0] > 0
         assert paper_generator.parameters is not None
+
+
+def reference_generate(generator, when, size: int, rng) -> HostPopulation:
+    """The step-by-step Fig 11 composition ``generate`` replaced.
+
+    Each step goes through its component model and resolves the date
+    afresh, with ``scipy.stats.norm.cdf`` as Φ: the kernel must draw the
+    same numbers in the same order and produce the same bits.
+    """
+    cores = generator.core_model.sample(when, size, rng)
+    correlated = CorrelatedNormalSampler(generator.parameters.correlation).sample(
+        size, rng
+    )
+    u_mem = stats.norm.cdf(correlated[:, 0])
+    percore_mb = generator.memory_model.from_uniform(when, u_mem)
+    whetstone, dhrystone = generator.speed_model.from_normals(
+        when, correlated[:, 1], correlated[:, 2]
+    )
+    disk_gb = generator.disk_model.sample(when, size, rng)
+    return HostPopulation(
+        cores=cores.astype(float),
+        memory_mb=percore_mb * cores,
+        dhrystone=dhrystone,
+        whetstone=whetstone,
+        disk_gb=disk_gb,
+    )
+
+
+def assert_same_bits(actual: HostPopulation, expected: HostPopulation) -> None:
+    for label in RESOURCE_LABELS:
+        a = np.ascontiguousarray(actual.column(label), dtype=np.float64)
+        b = np.ascontiguousarray(expected.column(label), dtype=np.float64)
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=label)
+
+
+def non_reference_parameters() -> ModelParameters:
+    """Other laws: a steeper 1:2 core law, new couplings, a larger disk law."""
+    base = ModelParameters.paper_reference()
+    cores = RatioChain(
+        base.core_chain.class_values,
+        (ExponentialLaw(40.0, -0.9),) + base.core_chain.ratio_laws[1:],
+    )
+    return replace(
+        base.with_correlation(
+            [[1.0, -0.4, 0.1], [-0.4, 1.0, 0.2], [0.1, 0.2, 1.0]]
+        ),
+        core_chain=cores,
+        disk_mean=ExponentialLaw(80.0, 0.3),
+    )
+
+
+def check_against_reference(generator, when, size: int, seed: int) -> None:
+    expected = reference_generate(generator, when, size, np.random.default_rng(seed))
+    actual = generator.generate(when, size, np.random.default_rng(seed))
+    assert_same_bits(actual, expected)
+
+
+class TestReferenceComposition:
+    """``generate`` is bit-identical to the composition of its components."""
+
+    @pytest.mark.parametrize(
+        "when",
+        [SEPT_2010, 2008.25, dt.date(2011, 3, 14), 2003.5, dt.date(2016, 11, 2)],
+        ids=["sept-2010", "2008.25", "date-2011", "before-2006", "after-2014"],
+    )
+    def test_dates(self, paper_generator, when):
+        check_against_reference(paper_generator, when, 20_000, 11)
+
+    @pytest.mark.parametrize("size", [0, 1, 4095, 4096])
+    def test_block_sizes(self, paper_generator, size):
+        check_against_reference(paper_generator, SEPT_2010, size, 12)
+
+    def test_untruncated_memory_chain(self):
+        generator = CorrelatedHostGenerator(percore_max_mb=None)
+        for when in (2007.0, dt.date(2013, 8, 1)):
+            check_against_reference(generator, when, 8192, 13)
+
+    def test_non_reference_parameters(self):
+        generator = CorrelatedHostGenerator(non_reference_parameters())
+        for when in (2006.5, SEPT_2010, 2015.25):
+            check_against_reference(generator, when, 8192, 14)
+
+    def test_alternating_dates_on_one_instance(self):
+        # Each call must use its own date's tables, never the last call's.
+        generator = CorrelatedHostGenerator()
+        dates = [2006.0, dt.date(2014, 6, 30), 2006.0, 2006.0, dt.date(2014, 6, 30)]
+        for seed, when in enumerate(dates):
+            check_against_reference(generator, when, 4096, seed)
+
+    def test_warm_generator_after_pickle(self):
+        generator = CorrelatedHostGenerator()
+        generator.generate(2009.0, 16, np.random.default_rng(0))
+        clone = pickle.loads(pickle.dumps(generator))
+        for when in (2009.0, 2012.0, 2009.0):
+            check_against_reference(clone, when, 4096, 15)
+
+
+class TestSharedAcrossThreads:
+    def test_each_thread_gets_its_own_dates_tables(self):
+        # One generator, more threads than cores, each at its own date: a
+        # key stored apart from its tables would hand one thread another
+        # date's classes.
+        generator = CorrelatedHostGenerator()
+        dates = [2006.0, 2009.5, dt.date(2012, 1, 1), 2015.0] * 2
+        expected = [
+            reference_generate(generator, when, 16, np.random.default_rng(i))
+            for i, when in enumerate(dates)
+        ]
+        failures = []
+
+        def worker(i, when):
+            for _ in range(300):
+                actual = generator.generate(when, 16, np.random.default_rng(i))
+                try:
+                    assert_same_bits(actual, expected[i])
+                except AssertionError as exc:
+                    failures.append((when, exc))
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i, when))
+                for i, when in enumerate(dates)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+class TestNormalsToUniforms:
+    def test_same_bits_as_norm_cdf(self):
+        z = np.concatenate(
+            [
+                np.random.default_rng(16).standard_normal(200_000) * 3.0,
+                [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 5e-324, -5e-324],
+            ]
+        )
+        actual = CorrelatedNormalSampler.normals_to_uniforms(z)
+        expected = stats.norm.cdf(z)
+        np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+    def test_scalar_and_strided_inputs(self):
+        z = np.random.default_rng(17).standard_normal((64, 3))
+        column = z[:, 0]
+        assert not column.flags.contiguous
+        np.testing.assert_array_equal(
+            CorrelatedNormalSampler.normals_to_uniforms(column), stats.norm.cdf(column)
+        )
+        assert CorrelatedNormalSampler.normals_to_uniforms(0.5) == stats.norm.cdf(0.5)

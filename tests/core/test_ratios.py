@@ -82,6 +82,19 @@ class TestQuantiles:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             simple_chain().quantile_class(2006.0, 1.5)
 
+    def test_quantile_rejects_scalar_nan(self):
+        chain = ModelParameters.paper_reference().core_chain
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            chain.quantile_class(2010.0, float("nan"))
+
+    def test_quantile_rejects_nan_inside_an_array(self):
+        # NaN used to slip past the range check and land in the top class.
+        chain = ModelParameters.paper_reference().core_chain
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            chain.quantile_class(2010.0, np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            chain.select_classes(chain.cumulative(2010.0), np.array([0.5, np.nan]))
+
     def test_sampling_matches_probabilities(self, rng):
         chain = ModelParameters.paper_reference().core_chain
         draws = chain.sample(2010.667, 100_000, rng)
@@ -89,6 +102,97 @@ class TestQuantiles:
         for value, prob in zip(chain.class_values, probs):
             frequency = float((draws == value).mean())
             assert frequency == pytest.approx(prob, abs=0.01)
+
+
+def searchsorted_classes(chain: RatioChain, cumulative: np.ndarray, u) -> np.ndarray:
+    """The binary-search class selection :meth:`RatioChain.select_classes` replaced."""
+    idx = np.searchsorted(cumulative, np.atleast_1d(u), side="left")
+    idx = np.clip(idx, 0, chain.n_classes - 1)
+    return np.asarray(chain.class_values, dtype=float)[idx]
+
+
+def edge_uniforms(cumulative: np.ndarray) -> np.ndarray:
+    """Every threshold, its float neighbours, and the ends of [0, 1]."""
+    thresholds = cumulative[(cumulative >= 0) & (cumulative <= 1)]
+    points = [
+        thresholds,
+        np.nextafter(thresholds, 0.0),
+        np.nextafter(thresholds, 1.0),
+        [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)],
+    ]
+    return np.concatenate([np.asarray(p, dtype=float) for p in points])
+
+
+class TestClassSelection:
+    """The threshold count selects the same class as ``searchsorted`` + clip."""
+
+    PAPER = ModelParameters.paper_reference()
+    CHAINS = {
+        "cores": PAPER.core_chain,
+        "percore": PAPER.percore_memory_chain,
+        "percore-2048": PAPER.percore_memory_chain.truncated(2048.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_matches_searchsorted_at_every_threshold(self, name):
+        chain = self.CHAINS[name]
+        rng = np.random.default_rng(101)
+        for year in np.linspace(2000.0, 2020.0, 101):
+            cumulative = chain.cumulative(year)
+            u = np.concatenate([edge_uniforms(cumulative), rng.random(256)])
+            np.testing.assert_array_equal(
+                chain.select_classes(cumulative, u),
+                searchsorted_classes(chain, cumulative, u),
+            )
+
+    def test_repeated_thresholds(self):
+        chain = RatioChain(
+            (1.0, 2.0, 4.0, 8.0, 16.0), tuple(ExponentialLaw(1.0, 0.0) for _ in range(4))
+        )
+        for cumulative in (
+            np.array([0.25, 0.25, 0.25, 0.5, 1.0]),
+            np.array([0.0, 0.0, 0.5, 1.0, 1.0]),
+            np.array([0.5, 1.0, 1.0, 1.0, 1.0]),
+        ):
+            u = edge_uniforms(cumulative)
+            np.testing.assert_array_equal(
+                chain.select_classes(cumulative, u),
+                searchsorted_classes(chain, cumulative, u),
+            )
+
+    def test_running_sum_past_one(self):
+        # A starved top class: the running sum rounds to 1.0000000000000002
+        # one entry before the forced final 1.0, so the table dips at the end.
+        chain = RatioChain(
+            (1.0, 2.0, 4.0, 8.0),
+            (
+                ExponentialLaw(54.99075661406077, 0.0),
+                ExponentialLaw(18.340628601973464, 0.0),
+                ExponentialLaw(102554329767319.86, 0.0),
+            ),
+        )
+        cumulative = chain.cumulative(2006.0)
+        assert cumulative[-2] > cumulative[-1] == 1.0
+        u = edge_uniforms(cumulative)
+        np.testing.assert_array_equal(
+            chain.select_classes(cumulative, u),
+            searchsorted_classes(chain, cumulative, u),
+        )
+
+    def test_quantile_class_is_select_on_the_date_table(self):
+        chain = self.CHAINS["percore"]
+        u = np.random.default_rng(5).random(1000)
+        np.testing.assert_array_equal(
+            chain.quantile_class(2011.5, u),
+            chain.select_classes(chain.cumulative(2011.5), u),
+        )
+
+    def test_cumulative_ends_at_one(self):
+        for chain in self.CHAINS.values():
+            for year in (1990.0, 2006.0, 2010.667, 2030.0):
+                cumulative = chain.cumulative(year)
+                assert cumulative[-1] == 1.0
+                assert np.all(np.diff(cumulative[:-1]) >= 0)
 
 
 class TestGrowthExponents:

@@ -9,9 +9,12 @@ related synthetic-benchmark repos.
 
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
+from repro.core.generator import DEFAULT_PERCORE_MAX_MB, CorrelatedHostGenerator
 from repro.engine import (
     RNG_BLOCK_SIZE,
     fleet_digest,
@@ -31,6 +34,33 @@ SIZE = 100_000
 #: update the constant in the same commit and call the fleet format out in
 #: the changelog — silent drift is the failure this guards against.
 GOLDEN_256_DIGEST = "0789106bd67de636058baf16cee66cf2ade3802eb338b12dc878320f50e4a4cd"
+
+#: The same 256-host fleet pinned at other dates, so a class table resolved
+#: for the wrong date moves a golden.  ``percore_max_mb`` is the generator's
+#: truncation (``None`` keeps the full per-core-memory chain).
+GOLDEN_256_DATE_DIGESTS = [
+    pytest.param(SEPT_2010, DEFAULT_PERCORE_MAX_MB, GOLDEN_256_DIGEST, id="sept-2010"),
+    pytest.param(
+        dt.date(2006, 1, 1), DEFAULT_PERCORE_MAX_MB,
+        "d34df9da7b59980b888fe4b6924793731480823724b0ba44f75053c7b9f91067",
+        id="2006-01-01",
+    ),
+    pytest.param(
+        dt.date(2008, 3, 15), DEFAULT_PERCORE_MAX_MB,
+        "09fde79134071b4380a4e7152f347f9c093a9c96dfbe49717abb6bcfedbad6ca",
+        id="2008-03-15",
+    ),
+    pytest.param(
+        dt.date(2014, 6, 30), DEFAULT_PERCORE_MAX_MB,
+        "bbbad006c60334048f3fb8ceb8a3720bcb86f95ce779f6c7d54b21132d396acc",
+        id="2014-06-30",
+    ),
+    pytest.param(
+        dt.date(2012, 5, 20), None,
+        "645378c2831d438fe8183c6a3ef7c4cd95014fa36ba8e4ef64b60af316ec3929",
+        id="2012-05-20-full-chain",
+    ),
+]
 
 
 def _materialise(generator, chunk_size: int) -> HostPopulation:
@@ -163,5 +193,12 @@ class TestSeedHandling:
         )
         assert from_int == from_ss == from_rng
 
-    def test_golden_digest_pinned(self, paper_generator):
-        assert fleet_digest(paper_generator, SEPT_2010, 256, SEED) == GOLDEN_256_DIGEST
+    @pytest.mark.parametrize("when, percore_max_mb, golden", GOLDEN_256_DATE_DIGESTS)
+    def test_golden_digest_pinned(self, paper_generator, when, percore_max_mb, golden):
+        # The shared generator arrives holding an earlier test's date tables.
+        generator = (
+            paper_generator
+            if percore_max_mb == DEFAULT_PERCORE_MAX_MB
+            else CorrelatedHostGenerator(percore_max_mb=percore_max_mb)
+        )
+        assert fleet_digest(generator, when, 256, SEED) == golden

@@ -55,15 +55,20 @@ class TestFlatten:
 
     def test_reference_side_timings_never_gated(self):
         # The frozen "before" yardsticks (pure-Python loop, np.savetxt,
-        # write-then-rehash) vary with interpreter/runner speed, not with
-        # product code — tracking them would fail CI for nothing.
+        # write-then-rehash, the step-by-step block composition) vary with
+        # interpreter/runner speed, not with product code — tracking them
+        # would fail CI for nothing.
         payload = {
             "loop_seconds": 9.9,
             "savetxt_seconds": 9.9,
             "write_then_rehash_seconds": 9.9,
+            "block_synthesis": {"reference_seconds": 9.9, "seconds": 0.2},
             "encode_seconds": 0.1,
         }
-        assert check.flatten_timings(payload) == {"encode_seconds": 0.1}
+        assert check.flatten_timings(payload) == {
+            "block_synthesis.seconds": 0.2,
+            "encode_seconds": 0.1,
+        }
 
 
 class TestCompare:
