@@ -4,7 +4,9 @@ Layers
 ------
 :mod:`~repro.engine.streaming`
     Chunked generation under a block-based determinism contract
-    (``SeedSequence.spawn`` per fixed RNG block), plus fleet hashing.
+    (``SeedSequence.spawn`` per fixed RNG block), plus fleet hashing, and
+    the internal ``BlockTask`` — a fleet plus a range of RNG blocks —
+    that every fan-out hands its workers: one block loop for all of them.
 :mod:`~repro.engine.accumulate`
     One-pass Welford/pairwise moment reducers reproducing the batch
     :class:`~repro.hosts.population.HostPopulation` statistics.
@@ -14,9 +16,9 @@ Layers
     quantile-sketch, histogram and ECDF reducers and the
     :class:`~repro.engine.reduce.ReducerSet` bundle.
 :mod:`~repro.engine.pool`
-    The one fan-out dispatcher: persistent workers that report a worker
-    dying mid-task as :class:`WorkerDiedError`, plus zero-copy
-    shared-memory block hand-off.
+    The one fan-out dispatcher: one task runs in-process, more run on
+    persistent workers that report a worker dying mid-task as
+    :class:`WorkerDiedError`.
 :mod:`~repro.engine.sharding`
     Fan-out over RNG blocks with reducer-set reduction.
 :mod:`~repro.engine.writer`
@@ -68,10 +70,8 @@ from repro.engine.distributed import (
     serve_worker,
 )
 from repro.engine.pool import (
-    BlockBuffer,
     WorkerDiedError,
     WorkerPool,
-    create_block_buffer,
     pool_stats,
     resolve_start_method,
     shutdown_pools,
@@ -128,7 +128,6 @@ from repro.engine.writer import (
 from repro.stats.state import StateError
 
 __all__ = [
-    "BlockBuffer",
     "COLUMNAR_FORMAT",
     "ColumnBlock",
     "HOST_CSV_FMT",
@@ -142,7 +141,6 @@ __all__ = [
     "WorkerDiedError",
     "WorkerPool",
     "as_matrix",
-    "create_block_buffer",
     "pool_stats",
     "read_columnar_export",
     "resolve_start_method",

@@ -146,14 +146,13 @@ from repro.engine.sharding import (
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RNG_BLOCK_SIZE,
+    BlockTask,
     as_seed_sequence,
     block_count,
-    block_seeds,
-    combine_block_digests,
     population_digest,
 )
 from repro.engine.csvfmt import encode_csv_rows
-from repro.engine.table import block_schema, generator_schema
+from repro.engine.table import block_schema
 from repro.engine.writer import (
     MANIFEST_VERSION,
     FleetManifest,
@@ -166,6 +165,7 @@ from repro.engine.writer import (
     _read_journal,
     _read_matching_block,
     _remove_quiet,
+    _save_manifest,
     _write_json_atomic,
 )
 from repro.faults.injector import fire as _fire
@@ -524,11 +524,6 @@ def parse_endpoint(spec: str) -> "tuple[str, int]":
 # -- worker ------------------------------------------------------------------
 
 
-def _render_block_csv(block) -> bytes:
-    """A block's CSV rows, byte-identical to every other export path."""
-    return encode_csv_rows(block.to_matrix(), block_schema(block).csv_fmt)
-
-
 def _heartbeat_loop(send, stop: threading.Event, interval: float) -> None:
     while not stop.wait(interval):
         firing = _fire(SITE_HEARTBEAT)
@@ -651,7 +646,7 @@ def _worker_loop(
     # sees nothing for worker_timeout is orphaned (dead or partitioned
     # coordinator) and must exit rather than wedge a serve-worker slot.
     sock.settimeout(worker_timeout)
-    seeds = block_seeds(root, size)
+    task = BlockTask(generator, when, size, root, range(block_count(size)))
     out_dir = job.get("out_dir")
 
     stop = threading.Event()
@@ -699,14 +694,8 @@ def _worker_loop(
             reducers = ReducerSet.from_factories(factories)
             fold = ChunkedFold(reducers, chunk_size)
             blocks: "list[dict]" = []
-            for index in range(lo, hi):
-                row_lo = index * RNG_BLOCK_SIZE
-                block = generator.generate(
-                    when,
-                    min(RNG_BLOCK_SIZE, size - row_lo),
-                    np.random.default_rng(seeds[index]),
-                )
-                data = _render_block_csv(block)
+            for index, block in task.generate(range(lo, hi)):
+                data = encode_csv_rows(block.to_matrix(), block_schema(block).csv_fmt)
                 entry = {
                     "index": index,
                     "sha256": hashlib.sha256(data).hexdigest(),
@@ -1854,23 +1843,11 @@ def _run_distributed(
                 "worker reported; refusing to finalise a corrupt export"
             )
 
-    manifest = FleetManifest(
-        version=MANIFEST_VERSION,
-        format="csv",
-        size=size,
-        when=when_value,
-        entropy=entropy,
-        spawn_key=spawn_key,
-        shards=1,
-        block_size=RNG_BLOCK_SIZE,
-        header=generator_schema(generator).csv_header,
-        payload_sha256=payload_hash.hexdigest(),
-        fleet_sha256=combine_block_digests(all_digests),
-        segments=tuple(records),
-        layout="block",
-        checkpoint_every=0,
+    manifest = _save_manifest(
+        os.path.join(out_dir, manifest_name), generator, "csv", size, when_value,
+        np.random.SeedSequence(int(entropy), spawn_key=spawn_key), 1, records,
+        payload_hash.hexdigest(), all_digests, layout="block",
     )
-    manifest.save(os.path.join(out_dir, manifest_name))
     # The run is finalised: the plan and lease log are no longer needed
     # (and their absence is what marks the directory as complete).
     _remove_quiet(os.path.join(out_dir, DISTRIBUTED_PLAN_NAME))

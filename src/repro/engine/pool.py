@@ -1,9 +1,14 @@
-"""The engine's one fan-out dispatcher, and zero-copy block hand-off.
+"""The engine's one fan-out dispatcher.
 
-Every multiprocess fan-out — ``generate_sharded``, ``export_fleet``,
-``export_fleet_blocks``/``resume_export`` and the distributed backend's
-local workers — runs on one persistent worker set, fault plan or not:
+Every multiprocess fan-out — ``generate_sharded``, ``export_fleet``
+(shard and columnar), ``export_fleet_blocks``/``resume_export`` and the
+distributed backend's local workers — runs on one persistent worker
+set, fault plan or not:
 
+:func:`fan_out`
+    The one in-process/pool switch: a worker function over a list of
+    :class:`~repro.engine.streaming.BlockTask` records, results in task
+    order.  One task runs in-process; more go to :func:`pool_map`.
 :func:`get_pool` / :func:`pool_map`
     A process-wide registry of persistent :class:`WorkerPool` instances,
     one per resolved start method, so a CLI command, a benchmark run or
@@ -15,9 +20,6 @@ local workers — runs on one persistent worker set, fault plan or not:
     :class:`WorkerDiedError`, and the next fan-out replaces the worker.
     Each task carries the caller's fault plan; the worker re-arms it
     with fresh counters (or disarms) before passing ``pool.task``.
-:class:`BlockBuffer`
-    Zero-copy ndarray hand-off over a shared-memory file; where none can
-    be created the caller gets ``None`` and ships arrays pickled.
 
 Nothing outlives its owner: a worker exits on EOF from its pipe, so a
 SIGKILLed owner leaves none behind, and :func:`shutdown_pools` (also the
@@ -37,8 +39,6 @@ import time
 from collections import deque
 from multiprocessing.connection import wait
 from multiprocessing.pool import ExceptionWithTraceback
-
-import numpy as np
 
 from repro.faults.injector import armed_state, fire, rearm
 from repro.faults.sites import SITE_POOL_TASK
@@ -395,100 +395,13 @@ def pool_map(
     return get_pool(min(processes, len(payloads)), start_method).map(func, payloads)
 
 
-# -- zero-copy block hand-off ------------------------------------------------
+def fan_out(worker, tasks: list, start_method: "str | None" = None) -> list:
+    """Run ``worker`` over ``tasks``, one result per task in task order.
 
-
-class BlockBuffer:
-    """A shared-memory ndarray both sides of a pool boundary can address.
-
-    The parent calls :func:`create_block_buffer`; workers receive the
-    small picklable :meth:`handle` ``(path, shape, dtype)`` tuple in
-    their payload, :meth:`attach`, and write rows in place — the column
-    data itself never crosses a pickle boundary.  The creating side owns
-    the segment and must :meth:`unlink` it (``close`` alone detaches).
-
-    Backing store: a ``MAP_SHARED`` :class:`numpy.memmap` over an
-    unlinked-on-close file in ``/dev/shm`` (plain POSIX shared memory —
-    the same tmpfs ``shm_open`` uses) with the system temp directory as
-    the fallback.  This sidesteps ``multiprocessing.shared_memory``'s
-    resource tracker, whose attach-side registration misfires for
-    persistent fork pools (the workers share the parent's tracker, and
-    close/unregister races print spurious leak reports at exit).
+    A single task runs in-process — no pool, no pickling — which is also
+    the single-process baseline the benchmarks compare against; more go
+    to :func:`pool_map`, one worker each.
     """
-
-    def __init__(self, path: str, shape, dtype, owner: bool):
-        self.path = path
-        self.shape = tuple(int(n) for n in shape)
-        self.dtype = np.dtype(dtype)
-        self._owner = owner
-        self.array = np.memmap(path, dtype=self.dtype, mode="r+", shape=self.shape)
-
-    @classmethod
-    def create(cls, shape, dtype=np.float64) -> "BlockBuffer":
-        import tempfile
-
-        directory = "/dev/shm" if os.path.isdir("/dev/shm") else None
-        fd, path = tempfile.mkstemp(prefix="repro-block-", dir=directory)
-        try:
-            nbytes = (
-                int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-            )
-            os.ftruncate(fd, max(1, nbytes))
-        finally:
-            os.close(fd)
-        try:
-            return cls(path, shape, dtype, owner=True)
-        except Exception:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            raise
-
-    @classmethod
-    def attach(cls, handle: "tuple[str, tuple, str]") -> "BlockBuffer":
-        path, shape, dtype = handle
-        return cls(path, shape, dtype, owner=False)
-
-    def handle(self) -> "tuple[str, tuple, str]":
-        """The picklable ``(path, shape, dtype)`` attach token."""
-        return (self.path, self.shape, self.dtype.str)
-
-    def close(self) -> None:
-        """Detach this mapping (workers call this; the data survives —
-        writes are visible to every attached process through the shared
-        page cache, no flush needed)."""
-        array, self.array = self.array, None
-        if array is None:
-            return
-        mapping = getattr(array, "_mmap", None)
-        del array
-        if mapping is not None:
-            try:
-                mapping.close()
-            except BufferError:  # a live view still references the pages
-                pass
-
-    def unlink(self) -> None:
-        """Detach and remove the segment (owner side, exactly once)."""
-        self.close()
-        if self._owner:
-            try:
-                os.remove(self.path)
-            except OSError:  # already gone (e.g. double unlink)
-                pass
-
-
-def create_block_buffer(shape, dtype=np.float64) -> "BlockBuffer | None":
-    """A :class:`BlockBuffer`, or ``None`` where the pickling fallback
-    must be used instead.
-
-    ``None`` (rather than an exception) is the fallback signal so call
-    sites read as one branch: platforms without a writable shared-memory
-    mount and a full ``/dev/shm`` both land here, and the workers ship
-    their arrays pickled instead.
-    """
-    try:
-        return BlockBuffer.create(shape, dtype)
-    except (OSError, ValueError):
-        return None
+    if len(tasks) == 1:
+        return [worker(tasks[0])]
+    return pool_map(worker, tasks, len(tasks), start_method)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.accumulate import CorrelationAccumulator, MomentAccumulator
-from repro.engine.pool import pool_map
+from repro.engine.pool import fan_out
 from repro.engine.reduce import (
     ChunkedFold,
     QuantileReducer,
@@ -27,10 +27,9 @@ from repro.engine.reduce import (
 )
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
-    RNG_BLOCK_SIZE,
+    BlockTask,
     as_seed_sequence,
     block_count,
-    block_seeds,
     combine_block_digests,
     population_digest,
 )
@@ -105,50 +104,24 @@ def _resolve_factories(
     return factories
 
 
-def _shard_payloads(
-    generator, when, size, root, shards, chunk_size, want_digest, factories
-) -> "list[tuple]":
-    return [
-        (generator, when, size, root, shard, shards, chunk_size, want_digest, factories)
-        for shard in range(shards)
-    ]
-
-
-def _run_shard(payload: tuple):
-    """Generate every block with ``index % shards == shard`` and reduce.
+def _run_shard(task: BlockTask):
+    """Worker: generate the task's blocks and reduce them.
 
     Module-level so it pickles under both fork and spawn start methods
     (which is also why reducer *factories*, not instances, travel in the
-    payload).  Blocks are buffered up to ``chunk_size`` hosts between
+    task).  Blocks are buffered up to ``chunk_size`` hosts between
     reducer updates — larger chunks mean fewer, more vectorised updates at
     the cost of a proportionally larger working set.
     """
-    (
-        generator,
-        when,
-        size,
-        root,
-        shard,
-        shards,
-        chunk_size,
-        want_digest,
-        factories,
-    ) = payload
-    reducers = ReducerSet.from_factories(factories)
+    reducers = ReducerSet.from_factories(task.factories)
     digests: "list[tuple[int, bytes]]" = []
-    fold = ChunkedFold(reducers, chunk_size)
-
-    seeds = block_seeds(root, size)
-    for index in range(shard, len(seeds), shards):
-        lo = index * RNG_BLOCK_SIZE
-        block = generator.generate(
-            when, min(RNG_BLOCK_SIZE, size - lo), np.random.default_rng(seeds[index])
-        )
-        if want_digest:
+    fold = ChunkedFold(reducers, task.chunk_size)
+    for index, block in task.generate():
+        if task.digest:
             digests.append((index, bytes.fromhex(population_digest(block))))
         fold.add(block)
     fold.flush()
-    return shard, reducers, digests
+    return reducers, digests
 
 
 def generate_sharded(
@@ -190,25 +163,26 @@ def generate_sharded(
     if size < 0:
         raise ValueError("size must be non-negative")
     root = as_seed_sequence(rng)
-    shards = min(shards, max(1, block_count(size)))
+    n_blocks = block_count(size)
+    shards = min(shards, max(1, n_blocks))
     factories = _resolve_factories(reducers, quantiles)
-    payloads = _shard_payloads(
-        generator, when, size, root, shards, chunk_size, digest, factories
-    )
+    # Round-robin block placement: the merge order of the shard reducers
+    # (and so the reduced bits) depends on it.
+    tasks = [
+        BlockTask(
+            generator, when, size, root, range(shard, n_blocks, shards),
+            chunk_size=chunk_size, factories=factories, digest=digest,
+        )
+        for shard in range(shards)
+    ]
 
     start = time.perf_counter()
-    if shards == 1:
-        results = [_run_shard(payloads[0])]
-    else:
-        # The persistent pool (repro.engine.pool) amortises process spawn
-        # across calls: only the first fan-out in a process pays startup.
-        results = pool_map(_run_shard, payloads, shards, start_method)
+    results = fan_out(_run_shard, tasks, start_method)
     elapsed = time.perf_counter() - start
 
-    results.sort(key=lambda item: item[0])
     merged = ReducerSet.from_factories(factories)
     all_digests: "list[tuple[int, bytes]]" = []
-    for _, shard_reducers, shard_digests in results:
+    for shard_reducers, shard_digests in results:
         merged.merge(shard_reducers)
         all_digests.extend(shard_digests)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -82,6 +83,50 @@ def block_seeds(
     return as_seed_sequence(root).spawn(block_count(size))
 
 
+@dataclass(frozen=True)
+class BlockTask:
+    """A fleet and the RNG blocks one fan-out worker generates from it.
+
+    ``root`` is a fresh seed sequence (see :func:`as_seed_sequence`);
+    ``blocks`` is contiguous for export layouts and round-robin for
+    ``generate_sharded``.  The fields after it carry the per-layout
+    values of the worker the task is handed to.
+    """
+
+    generator: object
+    when: "_dt.date | float"
+    size: int
+    root: np.random.SeedSequence
+    blocks: range
+    shard: int = 0
+    fmt: str = "csv"
+    out_dir: str = ""
+    chunk_size: int = DEFAULT_CHUNK_SIZE
+    factories: "dict | None" = None
+    digest: bool = False
+    checkpoint_every: int = 0
+    checkpoint: "dict | None" = None
+
+    def generate(self, blocks: "range | None" = None) -> Iterator[tuple]:
+        """Yield ``(index, block)`` over ``blocks`` (default: the task's own).
+
+        Block ``i`` draws from child ``i`` of ``root``, derived directly
+        as ``SeedSequence.spawn`` derives it, so a task never spawns seeds
+        for blocks it does not generate.
+        """
+        root = self.root
+        for index in self.blocks if blocks is None else blocks:
+            seed = np.random.SeedSequence(
+                root.entropy,
+                spawn_key=(*root.spawn_key, index),
+                pool_size=root.pool_size,
+            )
+            n = min(RNG_BLOCK_SIZE, self.size - index * RNG_BLOCK_SIZE)
+            yield index, self.generator.generate(
+                self.when, n, np.random.default_rng(seed)
+            )
+
+
 def iter_blocks(
     generator,
     when: "_dt.date | float",
@@ -93,11 +138,9 @@ def iter_blocks(
     This is the primitive the streaming, hashing and sharding layers share;
     each block holds at most :data:`RNG_BLOCK_SIZE` hosts.
     """
-    seeds = block_seeds(rng, size)
-    for i, child in enumerate(seeds):
-        lo = i * RNG_BLOCK_SIZE
-        n = min(RNG_BLOCK_SIZE, size - lo)
-        yield i, generator.generate(when, n, np.random.default_rng(child))
+    yield from BlockTask(
+        generator, when, size, as_seed_sequence(rng), range(block_count(size))
+    ).generate()
 
 
 def _slice(population, lo: int, hi: int):

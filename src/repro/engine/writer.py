@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from repro.engine.csvfmt import encode_csv_rows
-from repro.engine.pool import BlockBuffer, create_block_buffer, pool_map
+from repro.engine.pool import fan_out
 from repro.engine.reduce import ChunkedFold, ReducerFactory, ReducerSet
 from repro.engine.retry import WRITE_RETRY
 from repro.faults.injector import fire as _fire
@@ -79,9 +79,9 @@ from repro.engine.sharding import (
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RNG_BLOCK_SIZE,
+    BlockTask,
     as_seed_sequence,
     block_count,
-    block_seeds,
     combine_block_digests,
     population_digest,
 )
@@ -144,10 +144,10 @@ def write_population_csv(population, handle) -> None:
 def _hash_file_into(path: str, *hashes) -> None:
     """Stream a file through one or more hash objects in 1 MiB pieces.
 
-    Verification-oriented: the write paths hash bytes *as they produce
-    them*, so this re-read only runs where a single hash must span bytes
-    several processes wrote (multi-shard payload digests), on resume
-    (checking blocks an interrupted run left behind) and in
+    Verification-oriented: the row-segment writers hash bytes *as they
+    produce them*, so this re-read only runs where one hash must span
+    bytes other processes wrote (multi-shard payloads, column files), on
+    resume (checking blocks an interrupted run left behind) and in
     :func:`verify_manifest`.
     """
     with open(path, "rb") as handle:
@@ -197,10 +197,9 @@ class FleetManifest:
     checkpoint_every: int = 0
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["segments"] = [asdict(s) for s in self.segments]
-        payload["spawn_key"] = list(self.spawn_key)
-        return json.dumps(payload, indent=2, sort_keys=True)
+        # asdict converts the segment records too; json writes the
+        # segment and spawn_key tuples as lists.
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FleetManifest":
@@ -241,77 +240,122 @@ def shard_block_ranges(n_blocks: int, shards: int) -> "list[tuple[int, int]]":
     return ranges
 
 
+def _block_segment(
+    path: str, shard: int, blocks: range, size: int, sha256: str, nbytes: int
+) -> SegmentRecord:
+    """The record of a segment file holding RNG ``blocks`` of a fleet."""
+    return SegmentRecord(
+        path=path,
+        shard=shard,
+        block_lo=blocks.start,
+        block_hi=blocks.stop,
+        row_lo=min(blocks.start * RNG_BLOCK_SIZE, size),
+        row_hi=min(blocks.stop * RNG_BLOCK_SIZE, size),
+        sha256=sha256,
+        bytes=nbytes,
+    )
+
+
+def _payload_sha256(out_dir: str, segments: "list[SegmentRecord]") -> str:
+    """sha256 over the segment files' bytes in manifest order.
+
+    A single-worker export hashes its bytes as it writes them; a
+    multi-worker one needs this verify-style re-read, because one sha256
+    cannot be stitched together from per-worker digests.
+    """
+    payload_hash = hashlib.sha256()
+    for record in segments:
+        _hash_file_into(os.path.join(out_dir, record.path), payload_hash)
+    return payload_hash.hexdigest()
+
+
+def _save_manifest(
+    path, generator, fmt, size, when, root, shards, segments, payload_sha256,
+    digests, layout="shard", checkpoint_every=0,
+) -> FleetManifest:
+    """Build a finished export's manifest, save it to ``path``, return it.
+
+    Every layout and backend records its fleet fields here.  NPZ row
+    segments carry no CSV header; the columnar layout records its column
+    order there.
+    """
+    manifest = FleetManifest(
+        version=MANIFEST_VERSION,
+        format=fmt,
+        size=size,
+        when=_when_as_float(when),
+        entropy=str(root.entropy),
+        spawn_key=tuple(int(k) for k in root.spawn_key),
+        shards=shards,
+        block_size=RNG_BLOCK_SIZE,
+        header="" if fmt == "npz" else generator_schema(generator).csv_header,
+        payload_sha256=payload_sha256,
+        fleet_sha256=combine_block_digests(digests),
+        segments=tuple(segments),
+        layout=layout,
+        checkpoint_every=checkpoint_every,
+    )
+    manifest.save(path)
+    return manifest
+
+
 def _segment_name(shard: int, fmt: str) -> str:
     return f"segment-{shard:04d}.{fmt}"
 
 
-def _write_segment(payload: tuple):
-    """Worker: generate blocks ``[block_lo, block_hi)`` and write one segment.
+def _write_segment(task: BlockTask):
+    """Worker: generate the task's blocks into one CSV or NPZ segment.
 
-    Returns ``(shard, file_sha256, block_digests)``; module-level so it
+    Returns ``(segment_record, block_digests)``; module-level so it
     pickles under fork and spawn alike.
     """
-    generator, when, size, root, shard, block_lo, block_hi, fmt, out_dir = payload
-    schema = generator_schema(generator)
-    seeds = block_seeds(root, size)
-    path = os.path.join(out_dir, _segment_name(shard, fmt))
+    schema = generator_schema(task.generator)
+    name = _segment_name(task.shard, task.fmt)
+    path = os.path.join(task.out_dir, name)
     digests: "list[tuple[int, bytes]]" = []
     file_hash = hashlib.sha256()
+    columns = None
+    if task.fmt == "npz":
+        # Preallocate the segment's columns and fill block by block, so
+        # peak working memory stays one block above the (unavoidable for a
+        # single .npy entry) segment arrays rather than 2x the segment.
+        row_lo = min(task.blocks.start * RNG_BLOCK_SIZE, task.size)
+        row_hi = min(task.blocks.stop * RNG_BLOCK_SIZE, task.size)
+        columns = {label: np.empty(row_hi - row_lo) for label in schema.labels}
 
     try:
-        if fmt == "csv":
-            with open(path, "wb") as handle:
-                for index in range(block_lo, block_hi):
-                    lo = index * RNG_BLOCK_SIZE
-                    block = generator.generate(
-                        when,
-                        min(RNG_BLOCK_SIZE, size - lo),
-                        np.random.default_rng(seeds[index]),
-                    )
-                    digests.append((index, bytes.fromhex(population_digest(block))))
+        with open(path, "wb") as handle:
+            for index, block in task.generate():
+                digests.append((index, bytes.fromhex(population_digest(block))))
+                _fire(SITE_SEGMENT_WRITE, path=path)
+                if columns is None:
                     # The vectorised encoder reproduces the historical
                     # np.savetxt bytes exactly, so segment bytes stay
-                    # identical to the CLI's sequential export; hashing the
-                    # in-memory data as it is written spares a re-read.
+                    # identical to the CLI's sequential export; hashing
+                    # the in-memory data as it is written spares a re-read.
                     data = encode_csv_rows(block.to_matrix(), schema.csv_fmt)
-                    _fire(SITE_SEGMENT_WRITE, path=path)
                     handle.write(data)
                     file_hash.update(data)
-        elif fmt == "npz":
-            # Preallocate the segment's columns and fill block by block, so
-            # peak working memory stays one block above the (unavoidable for a
-            # single .npy entry) segment arrays rather than 2x the segment.
-            row_lo = min(block_lo * RNG_BLOCK_SIZE, size)
-            row_hi = min(block_hi * RNG_BLOCK_SIZE, size)
-            columns = {
-                label: np.empty(row_hi - row_lo) for label in schema.labels
-            }
-            for index in range(block_lo, block_hi):
-                lo = index * RNG_BLOCK_SIZE
-                block = generator.generate(
-                    when,
-                    min(RNG_BLOCK_SIZE, size - lo),
-                    np.random.default_rng(seeds[index]),
-                )
-                digests.append((index, bytes.fromhex(population_digest(block))))
-                offset = lo - row_lo
-                _fire(SITE_SEGMENT_WRITE, path=path)
-                for label in schema.labels:
-                    columns[label][offset : offset + len(block)] = block.column(label)
-            np.savez(path, **columns)
+                else:
+                    lo = index * RNG_BLOCK_SIZE - row_lo
+                    rows = slice(lo, lo + len(block))
+                    for label in schema.labels:
+                        columns[label][rows] = block.column(label)
+            if columns is not None:
+                np.savez(handle, **columns)
+        if columns is not None:
             _hash_file_into(path, file_hash)
-        else:
-            raise ValueError(
-                f"unknown segment format {fmt!r}; supported: {ROW_SEGMENT_FORMATS}"
-            )
     except BaseException:
         # A worker dying mid-segment must not leave a half-written file
         # for the next export (or a verify) to trip over.  SIGKILL still
         # leaves one behind — describe_export_dir names it then.
         _remove_quiet(path)
         raise
-
-    return shard, file_hash.hexdigest(), digests
+    record = _block_segment(
+        name, task.shard, task.blocks, task.size, file_hash.hexdigest(),
+        os.path.getsize(path),
+    )
+    return record, digests
 
 
 def export_fleet(
@@ -336,9 +380,9 @@ def export_fleet(
     format.
 
     ``fmt=`` :data:`COLUMNAR_FORMAT` switches to the columnar binary
-    layout (one contiguous ``.npy`` per resource column, written by the
-    parent from worker rows handed over shared memory) — see
-    :func:`read_columnar_export` for the decode side.
+    layout (one contiguous ``.npy`` per resource column, which the
+    workers fill in place) — see :func:`read_columnar_export` for the
+    decode side.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
@@ -346,227 +390,104 @@ def export_fleet(
         raise ValueError(f"unknown segment format {fmt!r}; supported: {FORMATS}")
     root = as_seed_sequence(rng)
     os.makedirs(out_dir, exist_ok=True)
-    if fmt == COLUMNAR_FORMAT:
-        return _export_fleet_columnar(
-            generator, when, size, root, out_dir, shards, manifest_name,
-            start_method,
+    tasks = [
+        BlockTask(
+            generator, when, size, root, range(lo, hi),
+            shard=shard, fmt=fmt, out_dir=out_dir,
         )
-    n_blocks = block_count(size)
-    ranges = shard_block_ranges(n_blocks, shards)
-    payloads = [
-        (generator, when, size, root, shard, lo, hi, fmt, out_dir)
-        for shard, (lo, hi) in enumerate(ranges)
+        for shard, (lo, hi) in enumerate(shard_block_ranges(block_count(size), shards))
     ]
-
-    in_process = len(payloads) == 1
-    if in_process:
-        results = [_write_segment(payloads[0])]
+    if fmt == COLUMNAR_FORMAT:
+        segments, payload_sha256, digests = _write_columns(tasks, start_method)
     else:
-        results = pool_map(_write_segment, payloads, len(payloads), start_method)
-    results.sort(key=lambda item: item[0])
-
-    # The payload digest spans every segment's bytes in manifest order.
-    # With one segment it *is* that segment's digest (hashed as the bytes
-    # were written); only a multi-shard export needs the verify-style
-    # re-read, because a single sha256 cannot be assembled from the
-    # per-worker digests.
-    payload_hash = hashlib.sha256()
-    segments: "list[SegmentRecord]" = []
-    all_digests: "list[tuple[int, bytes]]" = []
-    for (shard, file_sha, digests), (lo, hi) in zip(results, ranges):
-        name = _segment_name(shard, fmt)
-        path = os.path.join(out_dir, name)
-        if not in_process:
-            _hash_file_into(path, payload_hash)
-        segments.append(
-            SegmentRecord(
-                path=name,
-                shard=shard,
-                block_lo=lo,
-                block_hi=hi,
-                row_lo=min(lo * RNG_BLOCK_SIZE, size),
-                row_hi=min(hi * RNG_BLOCK_SIZE, size),
-                sha256=file_sha,
-                bytes=os.path.getsize(path),
-            )
+        results = fan_out(_write_segment, tasks, start_method)
+        segments = [record for record, _ in results]
+        # One segment's digest, hashed as it was written, is the payload's.
+        payload_sha256 = (
+            segments[0].sha256 if len(segments) == 1
+            else _payload_sha256(out_dir, segments)
         )
-        all_digests.extend(digests)
-
-    manifest = FleetManifest(
-        version=MANIFEST_VERSION,
-        format=fmt,
-        size=size,
-        when=_when_as_float(when),
-        entropy=str(root.entropy),
-        spawn_key=tuple(int(k) for k in root.spawn_key),
-        shards=len(ranges),
-        block_size=RNG_BLOCK_SIZE,
-        header=generator_schema(generator).csv_header if fmt == "csv" else "",
-        payload_sha256=segments[0].sha256 if in_process else payload_hash.hexdigest(),
-        fleet_sha256=combine_block_digests(all_digests),
-        segments=tuple(segments),
+        digests = [entry for _, shard_digests in results for entry in shard_digests]
+    return _save_manifest(
+        os.path.join(out_dir, manifest_name), generator, fmt, size, when, root,
+        len(tasks), segments, payload_sha256, digests,
+        layout="columnar" if fmt == COLUMNAR_FORMAT else "shard",
     )
-    manifest.save(os.path.join(out_dir, manifest_name))
-    return manifest
 
 
 # -- columnar binary export --------------------------------------------------
-
-
-class _HashingWriter:
-    """File-like tee: forwards every write and folds the bytes into one
-    or more running hashes, so column files are digested as they are
-    written rather than re-read."""
-
-    def __init__(self, handle, *hashes):
-        self._handle = handle
-        self._hashes = hashes
-
-    def write(self, data) -> int:
-        self._handle.write(data)
-        for digest in self._hashes:
-            digest.update(data)
-        return len(data)
 
 
 def _column_name(index: int, label: str) -> str:
     return f"column-{index}-{label}.npy"
 
 
-def _fill_columnar_rows(payload: tuple):
-    """Worker: generate blocks ``[block_lo, block_hi)`` into the shared
-    row matrix (or a local one where shared memory is unavailable).
+def _fill_columnar_rows(task: BlockTask):
+    """Worker: generate the task's blocks straight into the column files.
 
-    ``handle`` is a :class:`~repro.engine.pool.BlockBuffer` attach token
-    for the parent's ``(size, n_resources)`` matrix — rows are written in
-    place at their absolute offsets and nothing but the small digest list
-    returns through the pool.  With ``handle=None`` (pickling fallback,
-    or the in-process single-shard path) the worker materialises its own
-    row range and returns it as the third tuple element.
+    The parent created every ``column-<i>-<label>.npy`` at full size;
+    each worker maps them and writes its rows in place at their absolute
+    offsets, so nothing but the small digest list returns through the
+    pool.
     """
-    generator, when, size, root, shard, block_lo, block_hi, handle = payload
-    seeds = block_seeds(root, size)
-    row_lo = min(block_lo * RNG_BLOCK_SIZE, size)
-    row_hi = min(block_hi * RNG_BLOCK_SIZE, size)
-    buffer = None
-    if handle is not None:
-        buffer = BlockBuffer.attach(handle)
-        target = buffer.array
-    else:
-        target = np.empty((row_hi - row_lo, generator_schema(generator).width))
+    labels = generator_schema(task.generator).labels
+    columns = [
+        np.lib.format.open_memmap(
+            os.path.join(task.out_dir, _column_name(index, label)), mode="r+"
+        )
+        for index, label in enumerate(labels)
+    ]
     digests: "list[tuple[int, bytes]]" = []
-    try:
-        for index in range(block_lo, block_hi):
-            lo = index * RNG_BLOCK_SIZE
-            block = generator.generate(
-                when,
-                min(RNG_BLOCK_SIZE, size - lo),
-                np.random.default_rng(seeds[index]),
-            )
-            matrix = block.to_matrix()
-            # Same bytes population_digest hashes — reusing the stacked
-            # matrix spares a second column_stack per block.
-            digests.append((index, hashlib.sha256(matrix.tobytes()).digest()))
-            at = lo if handle is not None else lo - row_lo
-            target[at : at + len(block)] = matrix
-    finally:
-        if buffer is not None:
-            buffer.close()
-    return shard, digests, None if handle is not None else target
+    for index, block in task.generate():
+        digests.append((index, bytes.fromhex(population_digest(block))))
+        lo = index * RNG_BLOCK_SIZE
+        for column, label in zip(columns, labels):
+            column[lo : lo + len(block)] = block.column(label)
+    return digests
 
 
-def _export_fleet_columnar(
-    generator, when, size, root, out_dir, shards, manifest_name, start_method
-) -> FleetManifest:
+def _write_columns(tasks: "list[BlockTask]", start_method):
     """Write a fleet as one contiguous ``.npy`` file per resource column.
 
-    Workers generate contiguous block ranges straight into one
-    shared-memory row matrix (:class:`~repro.engine.pool.BlockBuffer`;
-    pickled row slabs where shared memory is unavailable), then the
-    parent serialises each column once, hashing the bytes as they are
-    written.  ``.npy`` v1.0 bytes are a pure function of dtype, shape
-    and data, so ``payload_sha256`` pins the columnar export exactly as
-    it pins CSV — and is identical for every shard count.  The
-    manifest's ``header`` records the column order (the CSV header
-    names); each segment's ``shard`` field is the column index.
-    """
-    schema = generator_schema(generator)
-    n_blocks = block_count(size)
-    ranges = shard_block_ranges(n_blocks, shards)
-    buffer = None
-    handle = None
-    if len(ranges) > 1:
-        buffer = create_block_buffer((size, schema.width))
-        handle = None if buffer is None else buffer.handle()
-    payloads = [
-        (generator, when, size, root, shard, lo, hi, handle)
-        for shard, (lo, hi) in enumerate(ranges)
-    ]
-    try:
-        if len(payloads) == 1:
-            results = [_fill_columnar_rows(payloads[0])]
-        else:
-            results = pool_map(
-                _fill_columnar_rows, payloads, len(payloads), start_method
-            )
-        results.sort(key=lambda item: item[0])
-        if buffer is not None:
-            matrix = buffer.array
-        elif len(results) == 1:
-            matrix = results[0][2]
-        else:
-            # Pickling fallback: stitch the returned row slabs together.
-            matrix = np.empty((size, schema.width))
-            for (_, _, slab), (lo, hi) in zip(results, ranges):
-                matrix[min(lo * RNG_BLOCK_SIZE, size):
-                       min(hi * RNG_BLOCK_SIZE, size)] = slab
+    The parent creates each column file at full size, the tasks' workers
+    fill their rows in place (:func:`_fill_columnar_rows`), then the
+    parent hashes the files in column order.  ``.npy`` v1.0 bytes are a
+    pure function of dtype, shape and data, so ``payload_sha256`` pins
+    the columnar export exactly as it pins CSV — and is identical for
+    every shard count.  The manifest's ``header`` records the column
+    order (the CSV header names); each segment's ``shard`` field is the
+    column index.  A failed export removes the column files.
 
+    Returns ``(segments, payload_sha256, block_digests)``.
+    """
+    fleet = tasks[0]
+    labels = generator_schema(fleet.generator).labels
+    names = [_column_name(index, label) for index, label in enumerate(labels)]
+    try:
+        for name in names:
+            np.lib.format.open_memmap(
+                os.path.join(fleet.out_dir, name), "w+", np.float64, (fleet.size,),
+                version=(1, 0),
+            )
+        results = fan_out(_fill_columnar_rows, tasks, start_method)
         payload_hash = hashlib.sha256()
         segments: "list[SegmentRecord]" = []
-        for column, label in enumerate(schema.labels):
-            name = _column_name(column, label)
-            path = os.path.join(out_dir, name)
+        for column, name in enumerate(names):
+            path = os.path.join(fleet.out_dir, name)
             file_hash = hashlib.sha256()
-            with open(path, "wb") as out:
-                np.lib.format.write_array(
-                    _HashingWriter(out, file_hash, payload_hash),
-                    np.ascontiguousarray(matrix[:, column]),
-                    version=(1, 0),
-                )
+            _hash_file_into(path, file_hash, payload_hash)
             segments.append(
-                SegmentRecord(
-                    path=name,
-                    shard=column,
-                    block_lo=0,
-                    block_hi=n_blocks,
-                    row_lo=0,
-                    row_hi=size,
-                    sha256=file_hash.hexdigest(),
-                    bytes=os.path.getsize(path),
+                _block_segment(
+                    name, column, range(block_count(fleet.size)), fleet.size,
+                    file_hash.hexdigest(), os.path.getsize(path),
                 )
             )
-    finally:
-        if buffer is not None:
-            buffer.unlink()
-
-    all_digests = [entry for _, digests, _ in results for entry in digests]
-    manifest = FleetManifest(
-        version=MANIFEST_VERSION,
-        format=COLUMNAR_FORMAT,
-        size=size,
-        when=_when_as_float(when),
-        entropy=str(root.entropy),
-        spawn_key=tuple(int(k) for k in root.spawn_key),
-        shards=len(ranges),
-        block_size=RNG_BLOCK_SIZE,
-        header=schema.csv_header,
-        payload_sha256=payload_hash.hexdigest(),
-        fleet_sha256=combine_block_digests(all_digests),
-        segments=tuple(segments),
-        layout="columnar",
-    )
-    manifest.save(os.path.join(out_dir, manifest_name))
-    return manifest
+    except BaseException:
+        for name in names:
+            _remove_quiet(os.path.join(fleet.out_dir, name))
+        raise
+    digests = [entry for shard_digests in results for entry in shard_digests]
+    return segments, payload_hash.hexdigest(), digests
 
 
 def read_columnar_export(manifest_path: str) -> "tuple[FleetManifest, dict]":
@@ -806,7 +727,7 @@ def describe_export_dir(out_dir: str) -> "str | None":
             "verify`, choose a fresh --out-dir, or pass --force to "
             "overwrite it"
         )
-    if any(entry.startswith(("segment-", "block-")) for entry in entries):
+    if any(entry.startswith(("segment-", "block-", "column-")) for entry in entries):
         return (
             "these look like partial segments from an export that died "
             "mid-write (no resume plan survives); delete the directory "
@@ -892,15 +813,8 @@ def _read_matching_block(path: str, record: SegmentRecord) -> "bytes | None":
     return data
 
 
-def _generate_block(generator, when, size, seeds, index):
-    lo = index * RNG_BLOCK_SIZE
-    return generator.generate(
-        when, min(RNG_BLOCK_SIZE, size - lo), np.random.default_rng(seeds[index])
-    )
-
-
-def _write_block_shard(payload: tuple):
-    """Worker: write blocks ``[block_lo, block_hi)`` as per-block segments.
+def _write_block_shard(task: BlockTask):
+    """Worker: write the task's blocks as per-block segments.
 
     Reduces every block into the shard's :class:`ReducerSet` and, every
     ``checkpoint_every`` blocks (and at the end of the range), appends one
@@ -911,29 +825,15 @@ def _write_block_shard(payload: tuple):
     exactly, and regenerated blocks are byte-identical by the
     ``SeedSequence.spawn`` contract.
 
-    ``checkpoint`` (when resuming) is the shard's journal as
+    ``task.checkpoint`` (when resuming) is the shard's journal as
     :func:`_load_shard_journal` joined it; recorded block files are
     re-verified against their digests and — being deterministic — simply
     rewritten if missing or corrupt, without touching the restored
     reducer state.
     """
-    (
-        generator,
-        when,
-        size,
-        root,
-        shard,
-        block_lo,
-        block_hi,
-        fmt,
-        out_dir,
-        checkpoint_every,
-        chunk_size,
-        factories,
-        checkpoint,
-    ) = payload
-    seeds = block_seeds(root, size)
-    reducers = ReducerSet.from_factories(factories)
+    shard, blocks, fmt, out_dir = task.shard, task.blocks, task.fmt, task.out_dir
+    checkpoint, checkpoint_every = task.checkpoint, task.checkpoint_every
+    reducers = ReducerSet.from_factories(task.factories)
     records: "list[SegmentRecord]" = []
     digests: "list[tuple[int, bytes]]" = []
     # Runs alongside the writes: sha256 over this shard's block bytes in
@@ -947,7 +847,7 @@ def _write_block_shard(payload: tuple):
             path = os.path.join(out_dir, record.path)
             data = _read_matching_block(path, record)
             if data is None:
-                block = _generate_block(generator, when, size, seeds, record.block_lo)
+                [(_, block)] = task.generate(range(record.block_lo, record.block_hi))
                 # Regeneration must reproduce the checkpointed rows exactly;
                 # failing fast here beats finishing an expensive resume
                 # whose manifest then fails `fleet verify`.  The row digest
@@ -973,7 +873,7 @@ def _write_block_shard(payload: tuple):
     # boundary flushes, and between boundaries the batch grows by fixed
     # block sizes — so an uninterrupted run and a resumed run fold
     # identical chunks and stay bit-identical.
-    fold = ChunkedFold(reducers, chunk_size)
+    fold = ChunkedFold(reducers, task.chunk_size)
     journal_path = os.path.join(out_dir, _journal_name(shard))
     if checkpoint_every:
         # A resumed journal is cut back to its last complete line before
@@ -989,8 +889,8 @@ def _write_block_shard(payload: tuple):
             "kind": "FleetShardCheckpoint",
             "state_version": CHECKPOINT_STATE_VERSION,
             "shard": shard,
-            "block_lo": block_lo,
-            "block_hi": block_hi,
+            "block_lo": blocks.start,
+            "block_hi": blocks.stop,
             "blocks_done": len(records),
             # vars() reads the flat record as it is; asdict() would
             # deep-copy every field of every record.
@@ -1007,33 +907,23 @@ def _write_block_shard(payload: tuple):
             )
         logged = len(records)
 
-    for index in range(block_lo + restored, block_hi):
-        block = _generate_block(generator, when, size, seeds, index)
+    for index, block in task.generate(blocks[restored:]):
         name = _block_name(index, fmt)
         sha, nbytes, data = _write_block_file(os.path.join(out_dir, name), block, fmt)
         shard_payload.update(data)
         records.append(
-            SegmentRecord(
-                path=name,
-                shard=shard,
-                block_lo=index,
-                block_hi=index + 1,
-                row_lo=min(index * RNG_BLOCK_SIZE, size),
-                row_hi=min((index + 1) * RNG_BLOCK_SIZE, size),
-                sha256=sha,
-                bytes=nbytes,
-            )
+            _block_segment(name, shard, range(index, index + 1), task.size, sha, nbytes)
         )
         digests.append((index, bytes.fromhex(population_digest(block))))
         fold.add(block)
-        done = index + 1 - block_lo
+        done = index + 1 - blocks.start
         if checkpoint_every and (
-            done % checkpoint_every == 0 or index + 1 == block_hi
+            done % checkpoint_every == 0 or index + 1 == blocks.stop
         ):
             write_checkpoint()
         _fire(SITE_BLOCK_DONE)
     fold.flush()
-    return shard, records, reducers, digests, restored, shard_payload.hexdigest()
+    return records, reducers, digests, restored, shard_payload.hexdigest()
 
 
 def export_fleet_blocks(
@@ -1374,75 +1264,39 @@ def _run_block_export(
 ) -> BlockExportResult:
     """Drive the shard workers and finalise a block-layout manifest."""
     fmt, size, when = plan["format"], plan["size"], plan["when"]
-    payloads = [
-        (
-            generator,
-            when,
-            size,
-            root,
-            shard,
-            lo,
-            hi,
-            fmt,
-            out_dir,
-            plan["checkpoint_every"],
-            plan.get("chunk_size", DEFAULT_CHUNK_SIZE),
-            factories,
-            checkpoints[shard],
+    tasks = [
+        BlockTask(
+            generator, when, size, root, range(lo, hi),
+            shard=shard, fmt=fmt, out_dir=out_dir,
+            chunk_size=plan.get("chunk_size", DEFAULT_CHUNK_SIZE),
+            factories=factories,
+            checkpoint_every=plan["checkpoint_every"],
+            checkpoint=checkpoints[shard],
         )
         for shard, (lo, hi) in enumerate(ranges)
     ]
 
     start = time.perf_counter()
-    in_process = len(payloads) == 1
-    if in_process:
-        results = [_write_block_shard(payloads[0])]
-    else:
-        results = pool_map(
-            _write_block_shard, payloads, len(payloads), start_method
-        )
+    results = fan_out(_write_block_shard, tasks, start_method)
     elapsed = time.perf_counter() - start
 
-    results.sort(key=lambda item: item[0])
     merged = ReducerSet.from_factories(factories)
     segments: "list[SegmentRecord]" = []
     all_digests: "list[tuple[int, bytes]]" = []
     resumed = 0
-    for _, shard_records, shard_reducers, shard_digests, restored, _ in results:
+    for shard_records, shard_reducers, shard_digests, restored, _ in results:
         merged.merge(shard_reducers)
         segments.extend(shard_records)
         all_digests.extend(shard_digests)
         resumed += restored
-    segments.sort(key=lambda record: record.block_lo)
 
-    # A single shard's running payload digest covers the whole export;
-    # only a multi-shard run needs the verify-style re-read (one sha256
-    # cannot be stitched from per-worker digests).
-    if in_process:
-        payload_sha256 = results[0][5]
-    else:
-        payload_hash = hashlib.sha256()
-        for record in segments:
-            _hash_file_into(os.path.join(out_dir, record.path), payload_hash)
-        payload_sha256 = payload_hash.hexdigest()
-
-    manifest = FleetManifest(
-        version=plan["version"],
-        format=fmt,
-        size=size,
-        when=when,
-        entropy=plan["entropy"],
-        spawn_key=tuple(int(k) for k in plan["spawn_key"]),
-        shards=len(ranges),
-        block_size=plan["block_size"],
-        header=generator_schema(generator).csv_header if fmt == "csv" else "",
-        payload_sha256=payload_sha256,
-        fleet_sha256=combine_block_digests(all_digests),
-        segments=tuple(segments),
-        layout="block",
-        checkpoint_every=plan["checkpoint_every"],
+    manifest = _save_manifest(
+        os.path.join(out_dir, plan["manifest_name"]), generator, fmt, size, when,
+        root, len(ranges), segments,
+        # A single shard's running payload digest covers the whole export.
+        results[0][4] if len(tasks) == 1 else _payload_sha256(out_dir, segments),
+        all_digests, layout="block", checkpoint_every=plan["checkpoint_every"],
     )
-    manifest.save(os.path.join(out_dir, plan["manifest_name"]))
     # Finalised: the plan and journals are now redundant (and would
     # otherwise mark the directory as an interrupted run).
     for shard in range(len(ranges)):
@@ -1540,18 +1394,9 @@ def compact_export(
             "block segments no longer match their manifest (payload sha256 "
             "mismatch); run `fleet verify` on the block export"
         )
-    compacted = FleetManifest(
-        version=manifest.version,
-        format=manifest.format,
-        size=manifest.size,
-        when=manifest.when,
-        entropy=manifest.entropy,
-        spawn_key=manifest.spawn_key,
+    compacted = replace(
+        manifest,
         shards=len(ranges),
-        block_size=manifest.block_size,
-        header=manifest.header,
-        payload_sha256=manifest.payload_sha256,
-        fleet_sha256=manifest.fleet_sha256,
         segments=tuple(records),
         layout="shard",
         checkpoint_every=0,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.engine.writer as writer
 from repro.engine import (
     COLUMNAR_FORMAT,
     FleetManifest,
@@ -115,22 +114,6 @@ class TestColumnarExport:
         assert single.payload_sha256 == manifest.payload_sha256
         assert single.fleet_sha256 == manifest.fleet_sha256
 
-    def test_pickle_fallback_is_byte_identical(
-        self, columnar_export, paper_generator, tmp_path, monkeypatch
-    ):
-        _, manifest = columnar_export
-        monkeypatch.setattr(writer, "create_block_buffer", lambda *args: None)
-        fallback = export_fleet(
-            paper_generator,
-            SEPT_2010,
-            SIZE,
-            SEED,
-            str(tmp_path / "fallback"),
-            shards=2,
-            fmt=COLUMNAR_FORMAT,
-        )
-        assert fallback.payload_sha256 == manifest.payload_sha256
-
     def test_decoded_columns_render_the_csv_bytes(
         self, columnar_export, paper_generator, tmp_path
     ):
@@ -146,6 +129,56 @@ class TestColumnarExport:
         )
         assert not body.startswith(HOST_CSV_HEADER.encode())  # rows only
         assert encode_csv_rows(matrix, HOST_CSV_FMT) == body
+
+
+class _FailsOnSecondBlock:
+    """Delegates to a real generator and raises on its second block (in
+    each process, so every pool worker with two blocks raises too)."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.calls = 0
+
+    def generate(self, when, n, rng):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("generator failed on its second block")
+        return self.generator.generate(when, n, rng)
+
+
+class TestColumnarEdges:
+    @pytest.mark.parametrize(
+        "size, shards",
+        [(0, 1), (0, 2), (4097, 3)],
+        ids=["empty", "empty-2-shards", "more-shards-than-blocks"],
+    )
+    def test_round_trip(self, paper_generator, tmp_path, size, shards):
+        out = tmp_path / "columnar"
+        manifest = export_fleet(
+            paper_generator, SEPT_2010, size, SEED, str(out),
+            shards=shards, fmt=COLUMNAR_FORMAT,
+        )
+        assert manifest.shards == min(shards, max(1, -(-size // 4096)))
+        report = verify_manifest(str(out / "manifest.json"))
+        assert report.ok, report.problems
+        decoded, columns = read_columnar_export(str(out / "manifest.json"))
+        assert decoded == manifest
+        fleet = generate_fleet(paper_generator, SEPT_2010, size, SEED)
+        for label in RESOURCE_LABELS:
+            assert columns[label].shape == (size,)
+            np.testing.assert_array_equal(columns[label], fleet.column(label))
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_failed_export_leaves_no_column_files(
+        self, paper_generator, tmp_path, shards
+    ):
+        out = tmp_path / "failed"
+        with pytest.raises(RuntimeError, match="second block"):
+            export_fleet(
+                _FailsOnSecondBlock(paper_generator), SEPT_2010, 5 * 4096, SEED,
+                str(out), shards=shards, fmt=COLUMNAR_FORMAT,
+            )
+        assert sorted(path.name for path in out.iterdir()) == []
 
 
 class TestColumnarRejections:

@@ -17,9 +17,11 @@ import pytest
 from repro.core.generator import DEFAULT_PERCORE_MAX_MB, CorrelatedHostGenerator
 from repro.engine import (
     RNG_BLOCK_SIZE,
+    block_seeds,
     fleet_digest,
     generate_fleet,
     generate_sharded,
+    iter_blocks,
     population_digest,
     stream_population,
 )
@@ -180,6 +182,46 @@ class TestStartMethodOverride:
         assert manifest.fleet_sha256 == fleet_digest(
             paper_generator, SEPT_2010, 16_384, SEED
         )
+
+
+class _RngStateProbe:
+    """Stands in for a generator: each "block" is the state of the bit
+    generator the engine handed it."""
+
+    def generate(self, when, n, rng):
+        return rng.bit_generator.state
+
+
+class TestOneBlockLoop:
+    def test_block_rngs_match_spawned_seeds(self):
+        """Every block of a 1 M-host fleet draws from exactly the stream
+        ``default_rng(block_seeds(root, size)[i])`` defines."""
+        size = 1_000_000
+        root = np.random.SeedSequence(SEED)
+        expected = [
+            np.random.default_rng(seed).bit_generator.state
+            for seed in block_seeds(root, size)
+        ]
+        blocks = list(iter_blocks(_RngStateProbe(), SEPT_2010, size, root))
+        assert len(blocks) == len(expected) == 245
+        assert [index for index, _ in blocks] == list(range(245))
+        assert [state for _, state in blocks] == expected
+
+    def test_fan_out_modules_have_no_block_loop_of_their_own(self):
+        """Block seeds and block RNGs come from the one block loop in
+        :mod:`repro.engine.streaming`, never from a copy in a fan-out."""
+        import ast
+        import inspect
+
+        from repro.engine import distributed, sharding, writer
+
+        for module in (writer, sharding, distributed):
+            called = set()
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called.add(getattr(func, "id", getattr(func, "attr", None)))
+            assert not called & {"block_seeds", "default_rng"}, module.__name__
 
 
 class TestSeedHandling:

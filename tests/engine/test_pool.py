@@ -1,4 +1,4 @@
-"""Tests for the persistent worker pool and the zero-copy BlockBuffer."""
+"""Tests for the persistent worker pool."""
 
 from __future__ import annotations
 
@@ -9,15 +9,12 @@ import sys
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.engine import pool as pool_mod
 from repro.engine.pool import (
-    BlockBuffer,
     WorkerDiedError,
     WorkerPool,
-    create_block_buffer,
     get_pool,
     pool_map,
     pool_stats,
@@ -88,16 +85,6 @@ def _in_forked_child(target) -> tuple:
     finally:
         child.kill()
         child.join()
-
-
-def _fill_buffer_row(payload) -> int:
-    handle, row, value = payload
-    buffer = BlockBuffer.attach(handle)
-    try:
-        buffer.array[row, :] = value
-    finally:
-        buffer.close()
-    return row
 
 
 @pytest.fixture(autouse=True)
@@ -282,78 +269,6 @@ class TestFaultPlanTravelsWithTheTask:
         assert len(read_firings(str(tmp_path / FIRING_LOG_NAME))) == 3
         deactivate()
         assert pool_map(_square, [1, 2, 3], 2) == [1, 4, 9]
-
-
-class TestBlockBuffer:
-    def test_roundtrip_through_handle(self):
-        buffer = create_block_buffer((4, 5))
-        assert buffer is not None
-        try:
-            buffer.array[:] = 0.0
-            attached = BlockBuffer.attach(buffer.handle())
-            attached.array[2, :] = 7.5
-            attached.close()
-            assert buffer.array[2, 0] == 7.5
-            assert buffer.array[0, 0] == 0.0
-        finally:
-            buffer.unlink()
-
-    def test_workers_write_through_shared_memory(self):
-        buffer = create_block_buffer((3, 5))
-        assert buffer is not None
-        try:
-            buffer.array[:] = -1.0
-            handle = buffer.handle()
-            rows = pool_map(
-                _fill_buffer_row, [(handle, row, float(row)) for row in range(3)], 2
-            )
-            assert sorted(rows) == [0, 1, 2]
-            np.testing.assert_array_equal(
-                buffer.array, np.repeat([[0.0], [1.0], [2.0]], 5, axis=1)
-            )
-        finally:
-            buffer.unlink()
-
-    def test_unlink_removes_backing_file(self):
-        buffer = create_block_buffer((2, 2))
-        assert buffer is not None
-        path = buffer.path
-        assert os.path.exists(path)
-        buffer.unlink()
-        assert not os.path.exists(path)
-        buffer.unlink()  # idempotent
-
-    def test_pickle_fallback_env(self, monkeypatch, tmp_path, paper_generator):
-        """Where no shared-memory file can be created the workers ship
-        their row slabs pickled, and the export bytes do not change."""
-        import repro.engine.writer as writer
-        from repro.engine import COLUMNAR_FORMAT, export_fleet
-
-        def export(name):
-            return export_fleet(
-                paper_generator, 2010.667, 9_000, 7, str(tmp_path / name),
-                shards=2, fmt=COLUMNAR_FORMAT,
-            )
-
-        shared = export("shared")
-        fallbacks = []
-        monkeypatch.setattr(
-            writer, "create_block_buffer",
-            lambda shape, dtype=None: fallbacks.append(shape),
-        )
-        assert export("pickled").payload_sha256 == shared.payload_sha256
-        assert fallbacks == [(9_000, 5)]
-
-    def test_dtype_travels_in_handle(self):
-        buffer = create_block_buffer((2, 3), dtype=np.float32)
-        assert buffer is not None
-        try:
-            attached = BlockBuffer.attach(buffer.handle())
-            assert attached.array.dtype == np.float32
-            assert attached.array.shape == (2, 3)
-            attached.close()
-        finally:
-            buffer.unlink()
 
 
 class TestAtexitRegistration:

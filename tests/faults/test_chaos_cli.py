@@ -160,6 +160,16 @@ class TestExportDirHints:
         assert hint is not None
         assert "--backend distributed --resume" in hint
 
+    def test_columnar_leftovers_read_as_partial_segments(self, tmp_path):
+        # A columnar export creates its column files before the fan-out,
+        # so a killed run leaves them without any manifest or plan.
+        from repro.engine.writer import describe_export_dir
+
+        (tmp_path / "column-0-cores.npy").write_bytes(b"")
+        hint = describe_export_dir(str(tmp_path))
+        assert hint is not None
+        assert "partial segments" in hint
+
     def test_refusal_suggests_resume_for_interrupted_export(
         self, tmp_path, capsys
     ):
