@@ -18,6 +18,11 @@ optimisations' correctness contracts while doing so:
   component composition it replaced (binary-search class selection and
   ``scipy.stats.norm.cdf``, every table resolved per block); all five
   columns must be bit-identical.
+* ``reducer_fold``    — the ``fleet summary`` reducer set (moments,
+  correlation, quantile sketches) folding 65 536-host chunks from each
+  chunk's own columns, versus the stacked ``(n, k)`` fold it replaced
+  (kept here as the reference); the ``to_state()`` JSON must be
+  identical.
 
 Each section reports best-of-``--repeats`` seconds plus derived speedups,
 printed and written to ``BENCH_hotpaths.json`` so the perf trajectory is
@@ -47,7 +52,9 @@ from scipy import stats
 
 from repro.core.correlation import CorrelatedNormalSampler
 from repro.core.generator import CorrelatedHostGenerator
+from repro.engine.accumulate import CorrelationAccumulator, MomentAccumulator
 from repro.engine.csvfmt import encode_csv_rows
+from repro.engine.reduce import QuantileReducer, ReducerSet
 from repro.engine.streaming import RNG_BLOCK_SIZE, block_seeds
 from repro.engine.writer import HOST_CSV_FMT, _hash_file_into
 from repro.hosts.population import RESOURCE_LABELS, HostPopulation
@@ -268,6 +275,85 @@ def bench_block_synthesis(generator, when: float, size: int, repeats: int) -> di
     }
 
 
+# The stacked folds read the chunk as one ``(n, k)`` matrix.  ReducerSet
+# hands every member the same ColumnCache, so members folding the same
+# labels share one stack, as they did before the column folds.
+
+
+class ReferenceMoments(MomentAccumulator):
+    """The stacked moment fold: axis-0 mean and squared deviations."""
+
+    def update(self, source):
+        data = source.matrix(self.labels)
+        mean_b = data.mean(axis=0)
+        self._combine(data.shape[0], mean_b, np.square(data - mean_b).sum(axis=0))
+        return self
+
+
+class ReferenceCorrelation(CorrelationAccumulator):
+    """The stacked co-moment fold: axis-0 mean, then ``D.T @ D``."""
+
+    def update(self, source):
+        data = source.matrix(self.labels)
+        mean_b = data.mean(axis=0)
+        deviations = data - mean_b
+        self._combine(data.shape[0], mean_b, deviations.T @ deviations)
+        return self
+
+
+class ReferenceQuantiles(QuantileReducer):
+    """The stacked sketch fold: one strided column of the stack per sketch."""
+
+    def update(self, chunk):
+        data = chunk.matrix(self.labels)
+        for i, label in enumerate(self.labels):
+            self._sketches[label].update(data[:, i])
+        return self
+
+
+#: The ``fleet summary`` reducer set and its stacked reference.
+SUMMARY_FACTORIES = {
+    "moments": MomentAccumulator,
+    "correlation": CorrelationAccumulator,
+    "quantiles": QuantileReducer,
+}
+REFERENCE_FACTORIES = {
+    "moments": ReferenceMoments,
+    "correlation": ReferenceCorrelation,
+    "quantiles": ReferenceQuantiles,
+}
+
+#: Hosts per reducer update (the engine's default fold chunk), and chunks.
+FOLD_CHUNK = 65_536
+FOLD_CHUNKS = 8
+
+
+def bench_reducer_fold(generator, when: float, repeats: int) -> dict:
+    rng = np.random.default_rng(20110611)
+    blocks = [generator.generate(when, FOLD_CHUNK, rng) for _ in range(FOLD_CHUNKS)]
+
+    def fold(factories):
+        reducers = ReducerSet.from_factories(factories)
+        for block in blocks:
+            reducers.update(block)
+        return reducers
+
+    reference_seconds, reference = best_of(
+        lambda: fold(REFERENCE_FACTORIES), max(1, repeats - 1)
+    )
+    seconds, folded = best_of(lambda: fold(SUMMARY_FACTORIES), repeats)
+    assert json.dumps(folded.to_state(), sort_keys=True) == json.dumps(
+        reference.to_state(), sort_keys=True
+    ), "column folds differ from the stacked reference"
+    return {
+        "hosts": FOLD_CHUNKS * FOLD_CHUNK,
+        "chunk_hosts": FOLD_CHUNK,
+        "reference_seconds": reference_seconds,
+        "seconds": seconds,
+        "speedup": reference_seconds / seconds if seconds > 0 else None,
+    }
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=200_000,
@@ -302,6 +388,7 @@ def main(argv: "list[str] | None" = None) -> int:
     sections["block_synthesis"] = bench_block_synthesis(
         generator, when, args.size, args.repeats
     )
+    sections["reducer_fold"] = bench_reducer_fold(generator, when, args.repeats)
 
     for name, section in sections.items():
         speedup = section.get("speedup")

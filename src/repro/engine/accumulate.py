@@ -18,6 +18,8 @@ Both accumulators reproduce the batch statistics to float precision:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.hosts.population import (
@@ -34,58 +36,43 @@ from repro.stats.state import (
 )
 
 
-def _stack_columns(columns, labels: "tuple[str, ...]") -> np.ndarray:
-    """Validate shapes, stack into ``(n, k)`` and apply the NaN/±inf policy."""
-    length = columns[0].size
-    for label, column in zip(labels, columns):
-        if column.ndim != 1 or column.size != length:
-            raise ValueError(
-                f"column {label!r} has shape {column.shape}; expected ({length},)"
-            )
-    data = np.column_stack(columns) if length else np.empty((0, len(labels)))
-    if data.size and not np.isfinite(data).all():
-        bad = [
-            label
-            for label, finite in zip(labels, np.isfinite(data).all(axis=0))
-            if not finite
-        ]
-        raise ValueError(
-            f"non-finite values in column(s) {', '.join(bad)}; one-pass "
-            "accumulators would be silently poisoned — filter or impute "
-            "before folding"
-        )
-    return data
+def _sequential_sums(columns: "Iterable[np.ndarray]") -> np.ndarray:
+    """The bits of ``np.column_stack(columns).sum(axis=0)``, without the stack.
+
+    That sum starts from ``+0.0`` and adds one row after another (pairwise
+    summation only runs along the fast axis), so it is each column's last
+    running sum, plus ``+0.0`` for an all ``-0.0`` column.
+    """
+    return np.array([np.add.accumulate(column)[-1] for column in columns]) + 0.0
 
 
 class ColumnCache:
-    """A chunk wrapper memoising column extraction and matrix stacking.
+    """A chunk wrapper memoising column extraction and checking.
 
     :meth:`~repro.engine.reduce.ReducerSet.update` fans one chunk out to
-    several reducers, and before this cache existed each member re-sliced
-    its columns, re-stacked its matrix and re-ran the finiteness scan over
-    the same block — the moment and correlation reducers alone paid the
-    derived ``mem_per_core`` division and the ``isfinite`` pass twice per
-    chunk.  Wrapping the chunk once makes those per-label and per-label-
-    tuple computations shared: columns (including derived ones) are
-    extracted once, and :func:`as_matrix` results are cached per label
-    tuple, so adding reducers to a set no longer multiplies the chunk
-    normalisation cost.
+    several reducers.  Wrapping the chunk once shares the per-label and
+    per-label-tuple work between them: columns (including the derived
+    ``mem_per_core`` division) are extracted once, the shape and
+    finiteness checks of :func:`as_columns` run once per label tuple, and
+    :func:`as_matrix` stacks are cached per label tuple.
 
     The wrapper quacks like the ``{label: column}`` dict chunks every
     reducer already accepts (``chunk[label]``), so it needs no special
-    handling outside :func:`as_matrix`.  It must only wrap chunks that are
-    not mutated afterwards — populations are frozen and the engine's block
-    streams are single-use, which is why :class:`ReducerSet` applies it
-    internally rather than asking callers to.
+    handling outside :func:`as_columns` / :func:`as_matrix`.  It must only
+    wrap chunks that are not mutated afterwards — populations are frozen
+    and the engine's block streams are single-use, which is why
+    :class:`ReducerSet` applies it internally rather than asking callers
+    to.
     """
 
-    __slots__ = ("source", "_columns", "_matrices")
+    __slots__ = ("source", "_columns", "_checked", "_matrices")
 
     def __init__(self, source: "HostPopulation | dict"):
         if isinstance(source, ColumnCache):  # pragma: no cover - defensive
             source = source.source
         self.source = source
         self._columns: "dict[str, np.ndarray]" = {}
+        self._checked: "dict[tuple[str, ...], list[np.ndarray]]" = {}
         self._matrices: "dict[tuple[str, ...], np.ndarray]" = {}
 
     def __getitem__(self, label: str) -> np.ndarray:
@@ -127,26 +114,53 @@ class ColumnCache:
         """The chunk's labels (derived columns included for populations)."""
         return list(self)
 
+    def checked_columns(self, labels: "tuple[str, ...]") -> "list[np.ndarray]":
+        """The (cached) :func:`as_columns` list for one label tuple."""
+        columns = self._checked.get(labels)
+        if columns is not None:
+            return columns
+        columns = [self[label] for label in labels]
+        length = columns[0].size
+        for label, column in zip(labels, columns):
+            if column.ndim != 1 or column.size != length:
+                raise ValueError(
+                    f"column {label!r} has shape {column.shape}; expected ({length},)"
+                )
+        bad = [label for label, c in zip(labels, columns) if not np.isfinite(c).all()]
+        if bad:
+            raise ValueError(
+                f"non-finite values in column(s) {', '.join(bad)}; one-pass "
+                "accumulators would be silently poisoned — filter or impute "
+                "before folding"
+            )
+        self._checked[labels] = columns
+        return columns
+
     def matrix(self, labels: "tuple[str, ...]") -> np.ndarray:
         """The (cached) :func:`as_matrix` stack for one label tuple."""
         data = self._matrices.get(labels)
         if data is None:
-            data = _stack_columns([self[label] for label in labels], labels)
+            columns = self.checked_columns(labels)
+            if columns[0].size:
+                data = np.column_stack(columns)
+            else:
+                data = np.empty((0, len(labels)))
             self._matrices[labels] = data
         return data
 
 
-def as_matrix(source, labels: "tuple[str, ...]") -> np.ndarray:
-    """Stack a population or ``{label: column}`` dict into an ``(n, k)`` array.
+def as_columns(source, labels: "tuple[str, ...]") -> "list[np.ndarray]":
+    """The chunk's own columns for ``labels``, checked, in label order.
 
-    The shared chunk-normalisation step of every reducer in
-    :mod:`repro.engine.reduce`; accepts the same chunk types ``update``
-    does, plus the memoising :class:`ColumnCache` wrapper
-    :class:`~repro.engine.reduce.ReducerSet` applies when fanning a chunk
-    out to several reducers.
+    The shared chunk-normalisation step of the built-in reducers.  It
+    accepts a population, a ``{label: column}`` mapping (a scenario
+    :class:`~repro.engine.table.ColumnBlock` too) or the :class:`ColumnCache`
+    :class:`~repro.engine.reduce.ReducerSet` wraps a chunk in, and stacks
+    nothing: the folds read each column where it lives.
 
-    Non-finite entries are **rejected** with a :class:`ValueError` naming
-    the offending column(s).  This is the engine's NaN/±inf policy: a
+    Columns must be 1-D and of equal length, and non-finite entries are
+    **rejected** with a :class:`ValueError` naming the offending
+    column(s) in label order.  This is the engine's NaN/±inf policy: a
     single NaN folded into a Welford mean or co-moment poisons every
     statistic downstream without any error surfacing, and a skip-silently
     policy would make shard counts disagree.  Consumers with data that
@@ -154,13 +168,19 @@ def as_matrix(source, labels: "tuple[str, ...]") -> np.ndarray:
     (as :class:`~repro.engine.reduce.HistogramReducer` and
     :class:`~repro.engine.reduce.ECDFReducer` do for their own columns).
     """
-    if isinstance(source, ColumnCache):
-        return source.matrix(tuple(labels))
-    if isinstance(source, HostPopulation):
-        columns = [source.column(label) for label in labels]
-    else:
-        columns = [np.asarray(source[label], dtype=float) for label in labels]
-    return _stack_columns(columns, labels)
+    cache = source if isinstance(source, ColumnCache) else ColumnCache(source)
+    return cache.checked_columns(tuple(labels))
+
+
+def as_matrix(source, labels: "tuple[str, ...]") -> np.ndarray:
+    """Stack a population or ``{label: column}`` dict into an ``(n, k)`` array.
+
+    The :func:`as_columns` columns, with the same checks and ``ValueError``,
+    copied into one C-order matrix; a :class:`ColumnCache` stacks each
+    label tuple once.
+    """
+    cache = source if isinstance(source, ColumnCache) else ColumnCache(source)
+    return cache.matrix(tuple(labels))
 
 
 class MomentAccumulator:
@@ -182,12 +202,14 @@ class MomentAccumulator:
 
     def update(self, source: "HostPopulation | dict") -> "MomentAccumulator":
         """Fold one chunk (population or column dict) into the running state."""
-        data = as_matrix(source, self.labels)
-        n_b = data.shape[0]
+        columns = as_columns(source, self.labels)
+        n_b = columns[0].size
         if n_b == 0:
             return self
-        mean_b = data.mean(axis=0)
-        m2_b = np.square(data - mean_b).sum(axis=0)
+        mean_b = _sequential_sums(columns) / n_b
+        m2_b = _sequential_sums(
+            np.square(column - mean) for column, mean in zip(columns, mean_b)
+        )
         self._combine(n_b, mean_b, m2_b)
         return self
 
@@ -304,12 +326,16 @@ class CorrelationAccumulator:
 
     def update(self, source: "HostPopulation | dict") -> "CorrelationAccumulator":
         """Fold one chunk (population or column dict) into the running state."""
-        data = as_matrix(source, self.labels)
-        n_b = data.shape[0]
+        columns = as_columns(source, self.labels)
+        n_b = columns[0].size
         if n_b == 0:
             return self
-        mean_b = data.mean(axis=0)
-        deviations = data - mean_b
+        mean_b = _sequential_sums(columns) / n_b
+        # One C-order (n, k) deviation matrix, filled column by column:
+        # the product's BLAS call, and so its bits, follow the layout.
+        deviations = np.empty((n_b, len(columns)))
+        for j, column in enumerate(columns):
+            np.subtract(column, mean_b[j], out=deviations[:, j])
         self._combine(n_b, mean_b, deviations.T @ deviations)
         return self
 

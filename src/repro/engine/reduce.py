@@ -47,6 +47,7 @@ from repro.engine.accumulate import (
     ColumnCache,
     CorrelationAccumulator,
     MomentAccumulator,
+    as_columns,
     as_matrix,
 )
 from repro.hosts.population import RESOURCE_LABELS, HostPopulation
@@ -130,9 +131,8 @@ class QuantileReducer:
         return self._sketches[self.labels[0]].count if self.labels else 0
 
     def update(self, chunk: "HostPopulation | dict") -> "QuantileReducer":
-        data = as_matrix(chunk, self.labels)
-        for i, label in enumerate(self.labels):
-            self._sketches[label].update(data[:, i])
+        for label, column in zip(self.labels, as_columns(chunk, self.labels)):
+            self._sketches[label].update(column)
         return self
 
     def merge(self, other: "QuantileReducer") -> "QuantileReducer":
@@ -606,9 +606,9 @@ class ReducerSet:
         return cls({name: factory() for name, factory in factories.items()})
 
     def update(self, chunk: "HostPopulation | dict") -> "ReducerSet":
-        # One ColumnCache per chunk: members share column extraction,
-        # matrix stacking and the finiteness scan instead of each
-        # re-normalising the same block (see accumulate.ColumnCache).
+        # One ColumnCache per chunk: members share column extraction and
+        # the shape and finiteness checks instead of each re-normalising
+        # the same block (see accumulate.ColumnCache).
         if len(self._reducers) > 1 and not isinstance(chunk, ColumnCache):
             chunk = ColumnCache(chunk)
         for reducer in self._reducers.values():

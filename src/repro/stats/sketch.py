@@ -34,6 +34,27 @@ from repro.stats.state import (
 DEFAULT_COMPRESSION = 200
 
 
+def _insert_sorted(at, inserted, inserted_weights, values, weights=None):
+    """``np.insert`` of ``inserted`` and its weights at non-decreasing ``at``.
+
+    Item ``i`` lands at ``at[i] + i``, as with ``np.insert``; ``values`` and
+    ``weights`` (unit weights when ``None``) fill the other slots in order
+    through one shared mask.
+    """
+    destinations = at + np.arange(at.size)
+    size = values.size + at.size
+    rest = np.ones(size, dtype=bool)
+    rest[destinations] = False
+    merged = np.empty(size)
+    merged[destinations] = inserted
+    merged[rest] = values
+    merged_weights = np.ones(size) if weights is None else np.empty(size)
+    merged_weights[destinations] = inserted_weights
+    if weights is not None:
+        merged_weights[rest] = weights
+    return merged, merged_weights
+
+
 class QuantileSketch:
     """Bounded-memory, mergeable quantile summary of a scalar stream.
 
@@ -96,6 +117,10 @@ class QuantileSketch:
                 return self
             if not np.all(np.isfinite(data)):
                 raise ValueError("QuantileSketch requires finite values")
+            if self._buffered + data.size < 10 * self.compression:
+                # Still pending when the call returns: hold a copy, never
+                # a view the caller may go on to change.
+                data = data.copy()
             self._buffer.append(data)
             self._buffered += data.size
             self.count += data.size
@@ -132,7 +157,7 @@ class QuantileSketch:
         whole concatenation.  Each merged set goes into the centroids at
         ``searchsorted(side="right")`` (after equal centroids), the units
         are sorted on their own, and the centroids go into them at
-        ``searchsorted(side="left")`` (before equal units); ``np.insert``
+        ``searchsorted(side="left")`` (before equal units); the insertion
         keeps values inserted at one position in their own order.  Equal
         finite floats are bit-identical, with one exception: ``-0.0`` and
         ``+0.0``, which ``np.sort`` may swap.  A zero's sign reaches the
@@ -169,8 +194,9 @@ class QuantileSketch:
         means, weights = self._means, self._weights
         for other_means, other_weights in self._weighted:
             at = np.searchsorted(means, other_means, side="right")
-            means = np.insert(means, at, other_means)
-            weights = np.insert(weights, at, other_weights)
+            means, weights = _insert_sorted(
+                at, other_means, other_weights, means, weights
+            )
         self._buffer = []
         self._scalars = []
         self._weighted = []
@@ -183,8 +209,7 @@ class QuantileSketch:
             if hi - lo > 1:
                 x[lo:hi] = raw[raw == 0.0]
             at = np.searchsorted(x, means, side="left")
-            w = np.insert(np.ones(x.size), at, weights)
-            x = np.insert(x, at, means)
+            x, w = _insert_sorted(at, means, weights, x)
             total = w.sum()
             cumulative = np.cumsum(w)
         elif x.size:
@@ -195,21 +220,35 @@ class QuantileSketch:
         else:
             return
 
+        # The walk evaluates _k_inverse(k_lo + 1.0) and _k(q) inline, with
+        # their clips as comparisons and their constants hoisted (the same
+        # subexpressions, so the same bits).
         n = x.size
         bounds: "list[int]" = []
         start = 0
-        k_lo, k_max = self._k_range
+        k_min, k_max = self._k_range
+        k_lo = k_min
+        two_pi = 2.0 * np.pi
+        compression = self.compression
+        scale = compression / two_pi
+        searchsorted, sin, arcsin = cumulative.searchsorted, np.sin, np.arcsin
         while start < n:
-            if k_lo + 1.0 >= k_max:
+            k = k_lo + 1.0
+            if k >= k_max:
                 bounds.append(n)
                 break
-            limit = self._k_inverse(k_lo + 1.0) * total
-            j = int(np.searchsorted(cumulative, limit, side="right"))
-            j = max(j, start + 1)  # a span always takes its first point
+            if not k > k_min:
+                k = k_min
+            limit = 0.5 * (sin(two_pi * k / compression) + 1.0) * total
+            j = int(searchsorted(limit, side="right"))
+            if j <= start:
+                j = start + 1  # a span always takes its first point
             bounds.append(j)
             if j >= n:
                 break
-            k_lo = self._k(cumulative[j - 1] / total)
+            q = cumulative[j - 1] / total
+            q = (q if q < 1.0 else 1.0) if q > 0.0 else 0.0
+            k_lo = scale * arcsin(2.0 * q - 1.0)
             start = j
 
         edges = np.asarray(bounds, dtype=np.intp)

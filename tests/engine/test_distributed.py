@@ -486,6 +486,51 @@ class TestServeWorker:
         assert result.manifest.to_json() == golden_result.manifest.to_json()
         assert result.workers == 2
 
+    def test_rejected_worker_is_free_for_its_next_job(self, paper_params):
+        """A coordinator that rejects the result and hangs up must not
+        hold the serve-worker slot: the next dial gets its hello within
+        2 s, not after a read deadline."""
+        from repro.engine.distributed import _hang_up
+
+        ports: "queue.Queue[int]" = queue.Queue()
+        served = {}
+
+        def run():
+            served["jobs"] = serve_worker(port=0, max_jobs=2, on_bound=ports.put)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        port = ports.get(timeout=30)
+
+        coordinator = socket.create_connection(("127.0.0.1", port), timeout=30)
+        assert recv_frame(coordinator)["type"] == "hello"
+        root = np.random.SeedSequence(SEED)
+        send_frame(coordinator, {
+            "type": "job", "protocol": PROTOCOL_VERSION,
+            "params": paper_params.to_json(), "when": SEPT_2010,
+            "size": RNG_BLOCK_SIZE, "chunk_size": RNG_BLOCK_SIZE,
+            "entropy": str(root.entropy), "spawn_key": [],
+            "block_size": RNG_BLOCK_SIZE, "format": "csv", "reducers": [],
+            "worker_timeout": 60.0, "lease_depth": 1,
+        })
+        frame = recv_frame(coordinator)
+        while frame["type"] == "heartbeat":
+            frame = recv_frame(coordinator)
+        assert frame["type"] == "ready"
+        send_frame(coordinator, {"type": "assign", "block_lo": 0, "block_hi": 1})
+        while frame["type"] != "result":
+            frame = recv_frame(coordinator)
+        _hang_up(coordinator)  # the coordinator rejects the result
+
+        start = time.monotonic()
+        with socket.create_connection(("127.0.0.1", port), timeout=2.0) as again:
+            hello = recv_frame(again)
+            assert hello["type"] == "hello"
+            assert time.monotonic() - start < 2.0
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert served["jobs"] == 2
+
 
 def _make_coordinator(leases, size=16_384, lease_depth=1):
     from repro.engine.distributed import _Coordinator

@@ -188,6 +188,14 @@ class TestQuantileReducers:
         expected = ExactQuantileReducer().update(fleet).medians()
         assert fleet.medians() == expected
 
+    def test_small_dict_chunk_not_aliased(self):
+        # The sketches read the chunk's own columns; values still pending
+        # after the update must not change when the caller reuses them.
+        column = np.arange(1.0, 11.0)
+        reducer = QuantileReducer(("cores",)).update({"cores": column})
+        column[:] = 9.0
+        assert reducer.medians() == {"cores": 5.5}
+
 
 class TestHistogramReducer:
     def test_matches_numpy_histogram(self, fleet):

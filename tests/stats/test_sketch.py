@@ -227,6 +227,28 @@ class TestScalarFastPath:
         assert sketch.quantile(0.5) == 1.0
 
 
+class TestCallerArraysNotAliased:
+    """Values an update leaves pending must not be a view of the caller's
+    array: changing the array afterwards must not change the sketch."""
+
+    def test_pending_values_survive_a_later_write(self):
+        values = np.arange(1.0, 11.0)
+        sketch = QuantileSketch().update(values)
+        values[:] = 9.0
+        assert sketch.median() == 5.5
+        assert (sketch.min, sketch.max, sketch.count) == (1.0, 10.0, 10)
+
+    def test_compressing_update_matches_a_copied_one(self):
+        # A chunk large enough to compress inside the call leaves nothing
+        # pending, so it needs no copy; writing to it afterwards is safe.
+        rng = np.random.default_rng(3)
+        values = rng.lognormal(2.0, 1.0, size=10 * 200)
+        copied = QuantileSketch().update(values.copy())
+        sketch = QuantileSketch().update(values)
+        values[:] = 0.0
+        assert sketch.to_state() == copied.to_state()
+
+
 class TestStateFiniteness:
     """from_state must refuse payloads carrying non-finite centroids or
     non-integral weights."""
