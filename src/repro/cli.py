@@ -221,6 +221,48 @@ def _export_failures() -> tuple:
     return (FaultInjected, RetryError, OSError, WorkerDiedError)
 
 
+def _resume(command: str, generator, out_dir: str, **keywords):
+    """Finish the interrupted export in ``out_dir`` for ``command``.
+
+    ``resume_export`` runs the exporter whose plan it finds.  Prints what
+    was restored and returns the result; on failure prints one line and
+    returns ``None``.
+    """
+    from repro.engine import BlockExportResult, StateError, resume_export
+
+    try:
+        result = resume_export(generator, out_dir, **keywords)
+    except StateError as error:
+        sys.stderr.write(f"{command} --resume: {error}\n")
+        return None
+    except (RuntimeError, ValueError, OSError) as error:
+        # Worker-fleet death, injected faults, spent retries and I/O
+        # errors all leave the plan behind for the next resume.
+        sys.stderr.write(
+            f"{command}: {error} — the partial layout in {out_dir} resumes "
+            "with --resume\n"
+        )
+        return None
+    if result.statistics is None:
+        print(f"{out_dir} is already finalised; nothing to resume")
+    elif isinstance(result, BlockExportResult):
+        fresh = len(result.manifest.segments) - result.resumed_blocks
+        print(
+            f"resumed: {result.resumed_blocks} block(s) restored from "
+            f"checkpoints, {fresh} regenerated"
+        )
+    else:
+        print(
+            f"distributed: {result.workers} worker(s), "
+            f"{result.reassigned_leases} lease(s) reassigned, "
+            f"{result.metrics['drained_workers']} drained"
+        )
+        print(f"resumed: {result.resumed_leases} lease(s) restored from checkpoints")
+        if keywords.get("metrics_path"):
+            print(f"metrics: {keywords['metrics_path']}")
+    return result
+
+
 def _fleet_stats_writing_csv(generator, when, args):
     """One streaming pass that writes the CSV *and* reduces the statistics.
 
@@ -326,13 +368,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_export(args: argparse.Namespace) -> int:
     """``fleet export``: sharded segment + manifest writer (resumable)."""
-    from repro.engine import (
-        StateError,
-        export_fleet,
-        export_fleet_blocks,
-        parse_endpoint,
-        resume_export,
-    )
+    from repro.engine import export_fleet, export_fleet_blocks, parse_endpoint
 
     problem = _check_fleet_ints(args, "fleet export")
     if problem:
@@ -398,91 +434,73 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
         return 2
     params = _load_parameters(args.params)
     generator = CorrelatedHostGenerator(params)
+    token = None
     if args.backend == "distributed":
-        from repro.engine import (
-            export_fleet_distributed,
-            resolve_fleet_token,
-            resume_fleet_distributed,
-        )
+        from repro.engine import resolve_fleet_token
 
         try:
             token = resolve_fleet_token(args.token_file)
         except (OSError, ValueError) as error:
             sys.stderr.write(f"fleet export: {error}\n")
             return 2
+    if args.resume:
+        result = _resume(
+            "fleet export", generator, args.out_dir, workers=args.workers,
+            connect=endpoints, lease_depth=args.lease_depth, token=token,
+            metrics_path=args.metrics,
+        )
+        if result is None:
+            return 1
+        manifest = result.manifest
+    elif args.backend == "distributed":
+        from repro.engine import export_fleet_distributed
+
         try:
-            if args.resume:
-                # Size, date, seed, lease grid and reducers all come from
-                # the plan the interrupted run pinned into --out-dir.
-                result = resume_fleet_distributed(
-                    generator,
-                    args.out_dir,
-                    workers=args.workers,
-                    connect=endpoints,
-                    lease_depth=args.lease_depth,
-                    token=token,
-                    metrics_path=args.metrics,
-                )
-            else:
-                when = year_fraction(parse_date(args.date))
-                result = export_fleet_distributed(
-                    generator,
-                    when,
-                    args.size,
-                    args.seed,
-                    args.out_dir,
-                    workers=args.workers,
-                    connect=endpoints,
-                    chunk_size=args.chunk_size,
-                    lease_blocks=args.lease_blocks,
-                    lease_depth=args.lease_depth,
-                    token=token,
-                    metrics_path=args.metrics,
-                )
+            result = export_fleet_distributed(
+                generator,
+                year_fraction(parse_date(args.date)),
+                args.size,
+                args.seed,
+                args.out_dir,
+                workers=args.workers,
+                connect=endpoints,
+                chunk_size=args.chunk_size,
+                lease_blocks=args.lease_blocks,
+                lease_depth=args.lease_depth,
+                token=token,
+                metrics_path=args.metrics,
+            )
         except (RuntimeError, ValueError, OSError) as error:
             # RuntimeError covers worker-fleet death (incl. ProtocolError
-            # and auth failures), ValueError a StateError from a corrupt
-            # or mismatched resume plan, OSError a dead --connect
-            # endpoint or a disk failure.
+            # and auth failures), OSError a dead --connect endpoint or a
+            # disk failure.
             sys.stderr.write(f"fleet export: {error}\n")
             return 1
         manifest = result.manifest
-        drained = result.metrics.get("drained_workers", 0)
         print(
             f"distributed: {result.workers} worker(s), "
             f"{result.reassigned_leases} lease(s) reassigned, "
-            f"{drained} drained"
+            f"{result.metrics['drained_workers']} drained"
         )
-        if args.resume:
-            print(
-                f"resumed: {result.resumed_leases} lease(s) restored from "
-                "checkpoints"
-            )
         if args.metrics:
             print(f"metrics: {args.metrics}")
-    elif args.resume or args.checkpoint_every:
+    elif args.checkpoint_every:
         try:
-            if args.resume:
-                result = resume_export(generator, args.out_dir)
-            else:
-                result = export_fleet_blocks(
-                    generator,
-                    year_fraction(parse_date(args.date)),
-                    args.size,
-                    args.seed,
-                    args.out_dir,
-                    shards=args.shards,
-                    fmt=args.format,
-                    checkpoint_every=args.checkpoint_every,
-                    # The parent `fleet` parser always defines --chunk-size;
-                    # for the block layout it bounds the reducer fold
-                    # batches (and is pinned into the plan as part of the
-                    # determinism envelope).
-                    chunk_size=args.chunk_size,
-                )
-        except StateError as error:
-            sys.stderr.write(f"fleet export --resume: {error}\n")
-            return 1
+            result = export_fleet_blocks(
+                generator,
+                year_fraction(parse_date(args.date)),
+                args.size,
+                args.seed,
+                args.out_dir,
+                shards=args.shards,
+                fmt=args.format,
+                checkpoint_every=args.checkpoint_every,
+                # The parent `fleet` parser always defines --chunk-size;
+                # for the block layout it bounds the reducer fold
+                # batches (and is pinned into the plan as part of the
+                # determinism envelope).
+                chunk_size=args.chunk_size,
+            )
         except _export_failures() as error:
             sys.stderr.write(
                 f"fleet export: {error} — the partial layout in "
@@ -490,14 +508,6 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
             )
             return 1
         manifest = result.manifest
-        if args.resume and result.statistics is None:
-            print(f"{args.out_dir} is already finalised; nothing to resume")
-        elif args.resume:
-            fresh = len(manifest.segments) - result.resumed_blocks
-            print(
-                f"resumed: {result.resumed_blocks} block(s) restored from "
-                f"checkpoints, {fresh} regenerated"
-            )
     else:
         when = year_fraction(parse_date(args.date))
         try:
@@ -790,31 +800,29 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
         return 2
     generator = spec.make_generator()
     seed = args.seed + spec.seed_offset
-    if args.backend == "distributed":
-        from repro.engine import (
-            export_fleet_distributed,
-            resume_fleet_distributed,
+    if args.resume:
+        result = _resume(
+            "fleet scenario run", generator, args.out_dir,
+            reducers=spec.profile(), workers=args.workers,
         )
+        if result is None:
+            return 1
+        manifest = result.manifest
+    elif args.backend == "distributed":
+        from repro.engine import export_fleet_distributed
 
         try:
-            if args.resume:
-                # Size, date, seed, lease grid and reducers all come from
-                # the plan the interrupted run pinned into --out-dir.
-                result = resume_fleet_distributed(
-                    generator, args.out_dir, workers=args.workers
-                )
-            else:
-                result = export_fleet_distributed(
-                    generator,
-                    when,
-                    args.size,
-                    seed,
-                    args.out_dir,
-                    workers=args.workers,
-                    chunk_size=args.chunk_size,
-                    lease_blocks=args.lease_blocks,
-                    reducers=spec.profile(),
-                )
+            result = export_fleet_distributed(
+                generator,
+                when,
+                args.size,
+                seed,
+                args.out_dir,
+                workers=args.workers,
+                chunk_size=args.chunk_size,
+                lease_blocks=args.lease_blocks,
+                reducers=spec.profile(),
+            )
         except (RuntimeError, ValueError, OSError) as error:
             sys.stderr.write(f"fleet scenario run: {error}\n")
             return 1
@@ -823,34 +831,21 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
             f"distributed: {result.workers} worker(s), "
             f"{result.reassigned_leases} lease(s) reassigned"
         )
-        if args.resume:
-            print(
-                f"resumed: {result.resumed_leases} lease(s) restored from "
-                "checkpoints"
-            )
-    elif args.resume or args.checkpoint_every:
-        from repro.engine import StateError, export_fleet_blocks, resume_export
+    elif args.checkpoint_every:
+        from repro.engine import export_fleet_blocks
 
         try:
-            if args.resume:
-                result = resume_export(
-                    generator, args.out_dir, reducers=spec.profile()
-                )
-            else:
-                result = export_fleet_blocks(
-                    generator,
-                    when,
-                    args.size,
-                    seed,
-                    args.out_dir,
-                    shards=args.shards,
-                    checkpoint_every=args.checkpoint_every,
-                    chunk_size=args.chunk_size,
-                    reducers=spec.profile(),
-                )
-        except StateError as error:
-            sys.stderr.write(f"fleet scenario run --resume: {error}\n")
-            return 1
+            result = export_fleet_blocks(
+                generator,
+                when,
+                args.size,
+                seed,
+                args.out_dir,
+                shards=args.shards,
+                checkpoint_every=args.checkpoint_every,
+                chunk_size=args.chunk_size,
+                reducers=spec.profile(),
+            )
         except _export_failures() as error:
             sys.stderr.write(
                 f"fleet scenario run: {error} — the partial layout in "
@@ -858,14 +853,6 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
             )
             return 1
         manifest = result.manifest
-        if args.resume and result.statistics is None:
-            print(f"{args.out_dir} is already finalised; nothing to resume")
-        elif args.resume:
-            fresh = len(manifest.segments) - result.resumed_blocks
-            print(
-                f"resumed: {result.resumed_blocks} block(s) restored from "
-                f"checkpoints, {fresh} regenerated"
-            )
     else:
         from repro.engine import export_fleet
 
@@ -1338,7 +1325,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="finish an interrupted resumable export in --out-dir "
-        "(size/date/seed are read from its partial manifest)",
+        "(size/date/seed and the backend are read from its plan)",
     )
     p_fleet_export.add_argument(
         "--backend",

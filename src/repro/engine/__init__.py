@@ -23,9 +23,11 @@ Layers
     Fan-out over RNG blocks with reducer-set reduction.
 :mod:`~repro.engine.writer`
     Sharded fleet export: per-shard CSV/NPZ segments plus a sha256
-    manifest (``fleet export`` / ``fleet verify``), and the resumable
+    manifest (``fleet export`` / ``fleet verify``), the resumable
     per-block layout with reducer-state checkpoints
-    (``export_fleet_blocks`` / ``resume_export`` / ``compact_export``).
+    (``export_fleet_blocks`` / ``compact_export``), and the one
+    resumable-run format both resumable exporters keep (``resume_export``
+    finishes either).
 :mod:`~repro.engine.distributed`
     Coordinator/worker reduction beyond one machine: a length-prefixed
     JSON TCP protocol with heartbeats, lease reassignment and work
@@ -66,7 +68,6 @@ from repro.engine.distributed import (
     export_fleet_distributed,
     parse_endpoint,
     resolve_fleet_token,
-    resume_fleet_distributed,
     serve_worker,
 )
 from repro.engine.pool import (
@@ -181,7 +182,6 @@ __all__ = [
     "export_fleet_distributed",
     "parse_endpoint",
     "resolve_fleet_token",
-    "resume_fleet_distributed",
     "serve_worker",
     "SegmentRecord",
     "StateError",

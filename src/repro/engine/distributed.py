@@ -76,18 +76,19 @@ workers remain.
 
 Resumable runs
 --------------
-Before any worker spawns the coordinator writes a plan
-(:data:`DISTRIBUTED_PLAN_NAME`, kind ``FleetDistributedPlan``) pinning
-the run parameters, then appends one fsynced ``FleetLeaseCheckpoint``
-envelope line to :data:`DISTRIBUTED_LEASE_LOG` per completed lease — the
-same ``stats/state.py`` envelope contract the block writer's checkpoint
-journal uses.
-:func:`resume_fleet_distributed` (CLI: ``fleet export --backend
-distributed --resume``) validates the plan against the generator,
-re-verifies every checkpointed block file on disk, restores the reducer
-states, and re-leases only the incomplete ranges; a torn final log line
-(the coordinator died mid-append) is discarded and its lease re-run.
-Both files are removed when the manifest is finalised.
+A distributed run keeps the one resumable-run format that
+:mod:`repro.engine.writer` owns.  Before any worker spawns the
+coordinator pins a ``FleetExportPlan`` (:data:`DISTRIBUTED_PLAN_NAME`)
+whose grid is the lease size plus the wire reducer arguments and
+generator name.  It then appends one fsynced journal line to
+:data:`DISTRIBUTED_LEASE_LOG` per completed lease: the lease's block
+entries as its ``result`` frame carried them, and the lease's own
+reducer state.  :func:`~repro.engine.writer.resume_export` (CLI:
+``fleet export --resume``) validates the plan against the generator,
+restores every lease whose block files still verify, cuts a torn final
+line (the coordinator died mid-append) back and appends the re-leased
+ranges after the lines already there.  The plan and journal are removed
+when the manifest is finalised.
 
 Observability
 -------------
@@ -138,11 +139,7 @@ from repro.engine.retry import (
     RetryError,
 )
 from repro.engine.reduce import ChunkedFold, QuantileReducer, ReducerSet
-from repro.engine.sharding import (
-    FleetStatistics,
-    _resolve_factories,
-    _when_as_float,
-)
+from repro.engine.sharding import FleetStatistics, _resolve_factories
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RNG_BLOCK_SIZE,
@@ -154,18 +151,21 @@ from repro.engine.streaming import (
 from repro.engine.csvfmt import encode_csv_rows
 from repro.engine.table import block_schema
 from repro.engine.writer import (
-    MANIFEST_VERSION,
+    DISTRIBUTED_LEASE_LOG,
+    DISTRIBUTED_PLAN_NAME,
     FleetManifest,
     SegmentRecord,
     _append_journal,
     _block_name,
-    _generator_fingerprint,
+    _clear_resume_files,
+    _decode_entries,
+    _grid_cells,
     _hash_file_into,
-    _load_json,
-    _read_journal,
+    _journal_line,
+    _load_journal,
     _read_matching_block,
-    _remove_quiet,
     _save_manifest,
+    _start_run,
     _write_json_atomic,
 )
 from repro.faults.injector import fire as _fire
@@ -181,7 +181,7 @@ from repro.faults.sites import (
     SITE_WORKER_BLOCK,
     SITE_WORKER_DIAL,
 )
-from repro.stats.state import StateError, make_envelope, require_state, state_field
+from repro.stats.state import StateError, make_envelope
 
 #: Wire protocol schema version; hello/job frames carry and check it.
 #: v2 added token auth, coordinator heartbeats, worker read deadlines,
@@ -220,22 +220,8 @@ STEAL_AFTER = 5.0
 #: Environment variable supplying the shared fleet token.
 FLEET_TOKEN_ENV = "REPRO_FLEET_TOKEN"
 
-#: Plan file a distributed run writes before spawning workers; its
-#: presence (without a final manifest) marks an interrupted run.  Named
-#: distinctly from the writer's ``manifest.partial.json`` so
-#: ``resume_export`` and ``resume_fleet_distributed`` cannot mistake one
-#: another's layouts.
-DISTRIBUTED_PLAN_NAME = "distributed-plan.json"
-
-#: Append-only lease checkpoint log (one JSON envelope per line).
-DISTRIBUTED_LEASE_LOG = "distributed-leases.jsonl"
-
-#: Envelope kinds of the distributed plan/checkpoint/metrics payloads.
-DISTRIBUTED_PLAN_KIND = "FleetDistributedPlan"
-LEASE_CHECKPOINT_KIND = "FleetLeaseCheckpoint"
+#: Envelope kind and schema version of the metrics document.
 DISTRIBUTED_METRICS_KIND = "FleetDistributedMetrics"
-
-#: Schema version of the distributed plan/checkpoint/metrics envelopes.
 DISTRIBUTED_STATE_VERSION = 1
 
 #: Upper edges (seconds) of the heartbeat-gap histogram buckets; the
@@ -340,25 +326,37 @@ def _wire_reducer_spec(name: str, factory) -> "list":
     return encoded
 
 
-def _rebuild_wire_factory(cls, raw):
-    """Rebuild a reducer factory from its :func:`_wire_reducer_spec` form.
+def _wire_factories(names, reducer_args) -> dict:
+    """Rebuild a factory dict from wire reducer names and their
+    :func:`_wire_reducer_spec` arguments, as a job frame or a plan holds them.
 
-    ``None``/``[]`` mean the bare registry class; label lists come back as
-    tuples.  Malformed payloads raise :class:`ValueError`.
+    Each name must be in :data:`WIRE_REDUCER_FACTORIES`; missing or empty
+    arguments mean the bare registry class, and label lists come back as
+    tuples.  Anything else raises :class:`ValueError`.
     """
-    if not raw:
-        return cls
-    if not isinstance(raw, list):
-        raise ValueError(f"reducer argument payload must be a list, got {raw!r}")
-    args: "list" = []
-    for item in raw:
-        if isinstance(item, list) and all(isinstance(v, str) for v in item):
-            args.append(tuple(item))
-        elif isinstance(item, (int, float)) and not isinstance(item, bool):
-            args.append(item)
-        else:
-            raise ValueError(f"malformed wire reducer argument {item!r}")
-    return functools.partial(cls, *args)
+    if not isinstance(reducer_args, dict):
+        raise ValueError("reducer_args must be an object")
+    factories = {}
+    for name in names:
+        cls = WIRE_REDUCER_FACTORIES.get(name)
+        if cls is None:
+            raise ValueError(
+                f"unknown wire reducer {name!r}; known: "
+                f"{sorted(WIRE_REDUCER_FACTORIES)}"
+            )
+        raw = reducer_args.get(name) or []
+        if not isinstance(raw, list):
+            raise ValueError(f"reducer argument payload must be a list, got {raw!r}")
+        args: "list" = []
+        for item in raw:
+            if isinstance(item, list) and all(isinstance(v, str) for v in item):
+                args.append(tuple(item))
+            elif isinstance(item, (int, float)) and not isinstance(item, bool):
+                args.append(item)
+            else:
+                raise ValueError(f"malformed wire reducer argument {item!r}")
+        factories[name] = functools.partial(cls, *args) if args else cls
+    return factories
 
 
 def _wire_reducer_args(factories: dict) -> "dict[str, list]":
@@ -610,22 +608,10 @@ def _worker_loop(
             f"unknown wire generator {generator_name!r}; this worker only "
             "builds registered generator families"
         )
-    factories = {}
-    reducer_args = job.get("reducer_args", {})
-    if not isinstance(reducer_args, dict):
-        return refuse("malformed job: reducer_args must be an object")
-    for name in job.get("reducers", []):
-        factory = WIRE_REDUCER_FACTORIES.get(name)
-        if factory is None:
-            return refuse(
-                f"unknown wire reducer {name!r}; this worker knows "
-                f"{sorted(WIRE_REDUCER_FACTORIES)}"
-            )
-        try:
-            factories[name] = _rebuild_wire_factory(factory, reducer_args.get(name))
-        except ValueError as error:
-            return refuse(f"malformed job: {error}")
     try:
+        factories = _wire_factories(
+            job.get("reducers", []), job.get("reducer_args", {})
+        )
         generator = builder(job["params"])
         size = int(job["size"])
         when = float(job["when"])
@@ -889,64 +875,6 @@ class _Remote:
         self.last_seen = time.monotonic()
         self.idle = False
         self.alive = True
-
-
-def _lease_ranges(n_blocks: int, lease_blocks: int) -> "list[tuple[int, int]]":
-    return [
-        (lo, min(lo + lease_blocks, n_blocks))
-        for lo in range(0, n_blocks, lease_blocks)
-    ]
-
-
-def _decode_block_entries(
-    blocks, lease: "tuple[int, int]", size: int, inline: bool
-) -> "tuple[list[SegmentRecord], list[tuple[int, bytes]], list[tuple[int, bytes]]]":
-    """Decode one lease's block entries into segment records and digests.
-
-    Shared by live result validation and checkpoint-log restore: both
-    carry the same ``{index, sha256, bytes, digest}`` entries, the former
-    with inline base64 data for remote workers (``inline=True``).  Any
-    malformed piece raises :class:`ProtocolError` (or the decode errors
-    the callers map).
-    """
-    lo, hi = lease
-    if not isinstance(blocks, list) or len(blocks) != hi - lo:
-        raise ProtocolError(f"result must carry exactly {hi - lo} block entries")
-    records: "list[SegmentRecord]" = []
-    digests: "list[tuple[int, bytes]]" = []
-    writes: "list[tuple[int, bytes]]" = []
-    for position, raw in enumerate(blocks):
-        index = lo + position
-        if not isinstance(raw, dict) or raw.get("index") != index:
-            raise ProtocolError(f"block entry {position} is not block {index}")
-        digest = bytes.fromhex(raw["digest"])
-        sha = raw["sha256"]
-        nbytes = raw["bytes"]
-        if not isinstance(sha, str) or len(bytes.fromhex(sha)) != 32:
-            raise ProtocolError(f"block {index} sha256 is malformed")
-        if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
-            raise ProtocolError(f"block {index} byte count is malformed")
-        if inline:
-            data = base64.b64decode(raw["data"], validate=True)
-            if hashlib.sha256(data).hexdigest() != sha or len(data) != nbytes:
-                raise ProtocolError(
-                    f"block {index} inline data does not match its digest"
-                )
-            writes.append((index, data))
-        records.append(
-            SegmentRecord(
-                path=_block_name(index, "csv"),
-                shard=0,
-                block_lo=index,
-                block_hi=index + 1,
-                row_lo=min(index * RNG_BLOCK_SIZE, size),
-                row_hi=min((index + 1) * RNG_BLOCK_SIZE, size),
-                sha256=sha,
-                bytes=nbytes,
-            )
-        )
-        digests.append((index, digest))
-    return records, digests, writes
 
 
 class _Coordinator:
@@ -1228,10 +1156,8 @@ class _Coordinator:
                 remote, f"rejected result from {remote.name}: {error}"
             )
         started = remote.leases.pop(lease)
-        for index, data in entry.pop("writes"):
-            with open(
-                os.path.join(self.out_dir, _block_name(index, "csv")), "wb"
-            ) as handle:
+        for name, data in entry.pop("writes"):
+            with open(os.path.join(self.out_dir, name), "wb") as handle:
                 handle.write(data)
         self.completed[lease] = entry
         now = time.monotonic()
@@ -1247,15 +1173,15 @@ class _Coordinator:
         stats = self._worker_entry(remote)
         stats["leases_completed"] += 1
         stats["blocks_completed"] += lease[1] - lease[0]
-        self._checkpoint(lease, entry)
+        self._checkpoint(entry)
 
-    def _checkpoint(self, lease: "tuple[int, int]", entry: dict) -> None:
-        """Append one fsynced lease-completion line to the checkpoint log."""
+    def _checkpoint(self, entry: dict) -> None:
+        """Append the lease's fsynced journal line (its own reducer state)."""
         if self.checkpoint_log is None:
             return
         _append_journal(
             self.checkpoint_log,
-            [_lease_checkpoint(lease, entry)],
+            [_journal_line(entry["records"], entry["digests"], entry["reducers"])],
             site=SITE_COORDINATOR_CHECKPOINT,
         )
 
@@ -1270,19 +1196,26 @@ class _Coordinator:
         so a corrupt or version-mismatched state is caught while we can
         still retire the worker and requeue its lease.
         """
-        records, digests, writes = _decode_block_entries(
-            message.get("blocks"), lease, self.size, inline=not remote.local
+        blocks = message.get("blocks")
+        records, digests = _decode_entries(
+            blocks, lease, self.size, "csv", 0, f"result from {remote.name}"
         )
-        restored = ReducerSet.from_state(message["reducers"])
-        if set(restored.names()) != set(self.factories):
-            raise StateError(
-                f"result reducers {sorted(restored.names())} do not match the "
-                f"job's {sorted(self.factories)}"
-            )
+        writes: "list[tuple[str, bytes]]" = []
+        if not remote.local:
+            for record, raw in zip(records, blocks):
+                data = base64.b64decode(raw["data"], validate=True)
+                if hashlib.sha256(data).hexdigest() != record.sha256 or (
+                    len(data) != record.bytes
+                ):
+                    raise ProtocolError(
+                        f"block {record.block_lo} inline data does not match "
+                        "its digest"
+                    )
+                writes.append((record.path, data))
         return {
             "records": records,
             "digests": digests,
-            "reducers": restored,
+            "reducers": _lease_reducers(message["reducers"], self.factories),
             "writes": writes,
         }
 
@@ -1341,132 +1274,34 @@ class _Coordinator:
                 self._send(remote, {"type": "shutdown"})
 
 
-# -- plan / checkpoint log ---------------------------------------------------
-
-
-def _lease_checkpoint(lease: "tuple[int, int]", entry: dict) -> dict:
-    """One ``FleetLeaseCheckpoint`` envelope, a checkpoint-log line."""
-    blocks = [
-        {
-            "index": record.block_lo,
-            "sha256": record.sha256,
-            "bytes": record.bytes,
-            "digest": digest.hex(),
-        }
-        for record, (_, digest) in zip(entry["records"], entry["digests"])
-    ]
-    return make_envelope(
-        LEASE_CHECKPOINT_KIND,
-        DISTRIBUTED_STATE_VERSION,
-        {
-            "block_lo": lease[0],
-            "block_hi": lease[1],
-            "blocks": blocks,
-            "reducers": entry["reducers"].to_state(),
-        },
-    )
-
-
-def _build_plan(
-    generator,
-    when_value: float,
-    size: int,
-    entropy: str,
-    spawn_key: "tuple[int, ...]",
-    lease_blocks: int,
-    chunk_size: int,
-    factories: dict,
-    manifest_name: str,
-) -> dict:
-    """The ``FleetDistributedPlan`` envelope pinning a run's parameters."""
-    return make_envelope(
-        DISTRIBUTED_PLAN_KIND,
-        DISTRIBUTED_STATE_VERSION,
-        {
-            "version": MANIFEST_VERSION,
-            "format": "csv",
-            "size": size,
-            "when": when_value,
-            "entropy": entropy,
-            "spawn_key": list(spawn_key),
-            "block_size": RNG_BLOCK_SIZE,
-            "lease_blocks": lease_blocks,
-            "chunk_size": chunk_size,
-            "reducers": sorted(factories),
-            "reducer_args": _wire_reducer_args(factories),
-            "generator": getattr(generator, "wire_name", "CorrelatedHostGenerator"),
-            "generator_sha256": _generator_fingerprint(generator),
-            "manifest_name": manifest_name,
-        },
-    )
-
-
-def _load_lease_checkpoints(
-    out_dir: str,
-    leases: "list[tuple[int, int]]",
-    factories: dict,
-    size: int,
-) -> "dict[tuple[int, int], dict]":
-    """Completed-lease entries restored from the checkpoint log.
-
-    Every checkpointed block file is re-verified against its recorded
-    size and sha256 (:func:`_read_matching_block`); a lease whose files
-    vanished or rotted is silently treated as incomplete and re-run.  The
-    log is read through the block writer's journal reader: a torn *final*
-    line — the coordinator was killed mid-append — is discarded and its
-    lease re-run; malformed JSON anywhere earlier is corruption and
-    raises :class:`StateError`, as do envelope/lease-grid/reducer
-    mismatches.
-    """
-    path = os.path.join(out_dir, DISTRIBUTED_LEASE_LOG)
-    completed: "dict[tuple[int, int], dict]" = {}
-    if not os.path.exists(path):
-        return completed
-    expected = set(leases)
-    payloads, _ = _read_journal(path, "lease checkpoint")
-    for payload in payloads:
-        require_state(payload, LEASE_CHECKPOINT_KIND, DISTRIBUTED_STATE_VERSION)
-        lo = state_field(payload, LEASE_CHECKPOINT_KIND, "block_lo")
-        hi = state_field(payload, LEASE_CHECKPOINT_KIND, "block_hi")
-        lease = (lo, hi)
-        if lease not in expected:
-            raise StateError(
-                f"lease checkpoint [{lo}, {hi}) does not match the plan's "
-                "lease grid"
-            )
-        try:
-            records, digests, _ = _decode_block_entries(
-                state_field(payload, LEASE_CHECKPOINT_KIND, "blocks"),
-                lease,
-                size,
-                inline=False,
-            )
-        except (ProtocolError, TypeError, ValueError, KeyError) as error:
-            raise StateError(f"lease checkpoint [{lo}, {hi}) is malformed: {error}")
-        if any(
-            _read_matching_block(os.path.join(out_dir, record.path), record) is None
-            for record in records
-        ):
-            continue  # block file missing or corrupt: regenerate the lease
-        restored = ReducerSet.from_state(
-            state_field(payload, LEASE_CHECKPOINT_KIND, "reducers")
-        )
-        if set(restored.names()) != set(factories):
-            raise StateError(
-                f"lease checkpoint [{lo}, {hi}) reducers "
-                f"{sorted(restored.names())} do not match the plan's "
-                f"{sorted(factories)}"
-            )
-        completed[lease] = {
-            "records": records,
-            "digests": digests,
-            "reducers": restored,
-            "writes": [],
-        }
-    return completed
-
-
 # -- entry points ------------------------------------------------------------
+
+
+def _lease_reducers(state, factories: dict) -> ReducerSet:
+    """A lease's reducer set, restored from a result frame or journal line;
+    it must hold exactly the run's reducers."""
+    restored = ReducerSet.from_state(state)
+    if set(restored.names()) != set(factories):
+        raise StateError(
+            f"lease reducers {sorted(restored.names())} do not match the "
+            f"run's {sorted(factories)}"
+        )
+    return restored
+
+
+def _check_transport(workers, connect, worker_timeout, lease_depth) -> list:
+    """Validate the transport keywords of a fresh or resumed run, before
+    anything is written; returns ``connect`` as a list."""
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
+    connect = list(connect)
+    if workers + len(connect) < 1:
+        raise ValueError("need at least one worker (workers >= 1 or connect=...)")
+    if worker_timeout <= 0:
+        raise ValueError("worker_timeout must be positive")
+    if lease_depth < 1:
+        raise ValueError("lease_depth must be at least 1")
+    return connect
 
 
 def export_fleet_distributed(
@@ -1502,10 +1337,10 @@ def export_fleet_distributed(
 
     ``token`` arms mutual shared-token auth; ``metrics_path`` writes the
     run's ``FleetDistributedMetrics`` JSON.  The run checkpoints every
-    completed lease (see :func:`resume_fleet_distributed`).  ``reducers``
-    accepts the :data:`WIRE_REDUCER_FACTORIES` subset by name (factories
-    cannot travel a JSON wire).  Local workers are tasks on the
-    persistent pool (:func:`~repro.engine.pool.get_pool`).  Raises
+    completed lease (see :func:`~repro.engine.writer.resume_export`).
+    ``reducers`` accepts the :data:`WIRE_REDUCER_FACTORIES` subset by
+    name (factories cannot travel a JSON wire).  Local workers are tasks
+    on the persistent pool (:func:`~repro.engine.pool.get_pool`).  Raises
     :class:`RuntimeError` when every worker has died with leases
     outstanding.
     """
@@ -1515,15 +1350,7 @@ def export_fleet_distributed(
         raise ValueError("chunk_size must be at least 1")
     if lease_blocks < 1:
         raise ValueError("lease_blocks must be at least 1")
-    if lease_depth < 1:
-        raise ValueError("lease_depth must be at least 1")
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
-    connect = list(connect)
-    if workers + len(connect) < 1:
-        raise ValueError("need at least one worker (workers >= 1 or connect=...)")
-    if worker_timeout <= 0:
-        raise ValueError("worker_timeout must be positive")
+    connect = _check_transport(workers, connect, worker_timeout, lease_depth)
     to_json = getattr(getattr(generator, "parameters", None), "to_json", None)
     if to_json is None:
         raise ValueError(
@@ -1531,245 +1358,104 @@ def export_fleet_distributed(
             "parameters; it needs generator.parameters.to_json()"
         )
     factories = _resolve_factories(reducers, quantiles)
-    # Validate every factory's wire form up front (raises ValueError on a
-    # factory that cannot travel as a registry name + JSON-safe arguments).
-    _wire_reducer_args(factories)
     root = as_seed_sequence(rng)
-    when_value = _when_as_float(when)
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    entropy = str(root.entropy)
-    spawn_key = tuple(int(k) for k in root.spawn_key)
-    leases = _lease_ranges(block_count(size), lease_blocks)
-    plan = _build_plan(
-        generator,
-        when_value,
-        size,
-        entropy,
-        spawn_key,
-        lease_blocks,
-        chunk_size,
-        factories,
-        manifest_name,
+    plan = _start_run(
+        out_dir, DISTRIBUTED_PLAN_NAME, generator, "csv", size, when, root,
+        chunk_size, factories, manifest_name, lease_blocks=lease_blocks,
+        # Raises ValueError, before anything is written, for a factory that
+        # cannot travel as a registry name plus JSON-safe arguments.
+        reducer_args=_wire_reducer_args(factories),
+        generator=getattr(generator, "wire_name", "CorrelatedHostGenerator"),
     )
-    # A fresh run owns the directory: pin the plan, discard any stale
-    # checkpoint log so old lease lines cannot splice into this export.
-    _write_json_atomic(os.path.join(out_dir, DISTRIBUTED_PLAN_NAME), plan)
-    _remove_quiet(os.path.join(out_dir, DISTRIBUTED_LEASE_LOG))
     return _run_distributed(
-        generator=generator,
-        when_value=when_value,
-        size=size,
-        entropy=entropy,
-        spawn_key=spawn_key,
-        out_dir=out_dir,
-        factories=factories,
-        chunk_size=chunk_size,
-        lease_blocks=lease_blocks,
-        leases=leases,
-        completed={},
-        resumed_leases=0,
-        workers=workers,
-        connect=connect,
-        worker_timeout=worker_timeout,
-        lease_depth=lease_depth,
-        manifest_name=manifest_name,
-        start_method=start_method,
-        token=token,
-        metrics_path=metrics_path,
+        generator, out_dir, plan, root, factories, workers, connect,
+        worker_timeout, lease_depth, start_method, token, metrics_path,
     )
 
 
-def resume_fleet_distributed(
-    generator,
-    out_dir: str,
-    workers: int = 2,
-    connect: "list[tuple[str, int]] | tuple" = (),
-    worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-    start_method: "str | None" = None,
-    lease_depth: int = DEFAULT_LEASE_DEPTH,
-    token: "str | None" = None,
-    metrics_path: "str | None" = None,
+def _resume_distributed(
+    generator, out_dir, plan, root, workers, connect, worker_timeout,
+    lease_depth, start_method, token, metrics_path,
 ) -> DistributedExportResult:
-    """Finish an interrupted distributed export byte-identically.
+    """The distributed exporter behind :func:`~repro.engine.writer.resume_export`.
 
-    Reads the run parameters from :data:`DISTRIBUTED_PLAN_NAME` (size,
-    date, seed, lease grid and reducer set all come from the plan, not
-    the caller), restores every lease recorded in
-    :data:`DISTRIBUTED_LEASE_LOG` whose block files still verify, and
-    re-leases only the incomplete ranges to a fresh worker fleet.  The
-    finalised manifest, payload bytes and merged statistics are identical
-    to an uninterrupted run.  Raises :class:`StateError` when there is
-    nothing to resume or the plan/checkpoints are corrupt, mismatched
-    with ``generator``, or wrong-versioned.
+    ``plan`` has passed the shared plan validator; this adds the wire
+    checks and rebuilds the reducer factories from the plan.  ``None``
+    transport keywords take this backend's defaults.
     """
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
-    connect = list(connect)
-    if workers + len(connect) < 1:
-        raise ValueError("need at least one worker (workers >= 1 or connect=...)")
-    if worker_timeout <= 0:
-        raise ValueError("worker_timeout must be positive")
-    if lease_depth < 1:
-        raise ValueError("lease_depth must be at least 1")
-    out_dir = os.path.abspath(out_dir)
-    plan_path = os.path.join(out_dir, DISTRIBUTED_PLAN_NAME)
-    if not os.path.exists(plan_path):
-        raise StateError(
-            f"nothing to resume in {out_dir}: no {DISTRIBUTED_PLAN_NAME} "
-            "(not a distributed export, or it already finalised)"
-        )
-    plan = _load_json(plan_path, "distributed plan")
-    require_state(plan, DISTRIBUTED_PLAN_KIND, DISTRIBUTED_STATE_VERSION)
-
-    def plan_int(name: str, minimum: int) -> int:
-        value = state_field(plan, DISTRIBUTED_PLAN_KIND, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise StateError(
-                f"distributed plan field {name!r} must be an integer >= "
-                f"{minimum}, got {value!r}"
-            )
-        return value
-
-    size = plan_int("size", 0)
-    lease_blocks = plan_int("lease_blocks", 1)
-    chunk_size = plan_int("chunk_size", 1)
-    if plan_int("block_size", 1) != RNG_BLOCK_SIZE:
-        raise StateError(
-            f"distributed plan block size {plan['block_size']} does not match "
-            f"this engine's {RNG_BLOCK_SIZE}"
-        )
-    if plan.get("version") != MANIFEST_VERSION:
-        raise StateError(
-            f"distributed plan manifest version {plan.get('version')!r} is "
-            f"not the supported {MANIFEST_VERSION}"
-        )
-    if state_field(plan, DISTRIBUTED_PLAN_KIND, "format") != "csv":
-        raise StateError(
-            f"distributed plan format {plan['format']!r} is not csv"
-        )
-    fingerprint = _generator_fingerprint(generator)
-    recorded = state_field(plan, DISTRIBUTED_PLAN_KIND, "generator_sha256")
-    if fingerprint != recorded:
-        raise StateError(
-            "generator parameters do not match the interrupted export "
-            f"(plan sha256 {recorded!r}, resuming generator {fingerprint!r})"
-        )
-    plan_generator = plan.get("generator", "CorrelatedHostGenerator")
-    if not isinstance(plan_generator, str):
-        raise StateError("distributed plan field 'generator' must be a string")
+    if worker_timeout is None:
+        worker_timeout = DEFAULT_WORKER_TIMEOUT
+    if lease_depth is None:
+        lease_depth = DEFAULT_LEASE_DEPTH
+    connect = _check_transport(workers, connect, worker_timeout, lease_depth)
     resuming = getattr(generator, "wire_name", "CorrelatedHostGenerator")
-    if resuming != plan_generator:
+    if plan.get("generator") != resuming:
         raise StateError(
-            f"distributed plan was built for generator {plan_generator!r}; "
-            f"cannot resume it with {resuming!r}"
+            f"distributed plan was built for generator "
+            f"{plan.get('generator')!r}; cannot resume it with {resuming!r}"
         )
-    names = state_field(plan, DISTRIBUTED_PLAN_KIND, "reducers")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise StateError("distributed plan field 'reducers' must be a name list")
-    raw_args = plan.get("reducer_args", {})
-    if not isinstance(raw_args, dict):
-        raise StateError("distributed plan field 'reducer_args' must be an object")
-    factories = {}
-    for name in names:
-        factory = WIRE_REDUCER_FACTORIES.get(name)
-        if factory is None:
-            raise StateError(f"distributed plan names unknown wire reducer {name!r}")
-        try:
-            factories[name] = _rebuild_wire_factory(factory, raw_args.get(name))
-        except ValueError as error:
-            raise StateError(f"distributed plan reducer {name!r} is malformed: {error}")
-    entropy = state_field(plan, DISTRIBUTED_PLAN_KIND, "entropy")
-    raw_spawn_key = state_field(plan, DISTRIBUTED_PLAN_KIND, "spawn_key")
     try:
-        int(entropy)
-        spawn_key = tuple(int(k) for k in raw_spawn_key)
-        when_value = float(state_field(plan, DISTRIBUTED_PLAN_KIND, "when"))
-    except (TypeError, ValueError) as error:
-        raise StateError(f"distributed plan seed fields are malformed: {error}")
-    manifest_name = state_field(plan, DISTRIBUTED_PLAN_KIND, "manifest_name")
-    if not isinstance(manifest_name, str) or not manifest_name:
-        raise StateError("distributed plan field 'manifest_name' is malformed")
-    leases = _lease_ranges(block_count(size), lease_blocks)
-    completed = _load_lease_checkpoints(out_dir, leases, factories, size)
+        factories = _wire_factories(plan["reducers"], plan.get("reducer_args"))
+    except ValueError as error:
+        raise StateError(f"distributed plan reducers are malformed: {error}")
     return _run_distributed(
-        generator=generator,
-        when_value=when_value,
-        size=size,
-        entropy=entropy,
-        spawn_key=spawn_key,
-        out_dir=out_dir,
-        factories=factories,
-        chunk_size=chunk_size,
-        lease_blocks=lease_blocks,
-        leases=leases,
-        completed=completed,
-        resumed_leases=len(completed),
-        workers=workers,
-        connect=connect,
-        worker_timeout=worker_timeout,
-        lease_depth=lease_depth,
-        manifest_name=manifest_name,
-        start_method=start_method,
-        token=token,
-        metrics_path=metrics_path,
+        generator, os.path.abspath(out_dir), plan, root, factories, workers,
+        connect, worker_timeout, lease_depth, start_method, token, metrics_path,
     )
 
 
 def _run_distributed(
-    generator,
-    when_value: float,
-    size: int,
-    entropy: str,
-    spawn_key: "tuple[int, ...]",
-    out_dir: str,
-    factories: dict,
-    chunk_size: int,
-    lease_blocks: int,
-    leases: "list[tuple[int, int]]",
-    completed: "dict[tuple[int, int], dict]",
-    resumed_leases: int,
-    workers: int,
-    connect: "list[tuple[str, int]]",
-    worker_timeout: float,
-    lease_depth: int,
-    manifest_name: str,
-    start_method: "str | None",
-    token: "str | None",
-    metrics_path: "str | None",
+    generator, out_dir, plan, root, factories, workers, connect,
+    worker_timeout, lease_depth, start_method, token, metrics_path,
 ) -> DistributedExportResult:
-    """Shared core of fresh and resumed distributed exports: run the
-    coordinator over the pending leases, then finalise manifest,
-    statistics and metrics."""
+    """Shared core of fresh and resumed distributed exports.
+
+    Restores every journalled lease whose block files still verify (a
+    lease re-run by an earlier resume has a second, later line, which
+    wins; a fresh run has no journal), runs the coordinator over the
+    rest, then finalises manifest, statistics and metrics.
+    """
+    size = plan["size"]
+    leases = _grid_cells(0, block_count(size), plan["lease_blocks"])
+    path = os.path.join(out_dir, DISTRIBUTED_LEASE_LOG)
+    lines, kept = _load_journal(path, plan, leases) if os.path.exists(path) else ([], 0)
+    completed: "dict[tuple[int, int], dict]" = {}
+    for lease, (records, digests, state) in {
+        cell: rest for cell, *rest in lines
+    }.items():
+        if all(
+            _read_matching_block(os.path.join(out_dir, record.path), record)
+            is not None
+            for record in records
+        ):
+            completed[lease] = {
+                "records": records,
+                "digests": digests,
+                "reducers": _lease_reducers(state, factories),
+            }
     job = {
         "type": "job",
         "protocol": PROTOCOL_VERSION,
-        "generator": getattr(generator, "wire_name", "CorrelatedHostGenerator"),
         "params": generator.parameters.to_json(),
-        "when": when_value,
-        "size": size,
-        "entropy": entropy,
-        "spawn_key": [int(k) for k in spawn_key],
-        "block_size": RNG_BLOCK_SIZE,
-        "format": "csv",
-        "chunk_size": chunk_size,
-        "reducers": sorted(factories),
-        "reducer_args": _wire_reducer_args(factories),
+        **{
+            key: plan[key]
+            for key in (
+                "generator", "when", "size", "entropy", "spawn_key", "block_size",
+                "format", "chunk_size", "reducers", "reducer_args",
+            )
+        },
         "worker_timeout": worker_timeout,
         "lease_depth": lease_depth,
     }
     if token is not None:
         job["token"] = token
-    # Rewrite the log from the restored entries rather than appending: a
-    # torn tail line from the crash would otherwise sit mid-file after
-    # this run's first checkpoint, corrupting any *second* resume.
-    checkpoint_log = open(os.path.join(out_dir, DISTRIBUTED_LEASE_LOG), "wb")
-    if completed:
-        _append_journal(
-            checkpoint_log,
-            [_lease_checkpoint(lease, completed[lease])
-             for lease in sorted(completed)],
-        )
+    # Append after the lines already journalled, cut back to the last
+    # complete one, so a torn tail from a crash never ends up mid-file.
+    checkpoint_log = open(path, "ab")
+    checkpoint_log.truncate(kept)
+    resumed_leases = len(completed)
     coordinator = _Coordinator(
         job,
         leases,
@@ -1844,18 +1530,17 @@ def _run_distributed(
             )
 
     manifest = _save_manifest(
-        os.path.join(out_dir, manifest_name), generator, "csv", size, when_value,
-        np.random.SeedSequence(int(entropy), spawn_key=spawn_key), 1, records,
-        payload_hash.hexdigest(), all_digests, layout="block",
+        os.path.join(out_dir, plan["manifest_name"]), generator, "csv", size,
+        plan["when"], root, 1, records, payload_hash.hexdigest(), all_digests,
+        layout="block",
     )
     # The run is finalised: the plan and lease log are no longer needed
     # (and their absence is what marks the directory as complete).
-    _remove_quiet(os.path.join(out_dir, DISTRIBUTED_PLAN_NAME))
-    _remove_quiet(os.path.join(out_dir, DISTRIBUTED_LEASE_LOG))
+    _clear_resume_files(out_dir)
 
     statistics = FleetStatistics(
         size=size,
-        when=when_value,
+        when=plan["when"],
         shards=max(1, coordinator.workers_seen),
         reducers=merged,
         elapsed_seconds=elapsed,
@@ -1867,7 +1552,7 @@ def _run_distributed(
         {
             "elapsed_seconds": elapsed,
             "size": size,
-            "lease_blocks": lease_blocks,
+            "lease_blocks": plan["lease_blocks"],
             "lease_depth": lease_depth,
             "leases_total": len(leases),
             "leases_run": len(coordinator.completed) - resumed_leases,

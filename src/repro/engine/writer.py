@@ -14,16 +14,21 @@ Two segment layouts share the manifest schema:
 ``layout="block"`` (:func:`export_fleet_blocks`)
     One segment per RNG block, plus an append-only checkpoint journal per
     shard, so a killed export loses at most ``checkpoint_every`` blocks of
-    work: :func:`resume_export` scans the partial manifest and joins each
-    shard's journal lines, verifies digests, restores reducer state
-    through the ``to_state``/``from_state`` contract and regenerates only
-    the missing blocks — producing a manifest, payload bytes and
-    statistics identical to an uninterrupted run (the per-block
-    ``SeedSequence.spawn`` contract makes regenerated blocks
-    byte-identical, and checkpoint cadence is a run parameter so sketch
-    compression points line up too).
+    work: :func:`resume_export` reads the plan and joins each shard's
+    journal lines, verifies digests, restores reducer state through the
+    ``to_state``/``from_state`` contract and regenerates only the missing
+    blocks — producing a manifest, payload bytes and statistics identical
+    to an uninterrupted run (the per-block ``SeedSequence.spawn`` contract
+    makes regenerated blocks byte-identical, and checkpoint cadence is a
+    run parameter so sketch compression points line up too).
     :func:`compact_export` merges a completed block layout back into the
     per-shard layout byte-identically (CSV).
+
+This module also owns the one resumable-run format that the block writer
+and the distributed coordinator (:mod:`~repro.engine.distributed`) share:
+one plan envelope (the run fields plus the exporter's block grid), one
+journal line per finished grid cell, and :func:`resume_export`, which
+finishes an interrupted run of either exporter.
 
 Because segments cover contiguous block ranges and blocks own the random
 streams (the :mod:`~repro.engine.streaming` determinism contract), the
@@ -94,7 +99,7 @@ from repro.engine.table import (
     generator_schema,
 )
 from repro.hosts.population import RESOURCE_LABELS
-from repro.stats.state import StateError
+from repro.stats.state import StateError, make_envelope
 
 #: Manifest schema version.  Bump only on changes a version-1 reader of
 #: *this* module cannot tolerate; fields with dataclass defaults
@@ -390,6 +395,9 @@ def export_fleet(
         raise ValueError(f"unknown segment format {fmt!r}; supported: {FORMATS}")
     root = as_seed_sequence(rng)
     os.makedirs(out_dir, exist_ok=True)
+    # No resumable run's plan may outlive this export, or a later
+    # `--resume` would finish that run over this export's manifest.
+    _clear_resume_files(out_dir)
     tasks = [
         BlockTask(
             generator, when, size, root, range(lo, hi),
@@ -551,29 +559,53 @@ def read_columnar_export(manifest_path: str) -> "tuple[FleetManifest, dict]":
     return manifest, columns
 
 
-# -- resumable block-layout export ------------------------------------------
+# -- resumable runs: one plan, one journal, one resume ----------------------
 #
-# The distributed backend reuses this layer's building blocks for its own
-# plan/checkpoint files (`distributed-plan.json` + the per-lease log):
-# `_write_json_atomic`, `_load_json`, the `_append_journal` /
-# `_read_journal` pair, `_remove_quiet`, `_generator_fingerprint` and the
-# `_read_matching_block` re-verification all serve both resume paths, so
-# the two crash-recovery formats cannot drift in how they persist,
-# validate, or distrust on-disk state.
+# Both resumable exporters, the block writer below and the distributed
+# coordinator (`repro.engine.distributed`, which imports these helpers),
+# keep an interrupted run in the one format this section owns.  A run
+# first pins a plan: one `FleetExportPlan` envelope holding the shared run
+# fields plus the exporter's block grid.  It then appends one fsynced journal
+# line per finished grid cell, `{block_lo, block_hi, blocks: [{index,
+# sha256, bytes, digest}], reducers}`.  A block-export shard's cells are
+# runs of `checkpoint_every` blocks done in order, and its lines carry the
+# shard's cumulative reducer state.  A distributed run's cells are leases
+# done in any order, and each line carries the lease's own state.
+# `resume_export` reads whichever plan it finds and runs its exporter.
 
-#: The partial-manifest file a resumable export writes before any segment;
-#: its presence (without a final manifest) marks an interrupted run.
+#: The block writer's plan file; its presence (without a final manifest)
+#: marks an interrupted run.
 PLAN_NAME = "manifest.partial.json"
 
-#: Schema version of plan and shard-checkpoint payloads.  Version 2
-#: replaced the rewritten ``checkpoint-SSSS.json`` with the append-only
-#: ``checkpoint-SSSS.jsonl`` journal; a version-1 partial export is
-#: refused rather than resumed.
-CHECKPOINT_STATE_VERSION = 2
+#: The distributed coordinator's plan file and lease journal.
+DISTRIBUTED_PLAN_NAME = "distributed-plan.json"
+DISTRIBUTED_LEASE_LOG = "distributed-leases.jsonl"
 
-#: Checkpoint files of any build: journals, version-1 checkpoints and
-#: their temp files.  A fresh export removes them all.
-_CHECKPOINT_FILE = re.compile(r"checkpoint-\d{4,}\.json(l|\.tmp)?")
+#: Envelope kind of both exporters' plans.
+PLAN_KIND = "FleetExportPlan"
+
+#: Schema version of plans and their journal lines.  Version 3 gave both
+#: exporters one plan envelope and one journal line.  A partial export an
+#: older build wrote (a block plan of version 1 or 2, or a version-1
+#: ``FleetDistributedPlan``) is refused rather than resumed.
+CHECKPOINT_STATE_VERSION = 3
+
+#: Each exporter's plan file: its grid fields (with their minimum) and the
+#: segment formats it writes.
+_EXPORTERS = {
+    PLAN_NAME: ({"shards": 1, "checkpoint_every": 0}, ROW_SEGMENT_FORMATS),
+    DISTRIBUTED_PLAN_NAME: ({"lease_blocks": 1}, ("csv",)),
+}
+
+#: Resume files of either exporter and any build: plans, journals, the
+#: version-1 ``checkpoint-SSSS.json`` files and their temp files.  A fresh
+#: run of either exporter removes them all, and so does a finished one.
+_RESUME_FILE = re.compile(
+    r"(checkpoint-\d{4,}\.jsonl?|manifest\.partial\.json"
+    r"|distributed-plan\.json|distributed-leases\.jsonl)(\.tmp)?"
+)
+
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -598,6 +630,11 @@ def _block_name(index: int, fmt: str) -> str:
 
 def _journal_name(shard: int) -> str:
     return f"checkpoint-{shard:04d}.jsonl"
+
+
+def _grid_cells(lo: int, hi: int, step: int) -> "list[tuple[int, int]]":
+    """``[lo, hi)`` cut into cells of ``step`` blocks (the last may be short)."""
+    return [(start, min(start + step, hi)) for start in range(lo, hi, step)]
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
@@ -694,6 +731,13 @@ def _remove_quiet(path: str) -> None:
         pass
 
 
+def _clear_resume_files(out_dir: str) -> None:
+    """Remove every plan, journal and checkpoint file in ``out_dir``."""
+    for entry in os.listdir(out_dir):
+        if _RESUME_FILE.fullmatch(entry):
+            _remove_quiet(os.path.join(out_dir, entry))
+
+
 def describe_export_dir(out_dir: str) -> "str | None":
     """An actionable hint about what a non-empty export directory holds.
 
@@ -712,10 +756,7 @@ def describe_export_dir(out_dir: str) -> "str | None":
             "this looks like an interrupted resumable export — pass "
             "--resume to finish it, or --force to start over"
         )
-    # The distributed module owns this name; a literal here avoids
-    # importing the transport stack just to classify a directory
-    # (test_faults pins the two spellings together).
-    if "distributed-plan.json" in entries:
+    if DISTRIBUTED_PLAN_NAME in entries:
         return (
             "this looks like an interrupted distributed export — pass "
             "--backend distributed --resume to finish it, or --force to "
@@ -747,6 +788,206 @@ def _generator_fingerprint(generator) -> "str | None":
     if to_json is None:
         return None
     return hashlib.sha256(to_json().encode("utf-8")).hexdigest()
+
+
+def _start_run(
+    out_dir, plan_name, generator, fmt, size, when, root, chunk_size,
+    factories, manifest_name, /, **grid,
+) -> dict:
+    """Pin a fresh run's plan (the shared fields plus ``grid``); return it.
+
+    Every resume file already in ``out_dir`` goes first, whichever exporter
+    or build wrote it: this run never appends to another run's journal,
+    and no other exporter's plan outlives it to take over a later resume.
+    """
+    plan = make_envelope(
+        PLAN_KIND,
+        CHECKPOINT_STATE_VERSION,
+        {
+            "version": MANIFEST_VERSION,
+            "format": fmt,
+            "size": size,
+            "when": _when_as_float(when),
+            "entropy": str(root.entropy),
+            "spawn_key": [int(k) for k in root.spawn_key],
+            "block_size": RNG_BLOCK_SIZE,
+            "chunk_size": chunk_size,
+            "manifest_name": manifest_name,
+            "reducers": sorted(factories),
+            "generator_sha256": _generator_fingerprint(generator),
+            **grid,
+        },
+    )
+    _clear_resume_files(out_dir)
+    _write_json_atomic(os.path.join(out_dir, plan_name), plan)
+    return plan
+
+
+def _load_plan(out_dir: str, name: str, generator):
+    """Read and validate the plan file ``name``: ``(plan, seed root)``.
+
+    One ladder for both exporters: the envelope (an older build's plan gets
+    the ``--force`` hint), the shared run fields, the exporter's grid
+    fields (:data:`_EXPORTERS`) and the generator's parameter fingerprint.
+    Every failure is a :class:`StateError`.
+    """
+    path = os.path.join(out_dir, name)
+    where = f"export plan {path}"
+    plan = _load_json(path, "export plan")
+    kind, version = plan.get("kind"), plan.get("state_version")
+    if (kind, version) != (PLAN_KIND, CHECKPOINT_STATE_VERSION):
+        older = kind == "FleetDistributedPlan" or (
+            kind == PLAN_KIND
+            and isinstance(version, int)
+            and version < CHECKPOINT_STATE_VERSION
+        )
+        raise StateError(
+            f"{where} has kind {kind!r} / state_version {version!r}; "
+            + (
+                "an older build wrote this partial export and this one "
+                "cannot resume it; re-run the export with --force"
+                if older
+                else f"expected {PLAN_KIND} v{CHECKPOINT_STATE_VERSION}"
+            )
+        )
+    grid, formats = _EXPORTERS[name]
+    for field_name, minimum in {"size": 0, "chunk_size": 1, **grid}.items():
+        value = plan.get(field_name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise StateError(
+                f"{where} field {field_name!r} must be an integer >= "
+                f"{minimum}, got {value!r}"
+            )
+    if plan.get("version") != MANIFEST_VERSION:
+        raise StateError(
+            f"{where} targets manifest version {plan.get('version')!r}, "
+            f"not the supported {MANIFEST_VERSION}"
+        )
+    if plan.get("block_size") != RNG_BLOCK_SIZE:
+        raise StateError(
+            f"{where} used RNG block size {plan.get('block_size')!r}; this "
+            f"build generates {RNG_BLOCK_SIZE} and cannot reproduce its blocks"
+        )
+    if plan.get("format") not in formats:
+        raise StateError(
+            f"{where} has unknown format {plan.get('format')!r}; "
+            f"supported: {formats}"
+        )
+    if not isinstance(plan.get("when"), (int, float)):
+        raise StateError(f"{where} field 'when' is not numeric")
+    manifest_name = plan.get("manifest_name")
+    if (
+        not isinstance(manifest_name, str)
+        or manifest_name in ("", ".", "..")
+        or os.path.basename(manifest_name) != manifest_name
+    ):
+        raise StateError(f"{where} has an invalid manifest_name {manifest_name!r}")
+    names = plan.get("reducers")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise StateError(f"{where} field 'reducers' must be a list of names")
+    fingerprint = _generator_fingerprint(generator)
+    recorded = plan.get("generator_sha256")
+    if fingerprint != recorded:
+        raise StateError(
+            f"generator parameters (sha256 {str(fingerprint)[:12]}…) do not "
+            f"match the interrupted export's ({str(recorded)[:12]}…); pass the "
+            "same parameter set (--params) used by the original export"
+        )
+    try:
+        root = np.random.SeedSequence(
+            entropy=int(plan["entropy"]),
+            spawn_key=tuple(int(k) for k in plan["spawn_key"]),
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise StateError(f"{where} has an invalid seed: {error}")
+    return plan, root
+
+
+def _journal_line(records, digests, reducers) -> dict:
+    """The journal line of one finished grid cell.
+
+    Its block entries have the shape worker ``result`` frames carry; the
+    segment records' paths, shards and row ranges are not written, since
+    :func:`_decode_entries` derives them from the plan.
+    """
+    return {
+        "block_lo": records[0].block_lo,
+        "block_hi": records[-1].block_hi,
+        "blocks": [
+            {
+                "index": index,
+                "sha256": record.sha256,
+                "bytes": record.bytes,
+                "digest": digest.hex(),
+            }
+            for record, (index, digest) in zip(records, digests)
+        ],
+        "reducers": reducers.to_state(),
+    }
+
+
+def _decode_entries(blocks, cell, size: int, fmt: str, shard: int, where: str):
+    """Segment records and row digests of one cell's block entries.
+
+    Shared by journal restore and live ``result`` frames.  Each entry must
+    be the next block of ``cell`` with a byte count and two sha256 hex
+    digests; path, shard and row range come from the block index and the
+    run.  Anything malformed raises :class:`StateError` naming ``where``.
+    """
+    lo, hi = cell
+    if not isinstance(blocks, list) or len(blocks) != hi - lo:
+        raise StateError(f"{where} must carry exactly {hi - lo} block entries")
+    records: "list[SegmentRecord]" = []
+    digests: "list[tuple[int, bytes]]" = []
+    for index, entry in enumerate(blocks, start=lo):
+        if not isinstance(entry, dict) or entry.get("index") != index:
+            raise StateError(f"{where} entry {index - lo} is not block {index}")
+        sha, nbytes = entry.get("sha256"), entry.get("bytes")
+        digest = entry.get("digest")
+        if not all(
+            isinstance(value, str) and _SHA256_HEX.fullmatch(value)
+            for value in (sha, digest)
+        ):
+            raise StateError(f"{where} block {index} has a malformed sha256 or digest")
+        if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
+            raise StateError(f"{where} block {index} has a malformed byte count")
+        records.append(
+            _block_segment(
+                _block_name(index, fmt), shard, range(index, index + 1), size,
+                sha, nbytes,
+            )
+        )
+        digests.append((index, bytes.fromhex(digest)))
+    return records, digests
+
+
+def _load_journal(path: str, plan: dict, cells, shard: int = 0, ordered: bool = False):
+    """One journal's validated lines and the bytes they span.
+
+    Every line must be a cell of ``cells``, the plan's grid; with
+    ``ordered`` (a block-export shard) the lines must be those cells in
+    order from the first.  Returns ``([(cell, records, digests, reducer
+    state)], bytes)``.  Whether each entry still matches its file is the
+    exporter's check at restore (:func:`_read_matching_block`): the block
+    writer heals a block, the coordinator re-runs its lease.
+    """
+    lines, kept = _read_journal(path, "checkpoint journal")
+    loaded: "list[tuple]" = []
+    for number, line in enumerate(lines, start=1):
+        where = f"checkpoint {path} line {number}"
+        cell = (line.get("block_lo"), line.get("block_hi"))
+        if cell not in (cells[len(loaded):len(loaded) + 1] if ordered else cells):
+            raise StateError(
+                f"{where} blocks {list(cell)} are not "
+                f"{'the next cell' if ordered else 'a cell'} of the plan's grid"
+            )
+        if not isinstance(line.get("reducers"), dict):
+            raise StateError(f"{where} is missing its serialized reducer state")
+        records, digests = _decode_entries(
+            line.get("blocks"), cell, plan["size"], plan["format"], shard, where
+        )
+        loaded.append((cell, records, digests, line["reducers"]))
+    return loaded, kept
 
 
 def _write_block_file(path: str, block, fmt: str) -> "tuple[str, int, bytes]":
@@ -816,20 +1057,18 @@ def _read_matching_block(path: str, record: SegmentRecord) -> "bytes | None":
 def _write_block_shard(task: BlockTask):
     """Worker: write the task's blocks as per-block segments.
 
-    Reduces every block into the shard's :class:`ReducerSet` and, every
-    ``checkpoint_every`` blocks (and at the end of the range), appends one
-    fsynced line to the shard's checkpoint journal: the segment records
-    and block digests written since the previous line, the cumulative
-    ``blocks_done`` and the serialized reducer state.  A restart from
-    those lines continues bit-identically: the reducer state round-trips
-    exactly, and regenerated blocks are byte-identical by the
+    Reduces every block into the shard's :class:`ReducerSet` and, at the
+    end of each ``checkpoint_every``-block cell of the shard (the last
+    cell may be shorter), appends one fsynced :func:`_journal_line` to the
+    shard's journal with the shard's cumulative reducer state.  A restart
+    from those lines continues bit-identically: the reducer state
+    round-trips exactly, and regenerated blocks are byte-identical by the
     ``SeedSequence.spawn`` contract.
 
     ``task.checkpoint`` (when resuming) is the shard's journal as
-    :func:`_load_shard_journal` joined it; recorded block files are
-    re-verified against their digests and — being deterministic — simply
-    rewritten if missing or corrupt, without touching the restored
-    reducer state.
+    :func:`_run_block_export` joined it; recorded block files are re-verified
+    against their digests and — being deterministic — simply rewritten if
+    missing or corrupt, without touching the restored reducer state.
     """
     shard, blocks, fmt, out_dir = task.shard, task.blocks, task.fmt, task.out_dir
     checkpoint, checkpoint_every = task.checkpoint, task.checkpoint_every
@@ -843,16 +1082,17 @@ def _write_block_shard(task: BlockTask):
 
     if checkpoint is not None:
         reducers = ReducerSet.from_state(checkpoint["reducers"])
-        for record, digest in zip(checkpoint["segments"], checkpoint["digests"]):
+        journalled = zip(checkpoint["records"], checkpoint["digests"])
+        for record, (index, digest) in journalled:
             path = os.path.join(out_dir, record.path)
             data = _read_matching_block(path, record)
             if data is None:
-                [(_, block)] = task.generate(range(record.block_lo, record.block_hi))
+                [(_, block)] = task.generate(range(index, index + 1))
                 # Regeneration must reproduce the checkpointed rows exactly;
                 # failing fast here beats finishing an expensive resume
                 # whose manifest then fails `fleet verify`.  The row digest
                 # is format-independent, so it guards npz rewrites too.
-                if population_digest(block) != digest:
+                if population_digest(block) != digest.hex():
                     raise StateError(
                         f"regenerated {record.path} does not reproduce its "
                         f"checkpointed row digest; the resume environment "
@@ -864,7 +1104,7 @@ def _write_block_shard(task: BlockTask):
                 record = replace(record, sha256=sha, bytes=nbytes)
             shard_payload.update(data)
             records.append(record)
-            digests.append((record.block_lo, bytes.fromhex(digest)))
+            digests.append((index, digest))
     restored = logged = len(records)
 
     # Reducer updates are batched through the shared ChunkedFold (the same
@@ -882,31 +1122,6 @@ def _write_block_shard(task: BlockTask):
         with open(journal_path, "ab") as journal:
             journal.truncate(checkpoint["journal_bytes"] if checkpoint else 0)
 
-    def write_checkpoint() -> None:
-        nonlocal logged
-        fold.flush()
-        line = {
-            "kind": "FleetShardCheckpoint",
-            "state_version": CHECKPOINT_STATE_VERSION,
-            "shard": shard,
-            "block_lo": blocks.start,
-            "block_hi": blocks.stop,
-            "blocks_done": len(records),
-            # vars() reads the flat record as it is; asdict() would
-            # deep-copy every field of every record.
-            "segments": [vars(record) for record in records[logged:]],
-            "digests": [digest.hex() for _, digest in digests[logged:]],
-            "reducers": reducers.to_state(),
-        }
-        with open(journal_path, "ab") as journal:
-            _append_journal(
-                journal,
-                [line],
-                site=SITE_CHECKPOINT_WRITE,
-                fsync_site=SITE_CHECKPOINT_FSYNC,
-            )
-        logged = len(records)
-
     for index, block in task.generate(blocks[restored:]):
         name = _block_name(index, fmt)
         sha, nbytes, data = _write_block_file(os.path.join(out_dir, name), block, fmt)
@@ -920,7 +1135,16 @@ def _write_block_shard(task: BlockTask):
         if checkpoint_every and (
             done % checkpoint_every == 0 or index + 1 == blocks.stop
         ):
-            write_checkpoint()
+            fold.flush()
+            line = _journal_line(records[logged:], digests[logged:], reducers)
+            with open(journal_path, "ab") as journal:
+                _append_journal(
+                    journal,
+                    [line],
+                    site=SITE_CHECKPOINT_WRITE,
+                    fsync_site=SITE_CHECKPOINT_FSYNC,
+                )
+            logged = len(records)
         _fire(SITE_BLOCK_DONE)
     fold.flush()
     return records, reducers, digests, restored, shard_payload.hexdigest()
@@ -945,9 +1169,9 @@ def export_fleet_blocks(
 
     The resumable counterpart of :func:`export_fleet`: every RNG block
     becomes its own segment file, each shard worker appends its new
-    segment records and serialized reducer state to its checkpoint
+    block entries and serialized reducer state to its checkpoint
     journal every ``checkpoint_every`` blocks, and a
-    partial manifest (:data:`PLAN_NAME`) pins the run parameters so
+    plan (:data:`PLAN_NAME`) pins the run parameters so
     :func:`resume_export` can finish an interrupted run with identical
     manifest digests and statistics.  ``checkpoint_every`` and
     ``chunk_size`` are part of the run's determinism envelope (sketch
@@ -961,7 +1185,7 @@ def export_fleet_blocks(
     moments + correlation; plug in ``reducers``/``quantiles`` as in
     :func:`~repro.engine.sharding.generate_sharded`).
 
-    On success the journals and partial manifest are removed; the
+    On success the journals and plan are removed; the
     final manifest has ``layout="block"`` and verifies with
     :func:`verify_manifest` exactly like a shard-layout export.
     """
@@ -996,36 +1220,13 @@ def export_fleet_blocks(
                 f"this reducer set cannot be checkpointed: {error}; pass "
                 "checkpoint_every=0 or use state-restorable reducers"
             )
-    ranges = shard_block_ranges(block_count(size), shards)
-    plan = {
-        "kind": "FleetExportPlan",
-        "state_version": CHECKPOINT_STATE_VERSION,
-        "version": MANIFEST_VERSION,
-        "format": fmt,
-        "size": size,
-        "when": _when_as_float(when),
-        "entropy": str(root.entropy),
-        "spawn_key": [int(k) for k in root.spawn_key],
-        "shards": len(ranges),
-        "block_size": RNG_BLOCK_SIZE,
-        "checkpoint_every": checkpoint_every,
-        "chunk_size": chunk_size,
-        "manifest_name": manifest_name,
-        "reducers": sorted(factories),
-        "generator_sha256": _generator_fingerprint(generator),
-    }
-    # A fresh export invalidates every previous run's checkpoints in this
-    # directory, whatever shard count or build wrote them — remove them so
-    # this run never appends to another run's journal and a later resume
-    # cannot mix runs.
-    for entry in os.listdir(out_dir):
-        if _CHECKPOINT_FILE.fullmatch(entry):
-            _remove_quiet(os.path.join(out_dir, entry))
-    _write_json_atomic(os.path.join(out_dir, PLAN_NAME), plan)
-    return _run_block_export(
-        generator, plan, ranges, root, out_dir, factories,
-        [None] * len(ranges), start_method,
+    plan = _start_run(
+        out_dir, PLAN_NAME, generator, fmt, size, when, root, chunk_size,
+        factories, manifest_name,
+        shards=len(shard_block_ranges(block_count(size), shards)),
+        checkpoint_every=checkpoint_every,
     )
+    return _run_block_export(generator, plan, root, out_dir, factories, start_method)
 
 
 def resume_export(
@@ -1035,246 +1236,107 @@ def resume_export(
     reducers: "dict[str, ReducerFactory] | None" = None,
     quantiles: bool = False,
     start_method: "str | None" = None,
-) -> BlockExportResult:
-    """Finish an interrupted block-layout export.
+    workers: int = 2,
+    connect: "list[tuple[str, int]] | tuple" = (),
+    worker_timeout: "float | None" = None,
+    lease_depth: "int | None" = None,
+    token: "str | None" = None,
+    metrics_path: "str | None" = None,
+):
+    """Finish an interrupted export, whichever exporter started it.
 
-    Scans the partial manifest (:data:`PLAN_NAME`) and the per-shard
-    checkpoint journals, validates their schema versions, verifies the
-    digests of every checkpointed block file, restores reducer state
-    through ``from_state`` and regenerates only the blocks the
-    interrupted run never checkpointed.  The finished manifest, payload
-    bytes and reduced statistics are identical to an uninterrupted
-    :func:`export_fleet_blocks` run of the same parameters.
+    Runs the exporter whose plan it finds in ``out_dir``.  Size, date, seed
+    and grid come from the plan, and ``generator`` must have the
+    parameters the plan pins.  The finished manifest, payload bytes and
+    statistics equal an uninterrupted run's.
 
-    ``generator`` and ``reducers``/``quantiles`` must match the original
-    run (generator parameters are not serialized; reducer *names* are
-    cross-checked against the plan).  A corrupted or wrong-version plan
-    or checkpoint raises :class:`~repro.stats.state.StateError`, and so
-    does a partial export an older build wrote.  If the export already
+    * A block export (:data:`PLAN_NAME`) joins each shard's journal,
+      re-verifies every checkpointed block file (rewriting any that is
+      missing or torn), restores the last line's reducer state and
+      regenerates only the blocks never checkpointed.  ``reducers`` and
+      ``quantiles`` must match the original run; their names are checked
+      against the plan.  Returns a :class:`BlockExportResult`.
+    * A distributed export (:data:`DISTRIBUTED_PLAN_NAME`) restores every
+      journalled lease whose block files still verify and re-leases the
+      rest over the transport keywords (``workers`` … ``metrics_path``, as
+      :func:`~repro.engine.distributed.export_fleet_distributed` takes
+      them; ``worker_timeout`` and ``lease_depth`` default to that
+      backend's defaults).  Its reducer set comes from the plan.  Returns
+      a :class:`~repro.engine.distributed.DistributedExportResult`.
+
+    A corrupt, mismatched or older-build plan or journal raises
+    :class:`~repro.stats.state.StateError`.  If the export already
     finished, returns its manifest with ``statistics=None``.
     """
-    manifest_path = os.path.join(out_dir, manifest_name)
-    plan_path = os.path.join(out_dir, PLAN_NAME)
-    if not os.path.exists(plan_path):
-        if os.path.exists(manifest_path):
-            try:
-                manifest = FleetManifest.load(manifest_path)
-            except (OSError, KeyError, TypeError, ValueError) as error:
-                raise StateError(
-                    f"cannot read manifest {manifest_path}: {error}"
-                )
-            return BlockExportResult(
-                manifest=manifest, statistics=None, resumed_blocks=0
-            )
-        raise StateError(
-            f"nothing to resume in {out_dir}: no {PLAN_NAME} (and no "
-            f"{manifest_name}) found"
-        )
-    plan = _load_json(plan_path, "export plan")
-    state_version = plan.get("state_version")
-    if (
-        plan.get("kind") == "FleetExportPlan"
-        and isinstance(state_version, int)
-        and state_version < CHECKPOINT_STATE_VERSION
-    ):
-        raise StateError(
-            f"export plan {plan_path} has state_version {state_version}: an "
-            "older build wrote this partial export and this one cannot "
-            "resume it; re-run the export with --force"
-        )
-    if plan.get("kind") != "FleetExportPlan" or (
-        state_version != CHECKPOINT_STATE_VERSION
-    ):
-        raise StateError(
-            f"export plan {plan_path} has kind {plan.get('kind')!r} / "
-            f"state_version {plan.get('state_version')!r}; expected "
-            f"FleetExportPlan v{CHECKPOINT_STATE_VERSION}"
-        )
-    if plan.get("version") != MANIFEST_VERSION:
-        raise StateError(
-            f"export plan {plan_path} targets manifest version "
-            f"{plan.get('version')!r}, not the supported {MANIFEST_VERSION}"
-        )
-    if plan.get("block_size") != RNG_BLOCK_SIZE:
-        raise StateError(
-            f"export plan {plan_path} used RNG block size "
-            f"{plan.get('block_size')!r}; this build generates "
-            f"{RNG_BLOCK_SIZE} and cannot reproduce its blocks"
-        )
-    def _plan_int(name: str, minimum: int) -> int:
-        value = plan.get(name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    found = [
+        name for name in (PLAN_NAME, DISTRIBUTED_PLAN_NAME)
+        if os.path.exists(os.path.join(out_dir, name))
+    ]
+    if not found:
+        manifest_path = os.path.join(out_dir, manifest_name)
+        if not os.path.exists(manifest_path):
             raise StateError(
-                f"export plan {plan_path} field {name!r} must be an integer "
-                f">= {minimum}, got {value!r}"
+                f"nothing to resume in {out_dir}: no {PLAN_NAME} or "
+                f"{DISTRIBUTED_PLAN_NAME} (and no {manifest_name}) found"
             )
-        return value
+        try:
+            manifest = FleetManifest.load(manifest_path)
+        except (OSError, KeyError, TypeError, ValueError) as error:
+            raise StateError(f"cannot read manifest {manifest_path}: {error}")
+        return BlockExportResult(manifest=manifest, statistics=None, resumed_blocks=0)
+    plan, root = _load_plan(out_dir, found[0], generator)
+    if found[0] == DISTRIBUTED_PLAN_NAME:
+        from repro.engine.distributed import _resume_distributed
 
-    size = _plan_int("size", 0)
-    shards = _plan_int("shards", 1)
-    checkpoint_every = _plan_int("checkpoint_every", 0)
-    _plan_int("chunk_size", 1)
-    if plan.get("format") not in FORMATS:
-        raise StateError(
-            f"export plan {plan_path} has unknown format "
-            f"{plan.get('format')!r}; supported: {FORMATS}"
-        )
-    if not isinstance(plan.get("when"), (int, float)):
-        raise StateError(f"export plan {plan_path} field 'when' is not numeric")
-    name = plan.get("manifest_name")
-    if not isinstance(name, str) or os.path.basename(name) != name:
-        raise StateError(
-            f"export plan {plan_path} has an invalid manifest_name {name!r}"
+        return _resume_distributed(
+            generator, out_dir, plan, root, workers=workers, connect=connect,
+            worker_timeout=worker_timeout, lease_depth=lease_depth,
+            start_method=start_method, token=token, metrics_path=metrics_path,
         )
     factories = _resolve_factories(reducers, quantiles)
-    if sorted(factories) != plan.get("reducers"):
+    if sorted(factories) != plan["reducers"]:
         raise StateError(
             f"resume carries reducers {sorted(factories)} but the "
-            f"interrupted run used {plan.get('reducers')}; pass the same "
+            f"interrupted run used {plan['reducers']}; pass the same "
             "reducer set to resume_export"
         )
-    fingerprint = _generator_fingerprint(generator)
-    recorded = plan.get("generator_sha256")
-    if recorded is not None and fingerprint is not None and fingerprint != recorded:
-        raise StateError(
-            f"resume generator parameters (sha256 {fingerprint[:12]}…) differ "
-            f"from the interrupted run's ({str(recorded)[:12]}…); pass the "
-            "same parameter set (--params) used by the original export"
-        )
-    try:
-        root = np.random.SeedSequence(
-            entropy=int(plan["entropy"]),
-            spawn_key=tuple(int(k) for k in plan["spawn_key"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise StateError(f"export plan {plan_path} has an invalid seed: {error}")
-    ranges = shard_block_ranges(block_count(size), shards)
-    checkpoints: "list[dict | None]" = []
-    for shard, (lo, hi) in enumerate(ranges):
-        path = os.path.join(out_dir, _journal_name(shard))
-        checkpoints.append(
-            _load_shard_journal(path, shard, lo, hi, checkpoint_every)
-            if os.path.exists(path)
-            else None
-        )
-    return _run_block_export(
-        generator, plan, ranges, root, out_dir, factories, checkpoints,
-        start_method,
-    )
-
-
-def _load_shard_journal(
-    path: str, shard: int, lo: int, hi: int, checkpoint_every: int
-) -> "dict | None":
-    """Join one shard's checkpoint journal into the state a resume needs.
-
-    Returns the segment records and hex row digests of every
-    checkpointed block in order, the last line's reducer state and the
-    byte length of the complete lines (``None`` when no line survived).
-    Each line must continue the previous one at a checkpoint boundary:
-    its first record is the next block, ``blocks_done`` counts every
-    record so far, and it describes this plan's shard.  Everything the
-    worker consumes blindly is validated here, so every corruption mode
-    surfaces as the documented StateError (not a KeyError/TypeError
-    escaping through the pool).
-    """
-    lines, journal_bytes = _read_journal(path, "checkpoint journal")
-    if not lines:
-        return None
-    records: "list[SegmentRecord]" = []
-    digests: "list[str]" = []
-    for number, line in enumerate(lines, start=1):
-        where = f"checkpoint {path} line {number}"
-        if line.get("kind") != "FleetShardCheckpoint" or (
-            line.get("state_version") != CHECKPOINT_STATE_VERSION
-        ):
-            raise StateError(
-                f"{where} has kind {line.get('kind')!r} / state_version "
-                f"{line.get('state_version')!r}; expected "
-                f"FleetShardCheckpoint v{CHECKPOINT_STATE_VERSION}"
-            )
-        done = line.get("blocks_done")
-        segments = line.get("segments")
-        line_digests = line.get("digests")
-        if (
-            line.get("shard") != shard
-            or line.get("block_lo") != lo
-            or line.get("block_hi") != hi
-            or not isinstance(done, int)
-            or not isinstance(segments, list)
-            or not isinstance(line_digests, list)
-            or not len(records) < done <= hi - lo
-            or len(segments) != done - len(records)
-            or len(line_digests) != done - len(records)
-            or (
-                done != hi - lo
-                and (not checkpoint_every or done % checkpoint_every)
-            )
-        ):
-            raise StateError(
-                f"{where} does not continue shard {shard} blocks "
-                f"[{lo}, {hi}) of this plan at a checkpoint boundary"
-            )
-        if not isinstance(line.get("reducers"), dict):
-            raise StateError(f"{where} is missing its serialized reducer state")
-        for entry, digest in zip(segments, line_digests):
-            if not isinstance(digest, str):
-                raise StateError(f"{where} has a non-string digest")
-            try:
-                bytes.fromhex(digest)
-            except ValueError:
-                raise StateError(f"{where} has a malformed block digest {digest!r}")
-            if not isinstance(entry, dict):
-                raise StateError(f"{where} has a malformed segment")
-            try:
-                record = SegmentRecord(**entry)
-            except TypeError as error:
-                raise StateError(
-                    f"{where} has a malformed segment record: {error}"
-                )
-            # Blocks are written strictly in order, so the i-th record of
-            # the joined journal must be block lo+i exactly — a skipped,
-            # duplicated or shuffled record would otherwise splice the
-            # wrong rows into a manifest that still verifies.
-            position = lo + len(records)
-            if (
-                not isinstance(record.path, str)
-                or os.path.basename(record.path) != record.path
-                or record.block_lo != position
-                or record.block_hi != position + 1
-            ):
-                raise StateError(
-                    f"{where} segment {record.path!r} is not block "
-                    f"{position} of shard {shard} (blocks [{lo}, {hi}) in "
-                    "order)"
-                )
-            records.append(record)
-            digests.append(digest)
-    return {
-        "segments": records,
-        "digests": digests,
-        "reducers": lines[-1]["reducers"],
-        "journal_bytes": journal_bytes,
-    }
+    return _run_block_export(generator, plan, root, out_dir, factories, start_method)
 
 
 def _run_block_export(
-    generator, plan, ranges, root, out_dir, factories, checkpoints,
-    start_method=None,
+    generator, plan, root, out_dir, factories, start_method=None
 ) -> BlockExportResult:
-    """Drive the shard workers and finalise a block-layout manifest."""
+    """Drive the shard workers and finalise a block-layout manifest.
+
+    Each shard resumes from its journal's lines (a fresh run has none):
+    the records and digests of every checkpointed block and the last
+    line's cumulative reducer state.
+    """
     fmt, size, when = plan["format"], plan["size"], plan["when"]
-    tasks = [
-        BlockTask(
-            generator, when, size, root, range(lo, hi),
-            shard=shard, fmt=fmt, out_dir=out_dir,
-            chunk_size=plan.get("chunk_size", DEFAULT_CHUNK_SIZE),
-            factories=factories,
-            checkpoint_every=plan["checkpoint_every"],
-            checkpoint=checkpoints[shard],
+    every = plan["checkpoint_every"]
+    ranges = shard_block_ranges(block_count(size), plan["shards"])
+    tasks = []
+    for shard, (lo, hi) in enumerate(ranges):
+        path = os.path.join(out_dir, _journal_name(shard))
+        lines, kept = (
+            _load_journal(path, plan, _grid_cells(lo, hi, every), shard, ordered=True)
+            if every and os.path.exists(path)
+            else ([], 0)
         )
-        for shard, (lo, hi) in enumerate(ranges)
-    ]
+        checkpoint = {
+            "records": [record for _, records, _, _ in lines for record in records],
+            "digests": [digest for _, _, digests, _ in lines for digest in digests],
+            "reducers": lines[-1][3],
+            "journal_bytes": kept,
+        } if lines else None
+        tasks.append(
+            BlockTask(
+                generator, when, size, root, range(lo, hi),
+                shard=shard, fmt=fmt, out_dir=out_dir,
+                chunk_size=plan["chunk_size"], factories=factories,
+                checkpoint_every=every, checkpoint=checkpoint,
+            )
+        )
 
     start = time.perf_counter()
     results = fan_out(_write_block_shard, tasks, start_method)
@@ -1295,13 +1357,11 @@ def _run_block_export(
         root, len(ranges), segments,
         # A single shard's running payload digest covers the whole export.
         results[0][4] if len(tasks) == 1 else _payload_sha256(out_dir, segments),
-        all_digests, layout="block", checkpoint_every=plan["checkpoint_every"],
+        all_digests, layout="block", checkpoint_every=every,
     )
     # Finalised: the plan and journals are now redundant (and would
     # otherwise mark the directory as an interrupted run).
-    for shard in range(len(ranges)):
-        _remove_quiet(os.path.join(out_dir, _journal_name(shard)))
-    _remove_quiet(os.path.join(out_dir, PLAN_NAME))
+    _clear_resume_files(out_dir)
 
     statistics = FleetStatistics(
         size=size,

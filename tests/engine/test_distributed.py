@@ -43,7 +43,7 @@ from repro.engine import (
     fleet_digest,
     parse_endpoint,
     resolve_fleet_token,
-    resume_fleet_distributed,
+    resume_export,
     serve_worker,
     verify_manifest,
 )
@@ -55,7 +55,8 @@ from repro.engine.distributed import (
     recv_frame,
     send_frame,
 )
-from repro.faults import FaultPlan, FaultSpec, activate, deactivate
+from repro.engine.writer import PLAN_NAME, _read_journal, describe_export_dir
+from repro.faults import FaultInjected, FaultPlan, FaultSpec, activate, deactivate
 
 SEPT_2010 = 2010.667
 SEED = 20110611
@@ -1227,6 +1228,22 @@ class TestPooledWorkerHandle:
         assert result.manifest.to_json() == golden_result.manifest.to_json()
 
 
+def _resume_crash_main(out_dir):
+    """Child body: a resume that SIGKILLs its own process as its second
+    lease line is about to be appended, with one new line on disk."""
+    from repro.core.generator import CorrelatedHostGenerator
+    from repro.core.parameters import ModelParameters
+
+    spec = FaultSpec(
+        site="distributed.coordinator.checkpoint", kind="sigkill", after=2
+    )
+    activate(FaultPlan(faults=(spec,)))
+    resume_export(
+        CorrelatedHostGenerator(ModelParameters.paper_reference()), out_dir,
+        workers=2,
+    )
+
+
 def _coordinator_crash_main(out_dir):
     """Child body for the fork-based coordinator SIGKILL tests: the export
     SIGKILLs its own process after the second lease checkpoint."""
@@ -1281,7 +1298,7 @@ class TestCoordinatorCrashResume:
         assert not (out / DISTRIBUTED_LEASE_LOG).exists()
 
     def test_resume_is_byte_identical(self, crashed, paper_generator, golden):
-        result = resume_fleet_distributed(paper_generator, str(crashed), workers=2)
+        result = resume_export(paper_generator, str(crashed), workers=2)
         assert result.resumed_leases == 2
         self._assert_byte_identical(crashed, result, golden)
 
@@ -1290,7 +1307,7 @@ class TestCoordinatorCrashResume:
     ):
         with open(crashed / DISTRIBUTED_LEASE_LOG, "a") as handle:
             handle.write('{"kind": "FleetLeaseChec')  # torn mid-write tail
-        result = resume_fleet_distributed(paper_generator, str(crashed), workers=2)
+        result = resume_export(paper_generator, str(crashed), workers=2)
         assert result.resumed_leases == 2
         self._assert_byte_identical(crashed, result, golden)
 
@@ -1300,7 +1317,7 @@ class TestCoordinatorCrashResume:
         assert len(lines) == 2
         log.write_text('{"broken\n' + lines[1])
         with pytest.raises(StateError, match="not valid JSON"):
-            resume_fleet_distributed(paper_generator, str(crashed), workers=2)
+            resume_export(paper_generator, str(crashed), workers=2)
 
     def test_missing_checkpointed_block_regenerates_the_lease(
         self, crashed, paper_generator, golden
@@ -1309,13 +1326,13 @@ class TestCoordinatorCrashResume:
             (crashed / DISTRIBUTED_LEASE_LOG).read_text().splitlines()[0]
         )
         (crashed / f"block-{first['block_lo']:06d}.csv").unlink()
-        result = resume_fleet_distributed(paper_generator, str(crashed), workers=2)
+        result = resume_export(paper_generator, str(crashed), workers=2)
         assert result.resumed_leases == 1  # the gutted lease re-ran
         self._assert_byte_identical(crashed, result, golden)
 
     def test_resume_without_a_plan_raises(self, tmp_path, paper_generator):
         with pytest.raises(StateError, match="nothing to resume"):
-            resume_fleet_distributed(paper_generator, str(tmp_path), workers=1)
+            resume_export(paper_generator, str(tmp_path), workers=1)
 
     def test_resume_refuses_a_mismatched_generator(self, crashed, paper_generator):
         plan_path = crashed / DISTRIBUTED_PLAN_NAME
@@ -1323,4 +1340,148 @@ class TestCoordinatorCrashResume:
         plan["generator_sha256"] = "0" * 64
         plan_path.write_text(json.dumps(plan))
         with pytest.raises(StateError, match="do not match the interrupted export"):
-            resume_fleet_distributed(paper_generator, str(crashed), workers=1)
+            resume_export(paper_generator, str(crashed), workers=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("size", "9000"),
+            ("format", "parquet"),
+            ("when", "sept"),
+            ("manifest_name", "../escaped.json"),
+        ],
+    )
+    def test_corrupt_plan_fields_raise_state_error(
+        self, crashed, paper_generator, field, value
+    ):
+        """The block plan's corruption cases, on the distributed plan: a
+        StateError each, and nothing is written outside the directory."""
+        plan_path = crashed / DISTRIBUTED_PLAN_NAME
+        plan = json.loads(plan_path.read_text())
+        plan[field] = value
+        plan_path.write_text(json.dumps(plan))
+        with pytest.raises(StateError, match=field):
+            resume_export(paper_generator, str(crashed), workers=1)
+        assert not (crashed.parent / "escaped.json").exists()
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (lambda line: line["blocks"][0].__setitem__("bytes", "12"), "byte count"),
+            (lambda line: line.update(block_hi=line["block_lo"] + 2), "not a cell"),
+        ],
+    )
+    def test_malformed_journal_line_raises_state_error(
+        self, crashed, paper_generator, mutate, match
+    ):
+        log = crashed / DISTRIBUTED_LEASE_LOG
+        first, second = log.read_text().splitlines()
+        line = json.loads(first)
+        mutate(line)
+        log.write_text(json.dumps(line) + "\n" + second + "\n")
+        with pytest.raises(StateError, match=match):
+            resume_export(paper_generator, str(crashed), workers=1)
+
+    def test_older_build_plan_is_refused_in_one_line(
+        self, crashed, paper_generator, capsys
+    ):
+        """A version-1 ``FleetDistributedPlan``, as an older build wrote
+        it, is refused by the API and by both CLI resume spellings."""
+        from repro.cli import main
+
+        plan_path = crashed / DISTRIBUTED_PLAN_NAME
+        plan = json.loads(plan_path.read_text())
+        plan.update(kind="FleetDistributedPlan", state_version=1)
+        plan_path.write_text(json.dumps(plan))
+        with pytest.raises(StateError, match="older build.*--force"):
+            resume_export(paper_generator, str(crashed), workers=1)
+        for backend in (["--backend", "distributed", "--workers", "1"], []):
+            capsys.readouterr()
+            argv = ["fleet", "export", "--out-dir", str(crashed), "--resume"]
+            assert main(argv + backend) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+            assert "older build" in err and "--force" in err
+
+    def test_resume_serialises_no_restored_lease(
+        self, crashed, paper_generator, golden, monkeypatch
+    ):
+        """The journal is appended to, not rewritten: the coordinator
+        serialises reducer state only for the leases it runs."""
+        from repro.engine import ReducerSet
+
+        calls = []
+        to_state = ReducerSet.to_state
+
+        def counting(self):
+            calls.append(1)
+            return to_state(self)
+
+        monkeypatch.setattr(ReducerSet, "to_state", counting)
+        result = resume_export(paper_generator, str(crashed), workers=2)
+        assert result.resumed_leases == 2
+        assert len(calls) == result.metrics["leases_run"] == 3
+        self._assert_byte_identical(crashed, result, golden)
+
+    def test_torn_tail_resume_second_crash_second_resume(
+        self, crashed, paper_generator, golden
+    ):
+        """Torn tail, a resume whose coordinator is SIGKILLed too, a
+        second resume: the torn line was cut back before the first resume
+        appended, and the end state equals an uninterrupted run."""
+        log = crashed / DISTRIBUTED_LEASE_LOG
+        with open(log, "a") as handle:
+            handle.write('{"block_lo": 4, "block_hi')  # torn mid-append
+        proc = multiprocessing.get_context("fork").Process(
+            target=_resume_crash_main, args=(str(crashed),)
+        )
+        proc.start()
+        proc.join(180)
+        assert proc.exitcode == -signal.SIGKILL
+        lines, kept = _read_journal(str(log), "journal")
+        assert len(lines) == 3 and kept == log.stat().st_size
+        result = resume_export(paper_generator, str(crashed), workers=2)
+        assert result.resumed_leases == 3
+        self._assert_byte_identical(crashed, result, golden)
+
+    def test_fresh_block_export_clears_the_distributed_run(
+        self, crashed, paper_generator
+    ):
+        """A fresh block export over an interrupted distributed run leaves
+        nothing of it: the directory reads as a completed export, and a
+        resume cannot overwrite the manifest with another fleet's."""
+        export_fleet_blocks(
+            paper_generator, SEPT_2010, SIZE, SEED + 1, str(crashed),
+            shards=1, checkpoint_every=2,
+        )
+        assert not (crashed / DISTRIBUTED_PLAN_NAME).exists()
+        assert not (crashed / DISTRIBUTED_LEASE_LOG).exists()
+        assert "completed export" in describe_export_dir(str(crashed))
+        before = (crashed / "manifest.json").read_bytes()
+        result = resume_export(paper_generator, str(crashed), workers=1)
+        assert result.statistics is None
+        assert (crashed / "manifest.json").read_bytes() == before
+
+    def test_fresh_distributed_export_clears_the_block_run(
+        self, tmp_path, paper_generator
+    ):
+        """The other direction: an interrupted block export's plan and
+        journal do not survive a fresh distributed export."""
+        activate(FaultPlan(faults=(
+            FaultSpec(site="writer.block.done", kind="raise", after=3),
+        )))
+        try:
+            with pytest.raises(FaultInjected):
+                export_fleet_blocks(
+                    paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                    shards=1, checkpoint_every=2,
+                )
+        finally:
+            deactivate()
+        assert (tmp_path / "checkpoint-0000.jsonl").exists()
+        export_fleet_distributed(
+            paper_generator, SEPT_2010, SIZE, SEED + 1, str(tmp_path), workers=1
+        )
+        assert not (tmp_path / PLAN_NAME).exists()
+        assert not list(tmp_path.glob("checkpoint-*"))
+        assert "completed export" in describe_export_dir(str(tmp_path))

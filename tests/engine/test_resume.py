@@ -261,7 +261,7 @@ class TestResumeRejections:
                 shards=1, checkpoint_every=1,
             )
         _rewrite_journal_line(
-            _journal(tmp_path), -1, lambda line: line.__setitem__("blocks_done", 999)
+            _journal(tmp_path), -1, lambda line: line.__setitem__("block_hi", 999)
         )
         with pytest.raises(StateError, match="checkpoint"):
             resume_export(paper_generator, str(tmp_path))
@@ -319,18 +319,22 @@ class TestResumeRejections:
         "mutate",
         [
             lambda checkpoint: checkpoint.pop("reducers"),
-            lambda checkpoint: checkpoint["digests"].__setitem__(0, "zz-not-hex"),
-            lambda checkpoint: checkpoint["segments"][0].pop("sha256"),
-            lambda checkpoint: checkpoint["segments"][0].__setitem__(
-                "path", "../outside.csv"
+            lambda checkpoint: checkpoint["blocks"][0].__setitem__(
+                "digest", "zz-not-hex"
+            ),
+            lambda checkpoint: checkpoint["blocks"][0].pop("sha256"),
+            # an entry's file name derives from its index, so a path-like
+            # index cannot point a record outside the export
+            lambda checkpoint: checkpoint["blocks"][0].__setitem__(
+                "index", "../outside.csv"
             ),
             # duplicated record: block 0 listed twice (and block 1 dropped)
             # must not splice a wrong-but-verifiable fleet together
-            lambda checkpoint: checkpoint["segments"].__setitem__(
-                1, checkpoint["segments"][0]
+            lambda checkpoint: checkpoint["blocks"].__setitem__(
+                1, checkpoint["blocks"][0]
             ),
             # shuffled records are equally invalid
-            lambda checkpoint: checkpoint["segments"].reverse(),
+            lambda checkpoint: checkpoint["blocks"].reverse(),
         ],
     )
     def test_corrupt_checkpoint_fields_raise_state_error(
@@ -376,8 +380,8 @@ class TestResumeRejections:
         (tmp_path / "block-000000.csv").write_bytes(b"torn")
 
         def forge(line):
-            line["digests"][0] = "ab" * 32
-            line["segments"][0]["sha256"] = "cd" * 32
+            line["blocks"][0]["digest"] = "ab" * 32
+            line["blocks"][0]["sha256"] = "cd" * 32
 
         _rewrite_journal_line(_journal(tmp_path), 0, forge)
         with pytest.raises(StateError, match="does not reproduce"):
@@ -487,7 +491,7 @@ class TestJournal:
             deactivate()
         data = _journal(out).read_bytes()
         first, torn = data.split(b"\n")
-        assert json.loads(first)["blocks_done"] == CHECKPOINT_EVERY and torn
+        assert json.loads(first)["block_hi"] == CHECKPOINT_EVERY and torn
         resumed = resume_export(paper_generator, str(out), quantiles=True)
         assert resumed.resumed_blocks == CHECKPOINT_EVERY
         _assert_identical_runs(golden_dir, golden_result, out, resumed)
@@ -505,8 +509,8 @@ class TestJournal:
     def test_line_that_skips_a_block_raises(
         self, tmp_path, paper_generator, recount
     ):
-        """Dropping a middle line leaves a gap; with ``blocks_done``
-        recounted to hide it, the first record still betrays it."""
+        """Dropping a middle line leaves a gap; with the line's block
+        range rewritten to hide it, its first entry still betrays it."""
         out = tmp_path / "gap"
         self._interrupt(paper_generator, out, 3, checkpoint_every=1)
         journal = _journal(out)
@@ -515,9 +519,9 @@ class TestJournal:
         journal.write_text(lines[0] + lines[2])
         if recount:
             _rewrite_journal_line(
-                journal, 1, lambda line: line.__setitem__("blocks_done", 2)
+                journal, 1, lambda line: line.update(block_lo=1, block_hi=2)
             )
-        match = "is not block 1" if recount else "does not continue"
+        match = "is not block 1" if recount else "not the next cell"
         with pytest.raises(StateError, match=match):
             resume_export(paper_generator, str(out), quantiles=True)
 
@@ -528,12 +532,11 @@ class TestJournal:
         self._interrupt(paper_generator, out, 4)
 
         def drop_last_block(line):
-            line["segments"].pop()
-            line["digests"].pop()
-            line["blocks_done"] -= 1
+            line["blocks"].pop()
+            line["block_hi"] -= 1
 
         _rewrite_journal_line(_journal(out), -1, drop_last_block)
-        with pytest.raises(StateError, match="checkpoint boundary"):
+        with pytest.raises(StateError, match="not the next cell of the plan's grid"):
             resume_export(paper_generator, str(out), quantiles=True)
 
     @pytest.mark.parametrize("fmt", ["csv", "npz"])
@@ -564,7 +567,8 @@ class TestJournal:
         for journal in journals:
             # The torn tail was cut away before the resumed run appended.
             lines, kept = writer._read_journal(str(journal), "journal")
-            assert [line["blocks_done"] for line in lines] == [2, 4]
+            first = lines[0]["block_lo"]
+            assert [line["block_hi"] - first for line in lines] == [2, 4]
             assert kept == journal.stat().st_size
         resumed = resume_export(paper_generator, str(out), quantiles=True)
         assert resumed.resumed_blocks == 4 * shards
@@ -614,14 +618,13 @@ class TestJournal:
             deactivate()
         for shard, (lo, hi) in enumerate(writer.shard_block_ranges(20, shards)):
             lines = _journal_lines(_journal(out, shard))
-            counts = [len(line["segments"]) for line in lines]
+            counts = [len(line["blocks"]) for line in lines]
             full, rest = divmod(hi - lo, every)
             assert counts == [every] * full + ([rest] if rest else [])
-            assert [len(line["digests"]) for line in lines] == counts
-            blocks = [s["block_lo"] for line in lines for s in line["segments"]]
+            blocks = [entry["index"] for line in lines for entry in line["blocks"]]
             assert blocks == list(range(lo, hi))
-            assert [line["blocks_done"] for line in lines] == [
-                sum(counts[: i + 1]) for i in range(len(counts))
+            assert [(line["block_lo"], line["block_hi"]) for line in lines] == [
+                (start, min(start + every, hi)) for start in range(lo, hi, every)
             ]
         resumed = resume_export(paper_generator, str(out))
         assert resumed.resumed_blocks == 20
@@ -656,9 +659,25 @@ class TestFreshRunsAndOldExports:
         assert checkpoints == ["checkpoint-0000.jsonl"]
         assert (out / "notes.txt").exists()
         lines = _journal_lines(_journal(out))
-        assert [line["blocks_done"] for line in lines] == [CHECKPOINT_EVERY]
+        assert [line["block_hi"] for line in lines] == [CHECKPOINT_EVERY]
         resumed = resume_export(paper_generator, str(out), quantiles=True)
         _assert_identical_runs(golden_dir, golden_result, out, resumed)
+
+    def test_shard_export_clears_an_interrupted_run(self, tmp_path, paper_generator):
+        """A shard-layout export over an interrupted block export leaves
+        no plan behind for a later resume to finish over its manifest."""
+        with _interrupted_after(3):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                shards=1, checkpoint_every=CHECKPOINT_EVERY,
+            )
+        export_fleet(paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path), shards=2)
+        assert not (tmp_path / writer.PLAN_NAME).exists()
+        assert not list(tmp_path.glob("checkpoint-*"))
+        assert "completed export" in writer.describe_export_dir(str(tmp_path))
+        before = (tmp_path / "manifest.json").read_bytes()
+        assert resume_export(paper_generator, str(tmp_path)).statistics is None
+        assert (tmp_path / "manifest.json").read_bytes() == before
 
     def _older_build_partial_export(self, out, paper_generator):
         """A partial export as a version-1 build left it: plan v1 and a
@@ -698,6 +717,71 @@ class TestFreshRunsAndOldExports:
                      str(tmp_path), "--checkpoint-every", "2", "--force"]) == 0
         assert not list(tmp_path.glob("checkpoint-*"))
         assert verify_manifest(str(tmp_path / "manifest.json")).ok
+
+    def test_version_2_partial_export_is_refused(
+        self, tmp_path, paper_generator, capsys
+    ):
+        """A version-2 block plan (the journal's previous line shape) is
+        an older build's too: refused by the API and by the CLI in one
+        line naming --force."""
+        from repro.cli import main
+
+        with _interrupted_after(2):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                shards=1, checkpoint_every=1,
+            )
+        plan_path = tmp_path / writer.PLAN_NAME
+        plan = json.loads(plan_path.read_text())
+        plan["state_version"] = 2
+        plan_path.write_text(json.dumps(plan, indent=2))
+        with pytest.raises(StateError, match="older build.*--force"):
+            resume_export(paper_generator, str(tmp_path))
+        capsys.readouterr()
+        assert main(["fleet", "export", "--resume", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "older build" in err and "--force" in err
+
+
+class TestMalformedJournalEntries:
+    """Every malformed journal entry is a typed one-line CLI failure."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda line: line["blocks"][0].__setitem__("bytes", "12"),
+            lambda line: line["blocks"][0].__setitem__("bytes", None),
+            lambda line: line["blocks"][0].__setitem__("sha256", "ab12"),
+            lambda line: line["blocks"][0].__setitem__("sha256", "zz" * 32),
+            lambda line: line["blocks"][0].__setitem__("digest", "ab12"),
+            lambda line: line["blocks"][0].__setitem__("digest", "zz" * 32),
+            lambda line: line["blocks"][1].__setitem__("index", 0),
+            lambda line: line.update(block_lo=1, block_hi=3),
+        ],
+        ids=[
+            "bytes-string", "bytes-null", "sha256-short", "sha256-not-hex",
+            "digest-short", "digest-not-hex", "index-not-next", "not-a-cell",
+        ],
+    )
+    def test_cli_resume_exits_1_with_one_line(
+        self, tmp_path, paper_generator, capsys, mutate
+    ):
+        from repro.cli import main
+
+        with _interrupted_after(2):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                shards=1, checkpoint_every=2,
+            )
+        _rewrite_journal_line(_journal(tmp_path), 0, mutate)
+        with pytest.raises(StateError, match="checkpoint"):
+            resume_export(paper_generator, str(tmp_path))
+        capsys.readouterr()
+        assert main(["fleet", "export", "--resume", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("fleet export --resume: checkpoint")
 
 
 class TestCompaction:
