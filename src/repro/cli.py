@@ -109,19 +109,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _check_fleet_ints(
     args: argparse.Namespace, command: str = "fleet"
 ) -> "str | None":
-    """Clear error message for an out-of-range numeric option (else None).
+    """Clear error message for an out-of-range option value (else None).
 
     The one validation path every command shares — the ``fleet``
     sub-modes *and* the legacy ``trace``/``predict``/``validate``/
     ``simulate``/``generate`` commands — so new flags cannot invent a
     divergent policy: positive integers (``--shards``, ``--chunk-size``,
-    ``--lease-blocks``, ``--lease-depth``, ``--max-jobs``, ``--hosts``,
-    ``--fault-after`` and friends), non-negative integers (``--size``,
+    ``--lease-blocks``, ``--lease-depth``, ``--max-jobs``, ``--hosts``
+    and friends), non-negative integers (``--size``,
     ``--checkpoint-every``, ``--workers``, every ``--seed``), positive
-    floats (``--scale``, ``--year``) and the TCP port range (``--port``;
-    0 asks the OS for an ephemeral port).  Options absent from the
-    invoked command's namespace are skipped; argparse itself already
-    rejects non-numeric garbage with the same exit status 2.
+    floats (``--scale``, ``--year``), the TCP port range (``--port``;
+    0 asks the OS for an ephemeral port) and ``--date`` (checked before
+    anything is written).  Options absent from the invoked command's
+    namespace are skipped; argparse itself already rejects non-numeric
+    garbage with the same exit status 2.
     """
     positive = (
         ("shards", "--shards"),
@@ -130,8 +131,6 @@ def _check_fleet_ints(
         ("lease_depth", "--lease-depth"),
         ("max_jobs", "--max-jobs"),
         ("hosts", "--hosts"),
-        ("fault_after", "--fault-after"),
-        ("coordinator_fault_after", "--coordinator-fault-after"),
         ("drain_after", "--drain-after"),
         ("runs", "--runs"),
         ("validate_size", "--size"),  # fleet validate: a fleet of >= 1 host
@@ -163,104 +162,236 @@ def _check_fleet_ints(
     port = getattr(args, "port", None)
     if port is not None and not 0 <= port <= 65535:
         return f"{command}: --port must be in [0, 65535] (got {port})"
+    for attr in ("date", "validate_date"):
+        value = getattr(args, attr, None)
+        try:
+            if value is not None:
+                year_fraction(parse_date(value))
+        except (ValueError, OverflowError):
+            return f"{command}: --date must be YYYY-MM-DD or a year (got {value!r})"
     return None
 
 
-def _arm_fault_spec(
-    args: argparse.Namespace, command: str
-) -> "str | None":
-    """Arm ``--fault-spec`` (a plan file or inline shorthand) for this
-    process and all its children; returns an error message (exit 2) for
-    a malformed plan, else None.
+def _check_export_flags(args: argparse.Namespace, command: str) -> "str | None":
+    """The usage error (exit 2) in the export flags, else None.
 
-    The deprecated ``--fault-after N`` / ``--coordinator-fault-after N``
-    aliases become plans here (README § Fault injection has the table).
-
-    The firing log and ``once`` markers land in ``OUT_DIR.faults`` —
-    *beside* the export directory, never inside it, so injected faults
-    cannot dirty the manifest layout they are attacking.
+    ``fleet export`` and ``fleet scenario run`` take the same flags and
+    share this check.  A resume reads its layout and backend from the
+    plan, so it takes the transport flags whatever ``--backend`` says.
     """
-    legacy = []
-    if args.fault_after is not None:
-        site = (
-            "distributed.worker.block:kind=sigkill,once=true"
-            if args.backend == "distributed"
-            else "writer.block.done:kind=raise"
-        )
-        legacy.append(f"{site},after={args.fault_after}")
-    if args.coordinator_fault_after is not None:
-        legacy.append(
-            "distributed.coordinator.checkpoint:kind=sigkill,"
-            f"after={args.coordinator_fault_after + 1}"
-        )
-    if args.fault_spec and legacy:
-        return (
-            f"{command}: --fault-spec cannot be combined with "
-            "--fault-after/--coordinator-fault-after"
-        )
-    spec_text = args.fault_spec or ";".join(legacy)
-    if not spec_text:
+    if args.out_dir is None:  # a scenario summary
+        if (
+            args.checkpoint_every or args.resume or args.force or args.fault_spec
+            or args.connect or args.token_file or args.metrics
+            or args.backend != "local" or args.format != "csv"
+            or args.lease_depth != 1
+        ):
+            return (
+                f"{command}: --backend, --checkpoint-every, --resume, --force, "
+                "--fault-spec and the other export flags shape exports; "
+                "pass --out-dir"
+            )
         return None
-    from repro.faults import FaultPlanError, arm_process, plan_from_cli_arg
+    problem = None
+    if args.backend == "distributed":
+        if args.checkpoint_every:
+            problem = (
+                "--checkpoint-every applies to the local backend only "
+                "(distributed runs checkpoint every completed lease)"
+            )
+        elif args.format != "csv":
+            problem = "--backend distributed writes csv segments only"
+        elif args.workers == 0 and not args.connect:
+            problem = (
+                "distributed backend needs --workers >= 1 or at least one "
+                "--connect HOST:PORT"
+            )
+    elif not args.resume:  # a resume runs the backend its plan names
+        if args.connect:
+            problem = "--connect requires --backend distributed"
+        elif args.token_file or args.metrics:
+            problem = "--token-file and --metrics require --backend distributed"
+        elif args.lease_depth != 1:
+            problem = "--lease-depth requires --backend distributed"
+    if not problem and args.checkpoint_every and args.format == "npz-columnar":
+        problem = (
+            "npz-columnar writes whole columns and has no per-block segments "
+            "to checkpoint; drop --checkpoint-every or use --format csv/npz"
+        )
+    if not problem:
+        from repro.engine import parse_endpoint
 
-    try:
-        plan = plan_from_cli_arg(spec_text, seed=getattr(args, "seed", 0))
-    except FaultPlanError as error:
-        return f"{command}: --fault-spec {error}"
-    state_dir = os.path.abspath(args.out_dir) + ".faults"
-    arm_process(plan, state_dir=state_dir)
-    return None
+        try:
+            for spec in args.connect or ():
+                parse_endpoint(spec)
+        except ValueError as error:
+            problem = str(error)
+    return f"{command}: {problem}" if problem else None
 
 
-def _export_failures() -> tuple:
-    """Export failures reported in one line with exit 1, not a traceback:
-    injected faults, spent retries, I/O errors and lost pool workers."""
-    from repro.engine import RetryError, WorkerDiedError
-    from repro.faults import FaultInjected
+def _export(
+    args: argparse.Namespace,
+    command: str,
+    make_generator,
+    seed: int,
+    reducers: "dict | None" = None,
+    noun: str = "hosts",
+) -> int:
+    """Export one fleet for ``command`` (``fleet export`` or ``fleet
+    scenario run --out-dir``): validate the flags, refuse a non-empty
+    ``--out-dir``, arm ``--fault-spec``, resolve the token, then resume
+    or run the distributed, block or shard exporter and print the result
+    with :func:`_print_export`.
 
-    return (FaultInjected, RetryError, OSError, WorkerDiedError)
-
-
-def _resume(command: str, generator, out_dir: str, **keywords):
-    """Finish the interrupted export in ``out_dir`` for ``command``.
-
-    ``resume_export`` runs the exporter whose plan it finds.  Prints what
-    was restored and returns the result; on failure prints one line and
-    returns ``None``.
+    The target is ``make_generator()``, the run ``seed`` and the
+    ``reducers`` of the resumable layouts (``None``: the host defaults).
+    Exit codes: 0 ok, 1 a failed export (one line: a resumable layout
+    names ``--resume``, the shard layout says to re-run), 2 a usage error.
     """
-    from repro.engine import BlockExportResult, StateError, resume_export
+    from repro.engine import (
+        StateError,
+        describe_export_dir,
+        export_fleet,
+        export_fleet_blocks,
+        export_fleet_distributed,
+        parse_endpoint,
+        resolve_fleet_token,
+        resume_export,
+    )
 
-    try:
-        result = resume_export(generator, out_dir, **keywords)
-    except StateError as error:
-        sys.stderr.write(f"{command} --resume: {error}\n")
-        return None
-    except (RuntimeError, ValueError, OSError) as error:
-        # Worker-fleet death, injected faults, spent retries and I/O
-        # errors all leave the plan behind for the next resume.
+    problem = _check_fleet_ints(args, command) or _check_export_flags(args, command)
+    if problem:
+        sys.stderr.write(problem + "\n")
+        return 2
+    out_dir = args.out_dir
+    if (
+        not (args.resume or args.force)
+        and os.path.isdir(out_dir)
+        and os.listdir(out_dir)
+    ):
+        entries = sorted(os.listdir(out_dir))
+        shown = ", ".join(entries[:4])
+        if len(entries) > 4:
+            shown += f", … {len(entries) - 4} more"
+        hint = describe_export_dir(out_dir) or "pass --force to export anyway"
         sys.stderr.write(
-            f"{command}: {error} — the partial layout in {out_dir} resumes "
-            "with --resume\n"
+            f"{command}: {out_dir} is not empty (contains {shown}); exporting "
+            "would mix old and new segments (and `fleet verify` could pass "
+            f"against stale files) — {hint}\n"
         )
-        return None
-    if result.statistics is None:
-        print(f"{out_dir} is already finalised; nothing to resume")
-    elif isinstance(result, BlockExportResult):
-        fresh = len(result.manifest.segments) - result.resumed_blocks
-        print(
-            f"resumed: {result.resumed_blocks} block(s) restored from "
-            f"checkpoints, {fresh} regenerated"
-        )
-    else:
+        return 2
+    if args.fault_spec:
+        from repro.faults import FaultPlanError, arm_process, plan_from_cli_arg
+
+        try:
+            plan = plan_from_cli_arg(args.fault_spec, seed=args.seed)
+        except FaultPlanError as error:
+            sys.stderr.write(f"{command}: --fault-spec {error}\n")
+            return 2
+        # The firing log and ``once`` markers land beside the export
+        # directory, never inside it, so injected faults cannot dirty the
+        # manifest layout they are attacking.
+        arm_process(plan, state_dir=os.path.abspath(out_dir) + ".faults")
+    token = None
+    if args.backend == "distributed" or args.resume:
+        try:
+            token = resolve_fleet_token(args.token_file)
+        except (OSError, ValueError) as error:
+            sys.stderr.write(f"{command}: {error}\n")
+            return 2
+    transport = dict(
+        workers=args.workers,
+        connect=[parse_endpoint(spec) for spec in args.connect or ()],
+        lease_depth=args.lease_depth,
+        token=token,
+        metrics_path=args.metrics,
+    )
+    generator = make_generator()
+    when = year_fraction(parse_date(args.date))
+    try:
+        if args.resume:
+            result = resume_export(generator, out_dir, reducers=reducers, **transport)
+        elif args.backend == "distributed":
+            result = export_fleet_distributed(
+                generator, when, args.size, seed, out_dir,
+                chunk_size=args.chunk_size, lease_blocks=args.lease_blocks,
+                reducers=reducers, **transport,
+            )
+        elif args.checkpoint_every:
+            # --chunk-size bounds the reducer fold batches and is pinned
+            # into the plan as part of the determinism envelope.
+            result = export_fleet_blocks(
+                generator, when, args.size, seed, out_dir, shards=args.shards,
+                fmt=args.format, checkpoint_every=args.checkpoint_every,
+                chunk_size=args.chunk_size, reducers=reducers,
+            )
+        else:
+            result = export_fleet(
+                generator, when, args.size, seed, out_dir, shards=args.shards,
+                fmt=args.format,
+            )
+    except (RuntimeError, ValueError, OSError) as error:
+        # Lost workers (pool or socket), injected faults, spent retries,
+        # auth failures and I/O errors; a resumable layout keeps its plan.
+        if args.resume and isinstance(error, StateError):
+            sys.stderr.write(f"{command} --resume: {error}\n")
+        elif args.resume or args.backend == "distributed" or args.checkpoint_every:
+            sys.stderr.write(
+                f"{command}: {error} — the partial layout in {out_dir} "
+                "resumes with --resume\n"
+            )
+        else:
+            sys.stderr.write(
+                f"{command}: {error} — the per-shard layout keeps no "
+                "checkpoints; re-run the export\n"
+            )
+        return 1
+    _print_export(args, result, noun)
+    return 0
+
+
+def _print_export(args: argparse.Namespace, result, noun: str) -> None:
+    """Print what an export or resume did, then the manifest summary."""
+    from repro.engine import DistributedExportResult
+
+    manifest = getattr(result, "manifest", result)
+    if args.resume and result.statistics is None:
+        print(f"{args.out_dir} is already finalised; nothing to resume")
+    elif isinstance(result, DistributedExportResult):
         print(
             f"distributed: {result.workers} worker(s), "
             f"{result.reassigned_leases} lease(s) reassigned, "
             f"{result.metrics['drained_workers']} drained"
         )
-        print(f"resumed: {result.resumed_leases} lease(s) restored from checkpoints")
-        if keywords.get("metrics_path"):
-            print(f"metrics: {keywords['metrics_path']}")
-    return result
+        if args.resume:
+            print(
+                f"resumed: {result.resumed_leases} lease(s) restored from "
+                "checkpoints"
+            )
+        if args.metrics:
+            print(f"metrics: {args.metrics}")
+    elif args.resume:
+        print(
+            f"resumed: {result.resumed_blocks} block(s) restored from "
+            f"checkpoints, {len(manifest.segments) - result.resumed_blocks} "
+            "regenerated"
+        )
+    print(
+        f"exported {manifest.size} {noun} @ {manifest.when:.3f} as "
+        f"{len(manifest.segments)} {manifest.format} "
+        f"{manifest.layout} segment(s) to {args.out_dir}"
+    )
+    if manifest.layout == "shard":
+        for segment in manifest.segments:
+            print(
+                f"  {segment.path}  rows [{segment.row_lo}, {segment.row_hi})  "
+                f"sha256 {segment.sha256[:16]}…"
+            )
+    elif manifest.checkpoint_every:
+        print(f"  checkpoint every {manifest.checkpoint_every} block(s)")
+    print(f"payload sha256: {manifest.payload_sha256}")
+    print(f"fleet sha256:   {manifest.fleet_sha256}")
+    print(f"manifest: {args.out_dir}/manifest.json")
 
 
 def _fleet_stats_writing_csv(generator, when, args):
@@ -367,182 +498,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_export(args: argparse.Namespace) -> int:
-    """``fleet export``: sharded segment + manifest writer (resumable)."""
-    from repro.engine import export_fleet, export_fleet_blocks, parse_endpoint
-
-    problem = _check_fleet_ints(args, "fleet export")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
-    connect_specs = args.connect or []
-    endpoints: "list[tuple[str, int]]" = []
-    if args.backend == "distributed":
-        if args.checkpoint_every:
-            problem = (
-                "--checkpoint-every applies to the local backend only "
-                "(distributed runs checkpoint every completed lease)"
-            )
-        elif args.format != "csv":
-            problem = "--backend distributed writes csv segments only"
-        elif args.workers == 0 and not connect_specs:
-            problem = (
-                "distributed backend needs --workers >= 1 or at least one "
-                "--connect HOST:PORT"
-            )
-        else:
-            try:
-                endpoints = [parse_endpoint(spec) for spec in connect_specs]
-            except ValueError as error:
-                problem = str(error)
-    elif connect_specs:
-        problem = "--connect requires --backend distributed"
-    elif args.token_file or args.metrics:
-        problem = "--token-file and --metrics require --backend distributed"
-    elif args.lease_depth != 1:
-        problem = "--lease-depth requires --backend distributed"
-    if not problem and args.checkpoint_every and args.format == "npz-columnar":
-        problem = (
-            "npz-columnar writes whole columns and has no per-block segments "
-            "to checkpoint; drop --checkpoint-every or use --format csv/npz"
-        )
-    if problem:
-        sys.stderr.write(f"fleet export: {problem}\n")
-        return 2
-    if (
-        not args.resume
-        and os.path.isdir(args.out_dir)
-        and os.listdir(args.out_dir)
-        and not args.force
-    ):
-        from repro.engine import describe_export_dir
-
-        entries = sorted(os.listdir(args.out_dir))
-        shown = ", ".join(entries[:4])
-        if len(entries) > 4:
-            shown += f", … {len(entries) - 4} more"
-        hint = describe_export_dir(args.out_dir)
-        sys.stderr.write(
-            f"fleet export: {args.out_dir} is not empty (contains {shown}); "
-            "exporting would mix old and new segments (and `fleet verify` "
-            "could pass against stale files) — "
-            f"{hint or 'pass --force to export anyway'}\n"
-        )
-        return 2
-    problem = _arm_fault_spec(args, "fleet export")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
-    params = _load_parameters(args.params)
-    generator = CorrelatedHostGenerator(params)
-    token = None
-    if args.backend == "distributed":
-        from repro.engine import resolve_fleet_token
-
-        try:
-            token = resolve_fleet_token(args.token_file)
-        except (OSError, ValueError) as error:
-            sys.stderr.write(f"fleet export: {error}\n")
-            return 2
-    if args.resume:
-        result = _resume(
-            "fleet export", generator, args.out_dir, workers=args.workers,
-            connect=endpoints, lease_depth=args.lease_depth, token=token,
-            metrics_path=args.metrics,
-        )
-        if result is None:
-            return 1
-        manifest = result.manifest
-    elif args.backend == "distributed":
-        from repro.engine import export_fleet_distributed
-
-        try:
-            result = export_fleet_distributed(
-                generator,
-                year_fraction(parse_date(args.date)),
-                args.size,
-                args.seed,
-                args.out_dir,
-                workers=args.workers,
-                connect=endpoints,
-                chunk_size=args.chunk_size,
-                lease_blocks=args.lease_blocks,
-                lease_depth=args.lease_depth,
-                token=token,
-                metrics_path=args.metrics,
-            )
-        except (RuntimeError, ValueError, OSError) as error:
-            # RuntimeError covers worker-fleet death (incl. ProtocolError
-            # and auth failures), OSError a dead --connect endpoint or a
-            # disk failure.
-            sys.stderr.write(f"fleet export: {error}\n")
-            return 1
-        manifest = result.manifest
-        print(
-            f"distributed: {result.workers} worker(s), "
-            f"{result.reassigned_leases} lease(s) reassigned, "
-            f"{result.metrics['drained_workers']} drained"
-        )
-        if args.metrics:
-            print(f"metrics: {args.metrics}")
-    elif args.checkpoint_every:
-        try:
-            result = export_fleet_blocks(
-                generator,
-                year_fraction(parse_date(args.date)),
-                args.size,
-                args.seed,
-                args.out_dir,
-                shards=args.shards,
-                fmt=args.format,
-                checkpoint_every=args.checkpoint_every,
-                # The parent `fleet` parser always defines --chunk-size;
-                # for the block layout it bounds the reducer fold
-                # batches (and is pinned into the plan as part of the
-                # determinism envelope).
-                chunk_size=args.chunk_size,
-            )
-        except _export_failures() as error:
-            sys.stderr.write(
-                f"fleet export: {error} — the partial layout in "
-                f"{args.out_dir} resumes with --resume\n"
-            )
-            return 1
-        manifest = result.manifest
-    else:
-        when = year_fraction(parse_date(args.date))
-        try:
-            manifest = export_fleet(
-                generator,
-                when,
-                args.size,
-                args.seed,
-                args.out_dir,
-                shards=args.shards,
-                fmt=args.format,
-            )
-        except _export_failures() as error:
-            sys.stderr.write(
-                f"fleet export: {error} — the per-shard layout keeps no "
-                "checkpoints; re-run the export\n"
-            )
-            return 1
-    print(
-        f"exported {manifest.size} hosts @ {manifest.when:.3f} as "
-        f"{len(manifest.segments)} {manifest.format} "
-        f"{manifest.layout} segment(s) to {args.out_dir}"
+    """``fleet export``: the host fleet through the one export path."""
+    return _export(
+        args,
+        "fleet export",
+        lambda: CorrelatedHostGenerator(_load_parameters(args.params)),
+        args.seed,
     )
-    if manifest.layout == "shard":
-        for segment in manifest.segments:
-            print(
-                f"  {segment.path}  rows [{segment.row_lo}, {segment.row_hi})  "
-                f"sha256 {segment.sha256[:16]}…"
-            )
-    elif manifest.checkpoint_every:
-        print(f"  checkpoint every {manifest.checkpoint_every} block(s)")
-    print(f"payload sha256: {manifest.payload_sha256}")
-    print(f"fleet sha256:   {manifest.fleet_sha256}")
-    print(f"manifest: {args.out_dir}/manifest.json")
-    return 0
 
 
 def _cmd_fleet_compact(args: argparse.Namespace) -> int:
@@ -702,183 +664,51 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
 
     Without ``--out-dir`` this is the scenario counterpart of ``fleet
     summary``: one memoised streamed pass prints per-column statistics
-    plus the fleet and statistics digests.  With ``--out-dir`` it is the
-    counterpart of ``fleet export`` — the same per-shard, resumable
-    per-block and distributed layouts, driven by the scenario's
-    registered generator and reducer profile.  Exit codes follow the
-    fleet convention (0 ok, 1 runtime failure, 2 usage error).
+    plus the fleet and statistics digests.  With ``--out-dir`` it takes
+    ``fleet export``'s flags and export path, driven by the scenario's
+    registered generator, seed offset and reducer profile.  Exit codes
+    follow the fleet convention (0 ok, 1 runtime failure, 2 usage error).
     """
     from repro.scenarios import ScenarioRun, get_scenario_spec
 
-    problem = _check_fleet_ints(args, "fleet scenario run")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
-    exporting = args.out_dir is not None
-    if not exporting and (
-        args.checkpoint_every
-        or args.resume
-        or args.force
-        or args.fault_spec
-        or args.backend != "local"
-    ):
-        problem = (
-            "--backend, --checkpoint-every, --resume, --force and "
-            "--fault-spec shape exports; pass --out-dir"
-        )
-    elif args.backend == "distributed" and args.checkpoint_every:
-        problem = (
-            "--checkpoint-every applies to the local backend only "
-            "(distributed runs checkpoint every completed lease)"
-        )
-    elif args.backend == "distributed" and args.workers == 0:
-        problem = "distributed backend needs --workers >= 1"
-    if problem:
-        sys.stderr.write(f"fleet scenario run: {problem}\n")
-        return 2
+    command = "fleet scenario run"
     try:
         spec = get_scenario_spec(args.key)
     except ValueError as error:
-        sys.stderr.write(f"fleet scenario run: {error}\n")
+        sys.stderr.write(f"{command}: {error}\n")
         return 2
-
-    if not exporting:
-        try:
-            run = ScenarioRun(
-                args.key, size=args.size, seed=args.seed, date=args.date
-            )
-        except ValueError as error:
-            sys.stderr.write(f"fleet scenario run: {error}\n")
-            return 2
-        stats = run.stats(shards=args.shards)
-        print(f"scenario '{spec.key}': {spec.title}")
-        print(
-            f"streamed {stats.size} rows @ {stats.when:.3f} "
-            f"({stats.shards} shard(s), {stats.elapsed_seconds:.2f} s)"
+    if args.out_dir is not None:
+        return _export(
+            args,
+            command,
+            spec.make_generator,
+            args.seed + spec.seed_offset,
+            spec.profile(),
+            f"rows of scenario '{spec.key}'",
         )
-        print(f"{'column':>18} {'mean':>14} {'std':>14} {'median':>14}")
-        for row in run.summary_rows(shards=args.shards):
-            print(
-                f"{row['column']:>18} {row['mean']:>14.6g} "
-                f"{row['std']:>14.6g} {row['median']:>14.6g}"
-            )
-        print(f"fleet sha256:      {run.digest(shards=args.shards)}")
-        print(f"statistics sha256: {run.statistics_digest()}")
-        return 0
-
-    try:
-        when = year_fraction(parse_date(args.date))
-    except ValueError as error:
-        sys.stderr.write(f"fleet scenario run: {error}\n")
-        return 2
-    if args.size < 1:
-        sys.stderr.write("fleet scenario run: size must be at least 1\n")
-        return 2
-    if (
-        not args.resume
-        and os.path.isdir(args.out_dir)
-        and os.listdir(args.out_dir)
-        and not args.force
-    ):
-        from repro.engine import describe_export_dir
-
-        entries = sorted(os.listdir(args.out_dir))
-        shown = ", ".join(entries[:4])
-        if len(entries) > 4:
-            shown += f", … {len(entries) - 4} more"
-        hint = describe_export_dir(args.out_dir)
-        sys.stderr.write(
-            f"fleet scenario run: {args.out_dir} is not empty (contains "
-            f"{shown}); exporting would mix old and new segments (and "
-            "`fleet verify` could pass against stale files) — "
-            f"{hint or 'pass --force to export anyway'}\n"
-        )
-        return 2
-    problem = _arm_fault_spec(args, "fleet scenario run")
+    problem = _check_fleet_ints(args, command) or _check_export_flags(args, command)
     if problem:
         sys.stderr.write(problem + "\n")
         return 2
-    generator = spec.make_generator()
-    seed = args.seed + spec.seed_offset
-    if args.resume:
-        result = _resume(
-            "fleet scenario run", generator, args.out_dir,
-            reducers=spec.profile(), workers=args.workers,
-        )
-        if result is None:
-            return 1
-        manifest = result.manifest
-    elif args.backend == "distributed":
-        from repro.engine import export_fleet_distributed
-
-        try:
-            result = export_fleet_distributed(
-                generator,
-                when,
-                args.size,
-                seed,
-                args.out_dir,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
-                lease_blocks=args.lease_blocks,
-                reducers=spec.profile(),
-            )
-        except (RuntimeError, ValueError, OSError) as error:
-            sys.stderr.write(f"fleet scenario run: {error}\n")
-            return 1
-        manifest = result.manifest
-        print(
-            f"distributed: {result.workers} worker(s), "
-            f"{result.reassigned_leases} lease(s) reassigned"
-        )
-    elif args.checkpoint_every:
-        from repro.engine import export_fleet_blocks
-
-        try:
-            result = export_fleet_blocks(
-                generator,
-                when,
-                args.size,
-                seed,
-                args.out_dir,
-                shards=args.shards,
-                checkpoint_every=args.checkpoint_every,
-                chunk_size=args.chunk_size,
-                reducers=spec.profile(),
-            )
-        except _export_failures() as error:
-            sys.stderr.write(
-                f"fleet scenario run: {error} — the partial layout in "
-                f"{args.out_dir} resumes with --resume\n"
-            )
-            return 1
-        manifest = result.manifest
-    else:
-        from repro.engine import export_fleet
-
-        try:
-            manifest = export_fleet(
-                generator,
-                when,
-                args.size,
-                seed,
-                args.out_dir,
-                shards=args.shards,
-            )
-        except _export_failures() as error:
-            sys.stderr.write(
-                f"fleet scenario run: {error} — the per-shard layout keeps "
-                "no checkpoints; re-run the export\n"
-            )
-            return 1
+    try:
+        run = ScenarioRun(args.key, size=args.size, seed=args.seed, date=args.date)
+    except ValueError as error:
+        sys.stderr.write(f"{command}: {error}\n")
+        return 2
+    stats = run.stats(shards=args.shards)
+    print(f"scenario '{spec.key}': {spec.title}")
     print(
-        f"exported {manifest.size} rows of scenario '{spec.key}' @ "
-        f"{manifest.when:.3f} as {len(manifest.segments)} {manifest.format} "
-        f"{manifest.layout} segment(s) to {args.out_dir}"
+        f"streamed {stats.size} rows @ {stats.when:.3f} "
+        f"({stats.shards} shard(s), {stats.elapsed_seconds:.2f} s)"
     )
-    print(f"payload sha256: {manifest.payload_sha256}")
-    print(f"fleet sha256:   {manifest.fleet_sha256}")
-    print(f"manifest: {args.out_dir}/manifest.json")
+    print(f"{'column':>18} {'mean':>14} {'std':>14} {'median':>14}")
+    for row in run.summary_rows(shards=args.shards):
+        print(
+            f"{row['column']:>18} {row['mean']:>14.6g} "
+            f"{row['std']:>14.6g} {row['median']:>14.6g}"
+        )
+    print(f"fleet sha256:      {run.digest(shards=args.shards)}")
+    print(f"statistics sha256: {run.statistics_digest()}")
     return 0
 
 
@@ -1215,7 +1045,8 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_fleet_common(
         parser: argparse.ArgumentParser,
         suppress: bool = False,
-        chunked: bool = True,
+        params: bool = True,
+        shards: bool = True,
     ) -> None:
         # On the nested subparsers every default is SUPPRESS: pre-3.13
         # argparse parses a subcommand into a *fresh* namespace and copies
@@ -1227,27 +1058,131 @@ def build_parser() -> argparse.ArgumentParser:
             return argparse.SUPPRESS if suppress else value
 
         parser.add_argument(
-            "--size", type=int, default=default(100_000), help="number of hosts"
+            "--size",
+            type=int,
+            default=default(100_000),
+            help="number of hosts (or scenario rows)",
         )
         parser.add_argument(
             "--date", default=default("2010-09-01"), help="YYYY-MM-DD or year"
         )
-        parser.add_argument(
-            "--params",
-            default=default(None),
-            help="fitted parameter JSON (default: Table X)",
-        )
-        parser.add_argument("--seed", type=int, default=default(0))
-        parser.add_argument(
-            "--shards", type=int, default=default(1), help="worker processes"
-        )
-        if chunked:
+        if params:
             parser.add_argument(
-                "--chunk-size",
-                type=int,
-                default=default(65536),
-                help="hosts per reducer chunk (bounds peak memory)",
+                "--params",
+                default=default(None),
+                help="fitted parameter JSON (default: Table X)",
             )
+        parser.add_argument(
+            "--seed",
+            type=int,
+            default=default(0),
+            help="run seed (a scenario adds its registered offset)",
+        )
+        if shards:
+            parser.add_argument(
+                "--shards", type=int, default=default(1), help="worker processes"
+            )
+        parser.add_argument(
+            "--chunk-size",
+            type=int,
+            default=default(65536),
+            help="hosts per reducer chunk (bounds peak memory)",
+        )
+
+    def _add_export_flags(parser: argparse.ArgumentParser, required: bool) -> None:
+        # The flags `fleet export` and `fleet scenario run` share, checked
+        # by _check_export_flags.  The parent `fleet` parser defines none
+        # of them, so real defaults are safe here.
+        parser.add_argument(
+            "--out-dir",
+            required=required,
+            help="export segments + manifest.json into this directory",
+        )
+        parser.add_argument(
+            "--format",
+            choices=["csv", "npz", "npz-columnar"],
+            default="csv",
+            help="segment format (csv concatenates byte-identically; "
+            "npz-columnar writes one contiguous binary array per resource "
+            "column — the fast path for large fleets)",
+        )
+        parser.add_argument(
+            "--checkpoint-every",
+            type=int,
+            default=0,
+            metavar="N",
+            help="write resumable per-block segments with a reducer-state "
+            "checkpoint every N blocks (0 = classic per-shard layout)",
+        )
+        parser.add_argument(
+            "--resume",
+            action="store_true",
+            help="finish an interrupted resumable export in --out-dir "
+            "(size/date/seed and the backend are read from its plan)",
+        )
+        parser.add_argument(
+            "--backend",
+            choices=["local", "distributed"],
+            default="local",
+            help="execution backend: a local process pool, or the "
+            "coordinator/worker distributed export",
+        )
+        parser.add_argument(
+            "--workers",
+            type=int,
+            default=2,
+            help="local worker processes to spawn (--backend distributed)",
+        )
+        parser.add_argument(
+            "--connect",
+            action="append",
+            metavar="HOST:PORT",
+            help="attach a running `fleet serve-worker` endpoint "
+            "(repeatable; --backend distributed)",
+        )
+        parser.add_argument(
+            "--lease-blocks",
+            type=int,
+            default=4,
+            help="RNG blocks per distributed work lease (smaller rebalances "
+            "stragglers faster)",
+        )
+        parser.add_argument(
+            "--lease-depth",
+            type=int,
+            default=1,
+            help="leases a distributed worker may hold in flight (2 pipelines "
+            "the next assign while it generates)",
+        )
+        parser.add_argument(
+            "--token-file",
+            default=None,
+            metavar="PATH",
+            help="file holding the shared fleet auth token (overrides the "
+            "REPRO_FLEET_TOKEN environment variable; --backend distributed)",
+        )
+        parser.add_argument(
+            "--metrics",
+            default=None,
+            metavar="PATH",
+            help="write the distributed run's JSON metrics document here "
+            "(per-lease timings, heartbeat gaps, requeue/steal counts)",
+        )
+        parser.add_argument(
+            "--force",
+            action="store_true",
+            help="export into a non-empty directory (stale segments from a "
+            "previous run could otherwise mix with the new export)",
+        )
+        parser.add_argument(
+            "--fault-spec",
+            default=None,
+            metavar="PLAN",
+            help="deterministic fault injection: a FaultPlan JSON file, or "
+            "inline 'SITE[:key=val,...]' specs joined by ';' (e.g. "
+            "writer.block.write:kind=torn-write,after=3); firings are logged "
+            "to OUT_DIR.faults/ — see README § Fault injection",
+        )
 
     def _add_fleet_summary_flags(
         parser: argparse.ArgumentParser, suppress: bool = False
@@ -1297,110 +1232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet_export = fleet_sub.add_parser(
         "export", help="write per-shard segments plus a sha256 manifest"
     )
-    # --chunk-size is meaningless for the per-shard layout (the writers
-    # stream block by block) but bounds the reducer fold batches of the
-    # resumable --checkpoint-every layout, where it is pinned into the
-    # export plan as part of the determinism envelope.
-    _add_fleet_common(p_fleet_export, suppress=True, chunked=True)
-    p_fleet_export.add_argument(
-        "--out-dir", required=True, help="directory for segments + manifest.json"
-    )
-    p_fleet_export.add_argument(
-        "--format",
-        choices=["csv", "npz", "npz-columnar"],
-        default="csv",
-        help="segment format (csv concatenates byte-identically; "
-        "npz-columnar writes one contiguous binary array per resource "
-        "column — the fast path for large fleets)",
-    )
-    p_fleet_export.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="write resumable per-block segments with a reducer-state "
-        "checkpoint every N blocks (0 = classic per-shard layout)",
-    )
-    p_fleet_export.add_argument(
-        "--resume",
-        action="store_true",
-        help="finish an interrupted resumable export in --out-dir "
-        "(size/date/seed and the backend are read from its plan)",
-    )
-    p_fleet_export.add_argument(
-        "--backend",
-        choices=["local", "distributed"],
-        default="local",
-        help="execution backend: a local process pool, or the "
-        "coordinator/worker distributed export",
-    )
-    p_fleet_export.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes to spawn (--backend distributed)",
-    )
-    p_fleet_export.add_argument(
-        "--connect",
-        action="append",
-        metavar="HOST:PORT",
-        help="attach a running `fleet serve-worker` endpoint "
-        "(repeatable; --backend distributed)",
-    )
-    p_fleet_export.add_argument(
-        "--lease-blocks",
-        type=int,
-        default=4,
-        help="RNG blocks per distributed work lease (smaller rebalances "
-        "stragglers faster)",
-    )
-    p_fleet_export.add_argument(
-        "--lease-depth",
-        type=int,
-        default=1,
-        help="leases a distributed worker may hold in flight (2 pipelines "
-        "the next assign while it generates)",
-    )
-    p_fleet_export.add_argument(
-        "--token-file",
-        default=None,
-        metavar="PATH",
-        help="file holding the shared fleet auth token (overrides the "
-        "REPRO_FLEET_TOKEN environment variable; --backend distributed)",
-    )
-    p_fleet_export.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="write the distributed run's JSON metrics document here "
-        "(per-lease timings, heartbeat gaps, requeue/steal counts)",
-    )
-    p_fleet_export.add_argument(
-        "--force",
-        action="store_true",
-        help="export into a non-empty directory (stale segments from a "
-        "previous run could otherwise mix with the new export)",
-    )
-    p_fleet_export.add_argument(
-        "--fault-spec",
-        default=None,
-        metavar="PLAN",
-        help="deterministic fault injection: a FaultPlan JSON file, or "
-        "inline 'SITE[:key=val,...]' specs joined by ';' (e.g. "
-        "writer.block.write:kind=torn-write,after=3); firings are logged "
-        "to OUT_DIR.faults/ — see README § Fault injection",
-    )
-    # Deprecated aliases of --fault-spec (see _arm_fault_spec), kept for
-    # the CI smokes.
-    p_fleet_export.add_argument(
-        "--fault-after", type=int, default=None, help=argparse.SUPPRESS
-    )
-    p_fleet_export.add_argument(
-        "--coordinator-fault-after",
-        type=int,
-        default=None,
-        help=argparse.SUPPRESS,
-    )
+    _add_fleet_common(p_fleet_export, suppress=True)
+    _add_export_flags(p_fleet_export, required=True)
 
     p_fleet_compact = fleet_sub.add_parser(
         "compact", help="merge block segments into the per-shard layout"
@@ -1544,118 +1377,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario_sub.add_parser("list", help="list the registered scenarios")
 
-    def _add_scenario_stream_flags(parser: argparse.ArgumentParser) -> None:
-        # SUPPRESS defaults for the same reason as _add_fleet_common: the
-        # parent `fleet` parser owns the real size/date/seed/shards/
-        # chunk-size defaults and pre-3.13 argparse would otherwise let
-        # these clobber flags given before the subcommand.
-        parser.add_argument("key", help="registered scenario key (see list)")
-        parser.add_argument(
-            "--size",
-            type=int,
-            default=argparse.SUPPRESS,
-            help="number of rows (default 100000)",
-        )
-        parser.add_argument(
-            "--date",
-            default=argparse.SUPPRESS,
-            help="YYYY-MM-DD or year (default 2010-09-01)",
-        )
-        parser.add_argument(
-            "--seed",
-            type=int,
-            default=argparse.SUPPRESS,
-            help="base seed; the spec's registered offset is added "
-            "(default 0)",
-        )
-        parser.add_argument(
-            "--chunk-size",
-            type=int,
-            default=argparse.SUPPRESS,
-            help="rows per reducer chunk (default 65536)",
-        )
-
     p_sc_run = scenario_sub.add_parser(
         "run",
         help="stream one scenario: summary statistics, or an export "
         "with --out-dir",
     )
-    _add_scenario_stream_flags(p_sc_run)
-    p_sc_run.add_argument(
-        "--shards",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker processes (default 1)",
-    )
-    p_sc_run.add_argument(
-        "--out-dir",
-        default=None,
-        help="export segments + manifest.json here instead of printing "
-        "summary statistics",
-    )
-    p_sc_run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="resumable per-block export with a reducer checkpoint every "
-        "N blocks (0 = per-shard layout; needs --out-dir)",
-    )
-    p_sc_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="finish an interrupted resumable export in --out-dir",
-    )
-    p_sc_run.add_argument(
-        "--backend",
-        choices=["local", "distributed"],
-        default="local",
-        help="export backend: a local process pool, or the "
-        "coordinator/worker engine (needs --out-dir)",
-    )
-    p_sc_run.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes to spawn (--backend distributed)",
-    )
-    p_sc_run.add_argument(
-        "--lease-blocks",
-        type=int,
-        default=4,
-        help="RNG blocks per distributed work lease",
-    )
-    p_sc_run.add_argument(
-        "--force",
-        action="store_true",
-        help="export into a non-empty directory",
-    )
-    p_sc_run.add_argument(
-        "--fault-spec",
-        default=None,
-        metavar="PLAN",
-        help="deterministic fault injection (a FaultPlan JSON file or "
-        "inline 'SITE[:key=val,...]' shorthand; needs --out-dir) — see "
-        "README § Fault injection",
-    )
-    # Deprecated aliases of --fault-spec (the export smokes' crash
-    # injection).
-    p_sc_run.add_argument(
-        "--fault-after", type=int, default=None, help=argparse.SUPPRESS
-    )
-    p_sc_run.add_argument(
-        "--coordinator-fault-after",
-        type=int,
-        default=None,
-        help=argparse.SUPPRESS,
-    )
+    p_sc_run.add_argument("key", help="registered scenario key (see list)")
+    _add_fleet_common(p_sc_run, suppress=True, params=False)
+    _add_export_flags(p_sc_run, required=False)
 
     p_sc_compare = scenario_sub.add_parser(
         "compare",
         help="stream one scenario at several shard counts and require "
         "identical digests",
     )
-    _add_scenario_stream_flags(p_sc_compare)
+    p_sc_compare.add_argument("key", help="registered scenario key (see list)")
+    _add_fleet_common(p_sc_compare, suppress=True, params=False, shards=False)
     p_sc_compare.add_argument(
         "--shards",
         dest="compare_shards",

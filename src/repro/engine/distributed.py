@@ -17,11 +17,12 @@ established:
   tasks on the engine's persistent pool (:mod:`repro.engine.pool`,
   honouring its start-method override); they dial the coordinator's
   loopback listener and write their block segments straight into
-  ``out_dir``.
+  ``out_dir``, which each receives as a task argument.
 * ``serve_worker(host, port)`` (CLI: ``fleet serve-worker``) listens for
   a coordinator; ``export_fleet_distributed(..., connect=[(host, port)])``
-  dials it.  Attached workers ship segment bytes inline (base64) because
-  they cannot assume a shared filesystem.
+  dials it.  Attached workers always ship segment bytes inline (base64):
+  they cannot assume a shared filesystem, and no job frame names a
+  directory, so a peer cannot make them write files.
 
 Protocol
 --------
@@ -540,6 +541,7 @@ def _worker_loop(
     token: "str | None" = None,
     drain_event: "threading.Event | None" = None,
     drain_after: "int | None" = None,
+    out_dir: "str | None" = None,
 ) -> None:
     """Serve one coordinator over an established connection.
 
@@ -559,6 +561,10 @@ def _worker_loop(
     When ``drain_event`` fires (or ``drain_after`` completed leases are
     reached) the worker finishes the leases it holds, sends ``drain``
     and returns — a clean deregistration, not a failure.
+
+    ``out_dir`` is where this process writes its block files (local
+    workers share the coordinator's disk); the job frame never names a
+    directory, so without it every block ships inline in its result.
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
@@ -633,7 +639,6 @@ def _worker_loop(
     # coordinator) and must exit rather than wedge a serve-worker slot.
     sock.settimeout(worker_timeout)
     task = BlockTask(generator, when, size, root, range(block_count(size)))
-    out_dir = job.get("out_dir")
 
     stop = threading.Event()
     heartbeat = threading.Thread(
@@ -732,9 +737,12 @@ def _dial(host: str, port: int, site: str, timeout: "float | None" = None):
     )
 
 
-def _local_worker_main(host: str, port: int, token: "str | None" = None) -> None:
+def _local_worker_main(
+    host: str, port: int, token: "str | None" = None, out_dir: "str | None" = None
+) -> None:
     """Entry point of a spawned local worker process (module-level so it
-    pickles under every multiprocessing start method).
+    pickles under every multiprocessing start method).  It writes its
+    block files into ``out_dir``.
 
     The dial retries under :data:`DIAL_RETRY` — a worker that comes up
     before its coordinator listens must not die on the first
@@ -757,7 +765,7 @@ def _local_worker_main(host: str, port: int, token: "str | None" = None) -> None
         except RetryError:
             return  # the coordinator tracks worker death through the socket
         try:
-            _worker_loop(sock, token=token)
+            _worker_loop(sock, token=token, out_dir=out_dir)
             return
         except (ProtocolError, OSError):
             continue  # lost the coordinator mid-job: try one fresh session
@@ -1105,9 +1113,7 @@ class _Coordinator:
             remote.state = "active"
             self.workers_seen += 1
             self._worker_entry(remote)
-            job = dict(self.job)
-            job["out_dir"] = self.out_dir if remote.local else None
-            self._send(remote, job)
+            self._send(remote, self.job)
         elif kind == "ready":
             if remote.state != "active":
                 return self._drop(remote, f"{remote.name} sent ready before hello")
@@ -1486,7 +1492,9 @@ def _run_distributed(
                 port = listener.getsockname()[1]
                 for _ in range(workers):
                     coordinator.tasks.append(
-                        pool.apply_async(_local_worker_main, ("127.0.0.1", port, token))
+                        pool.apply_async(
+                            _local_worker_main, ("127.0.0.1", port, token, out_dir)
+                        )
                     )
                 threading.Thread(
                     target=coordinator._accept_loop, args=(listener,), daemon=True

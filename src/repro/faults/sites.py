@@ -132,7 +132,7 @@ _SITES = (
         SITE_BLOCK_DONE,
         "repro.engine.writer",
         (KIND_SIGKILL, KIND_RAISE, KIND_DELAY),
-        "after a block is durable and folded (the --fault-after point)",
+        "after a block is durable and folded",
     ),
     FaultSite(
         SITE_CHECKPOINT_WRITE,

@@ -16,6 +16,8 @@ Three layers, mirroring the discipline of ``test_resume.py``:
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import multiprocessing
 import os
@@ -77,7 +79,7 @@ def golden(tmp_path_factory, paper_generator):
 @pytest.fixture
 def worker_sigkill_after_block(tmp_path):
     """Arm one local worker's SIGKILL after its first block (the plan
-    the CLI's legacy ``--fault-after 1`` builds on this backend)."""
+    the distributed CI smoke passes as ``--fault-spec``)."""
     spec = FaultSpec(
         site="distributed.worker.block", kind="sigkill", after=1, once=True
     )
@@ -532,6 +534,50 @@ class TestServeWorker:
         assert not thread.is_alive()
         assert served["jobs"] == 2
 
+    def test_job_frame_cannot_make_it_write_files(self, paper_params, tmp_path):
+        """A serve-worker writes no file a peer names: a job frame carrying
+        a directory still gets every block back inline, and the directory
+        stays empty."""
+        ports: "queue.Queue[int]" = queue.Queue()
+        thread = threading.Thread(
+            target=serve_worker,
+            kwargs={"port": 0, "max_jobs": 1, "on_bound": ports.put},
+            daemon=True,
+        )
+        thread.start()
+        port = ports.get(timeout=30)
+        named = tmp_path / "named"
+        named.mkdir()
+
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as peer:
+            assert recv_frame(peer)["type"] == "hello"
+            root = np.random.SeedSequence(SEED)
+            send_frame(peer, {
+                "type": "job", "protocol": PROTOCOL_VERSION,
+                "params": paper_params.to_json(), "when": SEPT_2010,
+                "size": RNG_BLOCK_SIZE, "chunk_size": RNG_BLOCK_SIZE,
+                "entropy": str(root.entropy), "spawn_key": [],
+                "block_size": RNG_BLOCK_SIZE, "format": "csv", "reducers": [],
+                "worker_timeout": 60.0, "lease_depth": 1,
+                "out_dir": str(named),
+            })
+            frame = recv_frame(peer)
+            while frame["type"] == "heartbeat":
+                frame = recv_frame(peer)
+            assert frame["type"] == "ready"
+            send_frame(peer, {"type": "assign", "block_lo": 0, "block_hi": 1})
+            while frame["type"] != "result":
+                frame = recv_frame(peer)
+            send_frame(peer, {"type": "shutdown"})
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+        (block,) = frame["blocks"]
+        data = base64.b64decode(block["data"], validate=True)
+        assert hashlib.sha256(data).hexdigest() == block["sha256"]
+        assert len(data) == block["bytes"]
+        assert list(named.iterdir()) == []
+
 
 def _make_coordinator(leases, size=16_384, lease_depth=1):
     from repro.engine.distributed import _Coordinator
@@ -753,7 +799,8 @@ class TestCliSubprocessCrashInjection:
             [sys.executable, "-m", "repro", "fleet", "export",
              "--size", str(SIZE), "--seed", str(SEED),
              "--out-dir", str(dist), "--backend", "distributed",
-             "--workers", "2", "--lease-blocks", "1", "--fault-after", "1"],
+             "--workers", "2", "--lease-blocks", "1", "--fault-spec",
+             "distributed.worker.block:kind=sigkill,once=true,after=1"],
             env=env, check=True, capture_output=True, text=True, timeout=300,
         )
         assert "reassigned" in completed.stdout
@@ -791,7 +838,8 @@ class TestCliSubprocessCrashInjection:
              "--out-dir", str(dist), "--backend", "distributed",
              "--workers", "2", "--lease-blocks", "1",
              "--token-file", str(token_file),
-             "--coordinator-fault-after", "2"],
+             "--fault-spec",
+             "distributed.coordinator.checkpoint:kind=sigkill,after=3"],
             env=env, capture_output=True, timeout=300,
         )
         assert crashed.returncode != 0
@@ -827,7 +875,8 @@ class TestCliSubprocessCrashInjection:
              "--size", str(SIZE), "--seed", str(SEED),
              "--out-dir", str(tmp_path / "dist"), "--backend", "distributed",
              "--workers", "2", "--lease-blocks", "1",
-             "--coordinator-fault-after", "2"],
+             "--fault-spec",
+             "distributed.coordinator.checkpoint:kind=sigkill,after=3"],
             env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             start_new_session=True,
         )
@@ -1250,8 +1299,8 @@ def _coordinator_crash_main(out_dir):
     from repro.core.generator import CorrelatedHostGenerator
     from repro.core.parameters import ModelParameters
 
-    # The plan `--coordinator-fault-after 2` builds: die as the third lease
-    # checkpoint is about to be appended, with two lines on disk.
+    # Die as the third lease checkpoint is about to be appended, with two
+    # lines on disk.
     spec = FaultSpec(
         site="distributed.coordinator.checkpoint", kind="sigkill", after=3
     )
@@ -1301,6 +1350,37 @@ class TestCoordinatorCrashResume:
         result = resume_export(paper_generator, str(crashed), workers=2)
         assert result.resumed_leases == 2
         self._assert_byte_identical(crashed, result, golden)
+
+    def test_cli_resume_takes_transport_flags_on_any_backend(
+        self, crashed, golden, tmp_path, capsys, monkeypatch
+    ):
+        """Plain ``--resume`` reads the backend from the plan, so it takes
+        ``--token-file`` and ``--metrics`` without ``--backend
+        distributed`` and finishes byte-identical."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_FLEET_TOKEN", raising=False)
+        token_file = tmp_path / "fleet.token"
+        token_file.write_text("resume-secret\n")
+        metrics = tmp_path / "metrics.json"
+        assert main(["fleet", "export", "--resume", "--out-dir", str(crashed),
+                     "--token-file", str(token_file),
+                     "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert "resumed: 2 lease(s) restored" in out
+        assert f"metrics: {metrics}" in out
+        doc = json.loads(metrics.read_text())
+        assert doc["kind"] == "FleetDistributedMetrics"
+        assert doc["resumed_leases"] == 2
+        golden_dir, golden_result = golden
+        assert (crashed / "manifest.json").read_bytes() == (
+            golden_dir / "manifest.json"
+        ).read_bytes()
+        assert _payload_bytes(crashed, golden_result.manifest) == _payload_bytes(
+            golden_dir, golden_result.manifest
+        )
+        assert verify_manifest(str(crashed / "manifest.json")).ok
+        assert not (crashed / DISTRIBUTED_PLAN_NAME).exists()
 
     def test_resume_tolerates_a_torn_final_checkpoint_line(
         self, crashed, paper_generator, golden

@@ -44,9 +44,9 @@ CHECKPOINT_EVERY = 2
 
 @contextlib.contextmanager
 def _interrupted_after(blocks: int):
-    """Expect the export inside to die of the plan ``--fault-after
-    blocks`` arms on the local layouts: every shard worker raises after
-    writing its ``blocks``-th block."""
+    """Expect the export inside to die of the plan
+    ``writer.block.done:kind=raise,after=BLOCKS``: every shard worker
+    raises after writing its ``blocks``-th block."""
     spec = FaultSpec(site="writer.block.done", kind="raise", after=blocks)
     activate(FaultPlan(faults=(spec,)))
     try:

@@ -81,7 +81,7 @@ class TestCrashResume:
             spec.make_generator(), WHEN, SIZE, SEED, str(whole_dir),
             checkpoint_every=1, reducers=spec.profile(),
         )
-        # the plan `--fault-after 1` arms: die after the first block
+        # die after the first block
         fault = FaultSpec(site="writer.block.done", kind="raise", after=1)
         activate(FaultPlan(faults=(fault,)))
         try:

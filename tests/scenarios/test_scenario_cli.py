@@ -71,7 +71,7 @@ class TestScenarioRunExport:
         assert main(
             ["fleet", "scenario", "run", "availability", *SIZE,
              "--out-dir", str(out_dir), "--checkpoint-every", "1",
-             "--fault-after", "1"]
+             "--fault-spec", "writer.block.done:kind=raise,after=1"]
         ) == 1
         assert "injected fault" in capsys.readouterr().err
         assert not (out_dir / "manifest.json").exists()
@@ -81,6 +81,17 @@ class TestScenarioRunExport:
         ) == 0
         out = capsys.readouterr().out
         assert "resumed:" in out
+        assert main(["fleet", "verify", str(out_dir / "manifest.json")]) == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fleet", "export"], ["fleet", "scenario", "run", "availability"]],
+        ids=["export", "scenario-run"],
+    )
+    def test_empty_fleet_exports_and_verifies(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "empty"
+        assert main([*command, "--size", "0", "--out-dir", str(out_dir)]) == 0
+        assert "exported 0 " in capsys.readouterr().out
         assert main(["fleet", "verify", str(out_dir / "manifest.json")]) == 0
 
     def test_refuses_nonempty_out_dir_without_force(self, tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,8 @@ class TestFleetResumableExport:
         out_dir = tmp_path / "resume"
         assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
-                  "--checkpoint-every", "1", "--fault-after", "1"])
+                  "--checkpoint-every", "1",
+                  "--fault-spec", "writer.block.done:kind=raise,after=1"])
             == 1
         )
         err = capsys.readouterr().err
@@ -294,7 +296,7 @@ class TestFleetResumableExport:
         assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
                   "--checkpoint-every", "1", "--chunk-size", "4321",
-                  "--fault-after", "1"])
+                  "--fault-spec", "writer.block.done:kind=raise,after=1"])
             == 1
         )
         capsys.readouterr()
@@ -337,7 +339,8 @@ class TestFleetExportForce:
         out_dir = tmp_path / "resumable"
         assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
-                  "--checkpoint-every", "1", "--fault-after", "1"])
+                  "--checkpoint-every", "1",
+                  "--fault-spec", "writer.block.done:kind=raise,after=1"])
             == 1
         )
         assert "injected fault" in capsys.readouterr().err
@@ -370,12 +373,6 @@ class TestLostPoolWorker:
                      *self.KILL_ONE]) == 1
         err = capsys.readouterr().err
         assert "pool worker died" in err and len(err.splitlines()) == 1
-
-    def test_legacy_alias_with_fault_spec_is_a_usage_error(self, tmp_path, capsys):
-        assert main(["fleet", "export", "--size", "9000", "--out-dir",
-                     str(tmp_path / "out"), "--checkpoint-every", "1",
-                     "--fault-after", "1", *self.KILL_ONE]) == 2
-        assert "cannot be combined with --fault-after" in capsys.readouterr().err
 
 
 class TestFleetStartMethodEnv:
@@ -493,13 +490,20 @@ class TestFleetDistributedCli:
             (["--checkpoint-every", "-1"], "--checkpoint-every"),
         ],
     )
-    def test_distributed_flag_validation_exits_2(self, tmp_path, capsys, argv, match):
-        base = ["fleet", "export", "--size", "100",
-                "--out-dir", str(tmp_path / "x")]
+    @pytest.mark.parametrize(
+        "command",
+        [["fleet", "export"], ["fleet", "scenario", "run", "availability"]],
+        ids=["export", "scenario-run"],
+    )
+    def test_distributed_flag_validation_exits_2(
+        self, tmp_path, capsys, command, argv, match
+    ):
+        base = [*command, "--size", "100", "--out-dir", str(tmp_path / "x")]
         assert main(base + argv) == 2
         err = capsys.readouterr().err
         assert match in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "argv, match",
@@ -534,6 +538,60 @@ class TestFleetDistributedCli:
         err = capsys.readouterr().err
         assert "token" in err
         assert "Traceback" not in err
+
+
+class TestOneExportPath:
+    """``fleet export`` and ``fleet scenario run`` take one flag set and
+    share one validator."""
+
+    @staticmethod
+    def _options(*path):
+        parser = build_parser()
+        for name in path:
+            (sub,) = [
+                action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            ]
+            parser = sub.choices[name]
+        return {
+            flag: action for action in parser._actions
+            for flag in action.option_strings
+        }
+
+    def test_both_commands_define_the_same_export_options(self):
+        export = self._options("fleet", "export")
+        scenario = self._options("fleet", "scenario", "run")
+        # A scenario's generator comes from its spec, not a parameter file.
+        assert set(export) - set(scenario) == {"--params"}
+        assert set(scenario) <= set(export)
+        for flag in set(scenario):
+            a, b = export[flag], scenario[flag]
+            assert (type(a), a.dest, a.type, a.choices, a.default, a.nargs) == (
+                type(b), b.dest, b.type, b.choices, b.default, b.nargs
+            ), flag
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate"],
+            ["fleet"],
+            ["fleet", "summary"],
+            ["fleet", "export", "--out-dir", "OUT"],
+            ["fleet", "export", "--out-dir", "OUT", "--checkpoint-every", "2"],
+            ["fleet", "export", "--out-dir", "OUT", "--backend", "distributed"],
+            ["fleet", "scenario", "run", "availability", "--out-dir", "OUT"],
+        ],
+        ids=["generate", "fleet", "summary", "export-shard", "export-block",
+             "export-distributed", "scenario-run"],
+    )
+    def test_malformed_date_is_a_one_line_usage_error(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "out"
+        argv = [str(out_dir) if arg == "OUT" else arg for arg in argv]
+        assert main([*argv, "--date", "not-a-date"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "--date must be" in err and "'not-a-date'" in err
+        assert not out_dir.exists()
 
 
 class TestFleetValidate:
