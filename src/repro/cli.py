@@ -11,8 +11,8 @@ Subcommands
               (sharded segment + manifest writer; ``--checkpoint-every N``
               switches to the resumable per-block layout, ``--resume``
               finishes an interrupted run, and ``--backend distributed``
-              runs the coordinator/worker backend over spawned local
-              workers and/or attached ``fleet serve-worker`` endpoints),
+              runs the coordinator/worker backend over local pool
+              slots and/or attached ``fleet serve-worker`` endpoints),
               ``fleet compact`` (merge block segments back into the
               per-shard layout), ``fleet verify`` (re-hash an export
               against its manifest), ``fleet validate`` (the statistical
@@ -74,11 +74,27 @@ from repro.core.prediction import (
 from repro.timeutil import parse_date, year_fraction
 
 
-def _load_parameters(path: "str | None") -> ModelParameters:
+class _UsageError(Exception):
+    """A usage error found after argument parsing; :func:`main` prints its
+    one line and exits 2."""
+
+
+def _load_parameters(path: "str | None", command: str) -> ModelParameters:
+    """The ``--params`` model (Table X without one).  A file that cannot
+    be read, is not JSON, or lacks or mistypes a field is a
+    :class:`_UsageError` naming ``command`` and the path."""
     if path is None:
         return ModelParameters.paper_reference()
-    with open(path, "r", encoding="utf-8") as handle:
-        return ModelParameters.from_json(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return ModelParameters.from_json(handle.read())
+    except OSError as error:
+        problem = error.strerror or error
+    except KeyError as error:
+        problem = f"missing field {error}"
+    except (AttributeError, TypeError, ValueError) as error:
+        problem = error  # not JSON (json.JSONDecodeError), or a mistyped field
+    raise _UsageError(f"{command}: --params {path}: {problem}")
 
 
 # The host CSV header and row writer live in repro.engine.writer (shared
@@ -94,7 +110,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if problem:
         sys.stderr.write(problem + "\n")
         return 2
-    params = _load_parameters(args.params)
+    params = _load_parameters(args.params, "generate")
     generator = CorrelatedHostGenerator(params)
     when = year_fraction(parse_date(args.date))
     rng = np.random.default_rng(args.seed)
@@ -193,7 +209,15 @@ def _check_export_flags(args: argparse.Namespace, command: str) -> "str | None":
             )
         return None
     problem = None
-    if args.backend == "distributed":
+    # A resume may find a distributed plan; no plan is read here.
+    if args.workers == 0 and not args.connect and (
+        args.backend == "distributed" or args.resume
+    ):
+        problem = (
+            "distributed backend needs --workers >= 1 or at least one "
+            "--connect HOST:PORT"
+        )
+    elif args.backend == "distributed":
         if args.checkpoint_every:
             problem = (
                 "--checkpoint-every applies to the local backend only "
@@ -201,11 +225,6 @@ def _check_export_flags(args: argparse.Namespace, command: str) -> "str | None":
             )
         elif args.format != "csv":
             problem = "--backend distributed writes csv segments only"
-        elif args.workers == 0 and not args.connect:
-            problem = (
-                "distributed backend needs --workers >= 1 or at least one "
-                "--connect HOST:PORT"
-            )
     elif not args.resume:  # a resume runs the backend its plan names
         if args.connect:
             problem = "--connect requires --backend distributed"
@@ -456,7 +475,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.correlation and args.size < 2:
         sys.stderr.write("fleet: --correlation needs --size of at least 2\n")
         return 2
-    params = _load_parameters(args.params)
+    params = _load_parameters(args.params, "fleet")
     generator = CorrelatedHostGenerator(params)
     when = year_fraction(parse_date(args.date))
     quantiles = getattr(args, "quantiles", False)
@@ -502,7 +521,9 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
     return _export(
         args,
         "fleet export",
-        lambda: CorrelatedHostGenerator(_load_parameters(args.params)),
+        lambda: CorrelatedHostGenerator(
+            _load_parameters(args.params, "fleet export")
+        ),
         args.seed,
     )
 
@@ -935,7 +956,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if problem:
         sys.stderr.write(problem + "\n")
         return 2
-    params = _load_parameters(args.params)
+    params = _load_parameters(args.params, "predict")
     scalars = predict_scalars(params, float(args.year))
     print(f"Predictions for {args.year}:")
     print(f"  mean cores          : {scalars.cores_mean:.2f}")
@@ -1131,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=2,
-            help="local worker processes to spawn (--backend distributed)",
+            help="local pool slots, one lease each (--backend distributed)",
         )
         parser.add_argument(
             "--connect",
@@ -1525,6 +1546,9 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as error:
+        sys.stderr.write(f"{error}\n")
+        return 2
     finally:
         if hasattr(args, "fault_spec"):
             # In-process callers (tests) must not inherit an armed plan

@@ -79,7 +79,6 @@ from repro.engine.pool import (
 )
 from repro.engine.retry import (
     DIAL_RETRY,
-    RECONNECT_RETRY,
     WRITE_RETRY,
     RetryError,
     RetryPolicy,
@@ -187,7 +186,6 @@ __all__ = [
     "StateError",
     "VerificationReport",
     "DIAL_RETRY",
-    "RECONNECT_RETRY",
     "WRITE_RETRY",
     "RetryError",
     "RetryPolicy",

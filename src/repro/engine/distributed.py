@@ -10,19 +10,21 @@ persists to disk, now travelling a socket instead.
 
 Topology
 --------
-Workers speak the same protocol whichever way the TCP connection was
-established:
+Two kinds of worker share the coordinator's lease queue and its
+requeue, steal and metrics bookkeeping, and both run each lease through
+one function, :func:`run_lease`:
 
-* ``export_fleet_distributed(..., workers=N)`` runs N local workers as
-  tasks on the engine's persistent pool (:mod:`repro.engine.pool`,
-  honouring its start-method override); they dial the coordinator's
-  loopback listener and write their block segments straight into
-  ``out_dir``, which each receives as a task argument.
+* ``export_fleet_distributed(..., workers=N)`` gives the coordinator N
+  *pool slots* on the engine's persistent pool (:mod:`repro.engine.pool`,
+  honouring its start-method override).  A slot runs one lease at a time
+  as a pool task that writes its block files straight into ``out_dir``;
+  no socket is opened.
 * ``serve_worker(host, port)`` (CLI: ``fleet serve-worker``) listens for
   a coordinator; ``export_fleet_distributed(..., connect=[(host, port)])``
-  dials it.  Attached workers always ship segment bytes inline (base64):
-  they cannot assume a shared filesystem, and no job frame names a
-  directory, so a peer cannot make them write files.
+  dials it, and the peer speaks the protocol below.  Peers always ship
+  segment bytes inline (base64): they cannot assume a shared filesystem,
+  and no job frame names a directory, so a coordinator cannot make them
+  write files.
 
 Protocol
 --------
@@ -60,20 +62,24 @@ finishes the leases it holds, sends ``drain`` instead of the next
 
 Failure semantics
 -----------------
-The coordinator tracks per-worker liveness (last frame seen).  A dropped
+The coordinator tracks per-peer liveness (last frame seen).  A dropped
 connection, a protocol violation, an authentication failure, a reducer
 payload that fails ``ReducerSet.from_state`` (corrupt or
 version-mismatched state) or a heartbeat gap beyond ``worker_timeout``
-retires the worker and requeues its outstanding leases.  Workers apply
-the same deadline in reverse: the job frame carries ``worker_timeout``,
-the coordinator heartbeats every :data:`HEARTBEAT_INTERVAL` seconds, and
-a worker that sees no frame for ``worker_timeout`` declares the
-coordinator dead and abandons the job instead of wedging forever.  When
-the lease queue drains while stragglers still hold leases, idle workers
-steal the oldest outstanding lease (speculative re-execution); the
-determinism contract makes duplicates byte-identical, so the first
-result wins and later ones are discarded.  The run fails only when *no*
-workers remain.
+retires the peer and requeues its outstanding leases; so does a pool
+slot whose task raises or whose process dies
+(:class:`~repro.engine.pool.WorkerDiedError`).  Peers apply the same
+deadline in reverse: the job frame carries ``worker_timeout``, the
+coordinator heartbeats every :data:`HEARTBEAT_INTERVAL` seconds, and a
+peer that sees no frame for ``worker_timeout`` declares the coordinator
+dead and abandons the job instead of wedging forever.  When the lease
+queue drains while stragglers still hold leases, idle workers steal the
+oldest outstanding lease (speculative re-execution; for a slot, a second
+pool task); the determinism contract makes duplicates byte-identical, so
+the first result wins and later ones are discarded (a slot still running
+one at the end is killed).  The run fails only when *no* workers remain.
+The coordinator's one wait covers its slots' pool pipes and a self-pipe
+that the peer reader threads write, so either side's event wakes it.
 
 Resumable runs
 --------------
@@ -122,23 +128,20 @@ import json
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from queue import Empty, Queue
+from multiprocessing.connection import wait
+from queue import Queue
 
 import numpy as np
 
 from repro.engine.accumulate import CorrelationAccumulator, MomentAccumulator
 from repro.engine.pool import get_pool
-from repro.engine.retry import (
-    DIAL_RETRY,
-    RECONNECT_RETRY,
-    WORKER_RECONNECT_ATTEMPTS,
-    RetryError,
-)
+from repro.engine.retry import DIAL_RETRY
 from repro.engine.reduce import ChunkedFold, QuantileReducer, ReducerSet
 from repro.engine.sharding import FleetStatistics, _resolve_factories
 from repro.engine.streaming import (
@@ -180,7 +183,6 @@ from repro.faults.sites import (
     SITE_FRAME_SEND,
     SITE_HEARTBEAT,
     SITE_WORKER_BLOCK,
-    SITE_WORKER_DIAL,
 )
 from repro.stats.state import StateError, make_envelope
 
@@ -217,6 +219,10 @@ HEARTBEAT_INTERVAL = 2.0
 
 #: Age an outstanding lease must reach before an idle worker steals it.
 STEAL_AFTER = 5.0
+
+#: Longest the coordinator waits between passes over heartbeats, liveness
+#: and stealing; slot results and peer frames wake it at once.
+_TICK = 0.2
 
 #: Environment variable supplying the shared fleet token.
 FLEET_TOKEN_ENV = "REPRO_FLEET_TOKEN"
@@ -536,12 +542,58 @@ def _heartbeat_loop(send, stop: threading.Event, interval: float) -> None:
             return
 
 
+def run_lease(task: BlockTask, lease: "tuple[int, int]") -> dict:
+    """Run one lease of ``task`` and return its ``result`` frame.
+
+    Generates blocks ``[lo, hi)``, encodes and hashes each, writes it into
+    ``task.out_dir`` (a pool slot's task) or, with none (a socket peer's
+    :func:`_worker_loop`), inlines it base64, and folds the lease into its
+    own reducer set.
+    """
+    lo, hi = lease
+    reducers = ReducerSet.from_factories(task.factories)
+    fold = ChunkedFold(reducers, task.chunk_size)
+    blocks: "list[dict]" = []
+    for index, block in task.generate(range(lo, hi)):
+        data = encode_csv_rows(block.to_matrix(), block_schema(block).csv_fmt)
+        entry = {
+            "index": index,
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+            "digest": population_digest(block),
+        }
+        if task.out_dir:
+            # Opened without truncating: a duplicate of a stolen lease
+            # rewrites an accepted block with the same bytes, so a kill
+            # mid-write never leaves it short.
+            fd = os.open(
+                os.path.join(task.out_dir, _block_name(index, "csv")),
+                os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                0o666,
+            )
+            with open(fd, "wb") as handle:
+                handle.write(data)
+                handle.truncate()  # a longer file left by an earlier run
+        else:
+            entry["data"] = base64.b64encode(data).decode("ascii")
+        blocks.append(entry)
+        fold.add(block)
+        _fire(SITE_WORKER_BLOCK)
+    fold.flush()
+    return {
+        "type": "result",
+        "block_lo": lo,
+        "block_hi": hi,
+        "blocks": blocks,
+        "reducers": reducers.to_state(),
+    }
+
+
 def _worker_loop(
     sock: socket.socket,
     token: "str | None" = None,
     drain_event: "threading.Event | None" = None,
     drain_after: "int | None" = None,
-    out_dir: "str | None" = None,
 ) -> None:
     """Serve one coordinator over an established connection.
 
@@ -560,11 +612,9 @@ def _worker_loop(
 
     When ``drain_event`` fires (or ``drain_after`` completed leases are
     reached) the worker finishes the leases it holds, sends ``drain``
-    and returns — a clean deregistration, not a failure.
-
-    ``out_dir`` is where this process writes its block files (local
-    workers share the coordinator's disk); the job frame never names a
-    directory, so without it every block ships inline in its result.
+    and returns — a clean deregistration, not a failure.  Each lease runs
+    through :func:`run_lease` with every block inline: the job frame
+    never names a directory.
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
@@ -638,7 +688,10 @@ def _worker_loop(
     # sees nothing for worker_timeout is orphaned (dead or partitioned
     # coordinator) and must exit rather than wedge a serve-worker slot.
     sock.settimeout(worker_timeout)
-    task = BlockTask(generator, when, size, root, range(block_count(size)))
+    task = BlockTask(
+        generator, when, size, root, range(block_count(size)),
+        chunk_size=chunk_size, factories=factories,
+    )
 
     stop = threading.Event()
     heartbeat = threading.Thread(
@@ -681,45 +734,15 @@ def _worker_loop(
                     (int(message["block_lo"]), int(message["block_hi"]))
                 )
                 continue
-            lo, hi = assigned.popleft()
-            reducers = ReducerSet.from_factories(factories)
-            fold = ChunkedFold(reducers, chunk_size)
-            blocks: "list[dict]" = []
-            for index, block in task.generate(range(lo, hi)):
-                data = encode_csv_rows(block.to_matrix(), block_schema(block).csv_fmt)
-                entry = {
-                    "index": index,
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                    "bytes": len(data),
-                    "digest": population_digest(block),
-                }
-                if out_dir:
-                    with open(
-                        os.path.join(out_dir, _block_name(index, "csv")), "wb"
-                    ) as handle:
-                        handle.write(data)
-                else:
-                    entry["data"] = base64.b64encode(data).decode("ascii")
-                blocks.append(entry)
-                fold.add(block)
-                _fire(SITE_WORKER_BLOCK)
-            fold.flush()
-            send(
-                {
-                    "type": "result",
-                    "block_lo": lo,
-                    "block_hi": hi,
-                    "blocks": blocks,
-                    "reducers": reducers.to_state(),
-                }
-            )
+            send(run_lease(task, assigned.popleft()))
             leases_done += 1
     finally:
         stop.set()
 
 
-def _dial(host: str, port: int, site: str, timeout: "float | None" = None):
-    """One coordinator/worker dial under :data:`DIAL_RETRY`.
+def _dial(host: str, port: int, timeout: "float | None" = None):
+    """The coordinator's dial of a ``--connect`` peer, under
+    :data:`DIAL_RETRY`.
 
     The fault site fires *inside* each attempt, so a ``count``-limited
     ``dial-refuse`` spec exercises the retry policy end to end: the
@@ -727,7 +750,7 @@ def _dial(host: str, port: int, site: str, timeout: "float | None" = None):
     """
 
     def attempt() -> socket.socket:
-        _fire(site)
+        _fire(SITE_CONNECT_DIAL)
         return socket.create_connection((host, port), timeout=timeout)
 
     return DIAL_RETRY.call(
@@ -735,42 +758,6 @@ def _dial(host: str, port: int, site: str, timeout: "float | None" = None):
         retry_on=(ConnectionError, TimeoutError),
         describe=f"dialling {host}:{port}",
     )
-
-
-def _local_worker_main(
-    host: str, port: int, token: "str | None" = None, out_dir: "str | None" = None
-) -> None:
-    """Entry point of a spawned local worker process (module-level so it
-    pickles under every multiprocessing start method).  It writes its
-    block files into ``out_dir``.
-
-    The dial retries under :data:`DIAL_RETRY` — a worker that comes up
-    before its coordinator listens must not die on the first
-    ``ConnectionRefusedError``.  A connection lost *mid-job* gets a
-    bounded reconnect window (:data:`WORKER_RECONNECT_ATTEMPTS` fresh
-    dials under :data:`RECONNECT_RETRY`); the determinism contract makes
-    the replayed leases byte-identical, so rejoining is always safe.
-    """
-    attempts = 1 + WORKER_RECONNECT_ATTEMPTS
-    for attempt in range(attempts):
-        try:
-            if attempt == 0:
-                sock = _dial(host, port, SITE_WORKER_DIAL)
-            else:
-                sock = RECONNECT_RETRY.call(
-                    lambda: socket.create_connection((host, port)),
-                    retry_on=(ConnectionError, TimeoutError),
-                    describe=f"reconnecting to coordinator {host}:{port}",
-                )
-        except RetryError:
-            return  # the coordinator tracks worker death through the socket
-        try:
-            _worker_loop(sock, token=token, out_dir=out_dir)
-            return
-        except (ProtocolError, OSError):
-            continue  # lost the coordinator mid-job: try one fresh session
-        finally:
-            sock.close()
 
 
 def serve_worker(
@@ -822,16 +809,12 @@ def serve_worker(
                     drain_after=drain_after,
                 )
             except AuthenticationError as error:
-                import sys
-
                 sys.stderr.write(
                     f"serve-worker: rejected unauthenticated coordinator: "
                     f"{error}\n"
                 )
                 continue
             except (ProtocolError, StateError, OSError) as error:
-                import sys
-
                 sys.stderr.write(f"serve-worker: job failed: {error}\n")
             finally:
                 conn.close()
@@ -850,13 +833,13 @@ def serve_worker(
 class DistributedExportResult:
     """Outcome of a distributed fleet export.
 
-    ``workers`` counts connections that completed the handshake;
-    ``reassigned_leases`` counts leases requeued after a worker died plus
-    leases stolen from stragglers by idle workers (graceful drains do not
-    contribute).  ``metrics`` is the run's ``FleetDistributedMetrics``
-    document (per-lease timings, heartbeat-gap histograms, per-worker
-    counters); ``resumed_leases`` counts leases restored from the
-    checkpoint log rather than re-run.
+    ``workers`` counts pool slots plus peers that completed the
+    handshake; ``reassigned_leases`` counts leases requeued after a
+    worker died plus leases stolen from stragglers by idle workers
+    (graceful drains do not contribute).  ``metrics`` is the run's
+    ``FleetDistributedMetrics`` document (per-lease timings,
+    heartbeat-gap histograms, per-worker counters); ``resumed_leases``
+    counts leases restored from the checkpoint log rather than re-run.
     """
 
     manifest: FleetManifest
@@ -868,25 +851,30 @@ class DistributedExportResult:
 
 
 class _Remote:
-    """Coordinator-side state of one worker connection."""
+    """Coordinator-side state of one worker: a socket peer, or (no
+    ``sock``) a pool slot that runs one lease at a time as a pool task."""
 
-    def __init__(self, sock: socket.socket, name: str, local: bool):
-        self.sock = sock
+    def __init__(self, name: str, sock: "socket.socket | None" = None):
         self.name = name
-        self.local = local
-        self.state = "hello"
+        self.sock = sock
+        self.local = sock is None
+        # A slot has no handshake and never sends ``ready``: it starts
+        # active with the one credit of its single in-flight lease.
+        self.state = "active" if self.local else "hello"
         #: Outstanding leases held by this worker → monotonic assign time.
         self.leases: "dict[tuple[int, int], float]" = {}
         #: Unconsumed ``ready`` credits (assignable without overrunning
         #: the worker's in-flight cap).
-        self.credits = 0
+        self.credits = 1 if self.local else 0
+        #: A slot's running :class:`~repro.engine.pool.AsyncTask`.
+        self.task = None
         self.last_seen = time.monotonic()
-        self.idle = False
         self.alive = True
 
 
 class _Coordinator:
-    """Single-threaded scheduler over reader-thread-fed worker events."""
+    """Single-threaded scheduler over pool slots and socket peers (whose
+    frames arrive on :attr:`events` from one reader thread each)."""
 
     def __init__(
         self,
@@ -911,6 +899,10 @@ class _Coordinator:
         self.lease_depth = lease_depth
         self.checkpoint_log = checkpoint_log
         self.events: Queue = Queue()
+        #: The peer readers' self-pipe (see :meth:`_put`), made by the
+        #: first :meth:`attach`.
+        self.wake = self.waker = None
+        self.wake_lock = threading.Lock()
         self.remotes: "list[_Remote]" = []
         self.completed: "dict[tuple[int, int], dict]" = dict(completed or {})
         self.pending: "deque[tuple[int, int]]" = deque(
@@ -920,52 +912,83 @@ class _Coordinator:
         self.stolen = 0
         self.drained = 0
         self.workers_seen = 0
-        self.last_progress = time.monotonic()
         self.last_error: "BaseException | None" = None
-        #: Local workers' pool tasks (:class:`~repro.engine.pool.AsyncTask`).
-        self.tasks: "list" = []
+        #: The pool and the :class:`BlockTask` the slots run leases of.
+        self.pool = None
+        self.block_task: "BlockTask | None" = None
         self.lease_events: "list[dict]" = []
         self.worker_metrics: "dict[str, dict]" = {}
 
-    # -- connection plumbing -------------------------------------------------
+    # -- workers -------------------------------------------------------------
 
-    def attach(self, sock: socket.socket, name: str, local: bool) -> None:
-        """Register an established connection and start its reader thread."""
+    def add_slots(self, pool, task: BlockTask, count: int) -> None:
+        """Add ``count`` slots running leases of ``task`` on ``pool``."""
+        self.pool, self.block_task = pool, task
+        for index in range(count):
+            remote = _Remote(f"local-{index}")
+            self.remotes.append(remote)
+            self.workers_seen += 1
+            self._worker_entry(remote)
+            self._offer(remote)
+
+    def attach(self, sock: socket.socket, name: str) -> None:
+        """Register a peer connection and start its reader thread."""
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        remote = _Remote(sock, name, local)
+        if self.wake is None:
+            self.wake, self.waker = socket.socketpair()
+            self.wake.setblocking(False)
+            self.waker.setblocking(False)
+        remote = _Remote(name, sock)
         self.remotes.append(remote)
         threading.Thread(
             target=self._reader, args=(remote,), daemon=True
         ).start()
 
     def _reader(self, remote: _Remote) -> None:
+        """Queue each frame, then ``None`` for a clean close or a failure."""
         try:
             while True:
                 message = recv_frame(remote.sock)
+                self._put((remote, message, None))
                 if message is None:
-                    self.events.put(("close", remote, None))
                     return
-                self.events.put(("frame", remote, message))
         except (ProtocolError, OSError) as error:
-            self.events.put(("close", remote, error))
+            self._put((remote, None, error))
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        try:
-            while True:
-                sock, _ = listener.accept()
-                self.events.put(("connect", sock))
-        except OSError:
-            return  # listener closed — coordinator shutting down
+    def _put(self, event: tuple) -> None:
+        """Queue a peer event and wake :meth:`_wait` with a byte on the
+        self-pipe (the lock keeps :meth:`close` from freeing it mid-send)."""
+        self.events.put(event)
+        with self.wake_lock:
+            if self.waker is not None:
+                try:
+                    self.waker.send(b"\0")
+                except BlockingIOError:
+                    pass  # a full pipe already holds a wake-up
+
+    def close(self) -> None:
+        """Hang up every peer, close the self-pipe, and kill any slot still
+        running: it holds a duplicate of a finished lease (or the run
+        failed).  A duplicate rewrites accepted blocks in place with the
+        same bytes (:func:`run_lease`), so the kill never leaves one short."""
+        with self.wake_lock:
+            if self.wake is not None:
+                self.wake.close()
+                self.waker.close()
+                self.wake = self.waker = None
+        for remote in self.remotes:
+            if remote.sock is not None:
+                _hang_up(remote.sock)
+            if remote.task is not None and not remote.task.done:
+                remote.task.kill()
 
     # -- scheduling ----------------------------------------------------------
 
-    def _send(self, remote: _Remote, message: dict) -> bool:
+    def _send(self, remote: _Remote, message: dict) -> None:
         try:
             send_frame(remote.sock, message)
-            return True
         except OSError as error:
             self._drop(remote, error)
-            return False
 
     def _drop(self, remote: _Remote, error: "BaseException | str | None") -> None:
         """Retire a failed worker, recording its error and requeueing."""
@@ -986,9 +1009,9 @@ class _Coordinator:
         in flight when the drain frame was sent — is the exception).
         """
         remote.alive = False
-        remote.idle = False
         remote.credits = 0
-        _hang_up(remote.sock)
+        if remote.sock is not None:
+            _hang_up(remote.sock)
         outstanding = list(remote.leases)
         remote.leases.clear()
         requeued = False
@@ -1007,17 +1030,18 @@ class _Coordinator:
 
     def _assign(self, remote: _Remote, lease: "tuple[int, int]") -> None:
         remote.credits -= 1
-        remote.idle = remote.credits > 0
         remote.leases[lease] = time.monotonic()
-        self._send(
-            remote,
-            {"type": "assign", "block_lo": lease[0], "block_hi": lease[1]},
-        )
+        if remote.local:
+            remote.task = self.pool.apply_async(run_lease, (self.block_task, lease))
+        else:
+            self._send(
+                remote,
+                {"type": "assign", "block_lo": lease[0], "block_hi": lease[1]},
+            )
 
     def _offer(self, remote: _Remote) -> None:
         while remote.credits > 0 and self.pending:
             self._assign(remote, self.pending.popleft())
-        remote.idle = remote.alive and remote.credits > 0
 
     def _steal(self, now: float) -> None:
         """Give fully idle workers the oldest outstanding straggler leases.
@@ -1089,7 +1113,6 @@ class _Coordinator:
             if gap > entry["max_frame_gap_seconds"]:
                 entry["max_frame_gap_seconds"] = gap
         remote.last_seen = now
-        self.last_progress = now
         kind = message.get("type")
         if kind == "hello":
             if remote.state != "hello":
@@ -1166,14 +1189,12 @@ class _Coordinator:
             with open(os.path.join(self.out_dir, name), "wb") as handle:
                 handle.write(data)
         self.completed[lease] = entry
-        now = time.monotonic()
-        self.last_progress = now
         self.lease_events.append(
             {
                 "block_lo": lease[0],
                 "block_hi": lease[1],
                 "worker": remote.name,
-                "seconds": now - started,
+                "seconds": time.monotonic() - started,
             }
         )
         stats = self._worker_entry(remote)
@@ -1227,56 +1248,67 @@ class _Coordinator:
 
     # -- main loop -----------------------------------------------------------
 
+    def _wait(self) -> None:
+        """Wait until a slot task finishes, a pool worker dies or a peer
+        event is queued (at most :data:`_TICK` seconds), then handle the
+        finished slot tasks and every peer event queued so far."""
+        also = [] if self.wake is None else [self.wake]
+        if self.pool is not None:
+            self.pool.poll(_TICK, also)
+        else:
+            wait(also, _TICK)
+        if also:
+            try:  # empty the self-pipe before the queue: no wake-up is lost
+                while self.wake.recv(4096):
+                    pass
+            except BlockingIOError:
+                pass
+        for remote in self.remotes:
+            if remote.task is not None and remote.task.done:
+                self._finish_slot(remote)
+        for _ in range(self.events.qsize()):
+            remote, message, error = self.events.get_nowait()
+            if message is None:
+                self._drop(remote, error)  # the connection closed or failed
+            else:
+                self._handle_frame(remote, message)
+
+    def _finish_slot(self, remote: _Remote) -> None:
+        """Handle a slot's result like a peer's and hand it the next lease;
+        a raised exception or a dead worker retires the slot."""
+        task, remote.task = remote.task, None
+        if task.error is not None:
+            return self._drop(remote, task.error)
+        remote.credits += 1
+        self._handle_result(remote, task.value)
+        self._offer(remote)
+
     def run(self) -> None:
-        self.last_progress = time.monotonic()
-        last_beat = self.last_progress
+        last_beat = time.monotonic()
         while len(self.completed) < len(self.leases):
-            try:
-                event = self.events.get(timeout=0.2)
-            except Empty:
-                event = None
-            if event is not None:
-                if event[0] == "connect":
-                    self.attach(event[1], f"local-{len(self.remotes)}", local=True)
-                    self.last_progress = time.monotonic()
-                elif event[0] == "frame":
-                    self._handle_frame(event[1], event[2])
-                elif event[0] == "close":
-                    self._drop(event[1], event[2])
+            self._wait()
             now = time.monotonic()
+            peers = [remote for remote in self.remotes if not remote.local]
             if now - last_beat >= HEARTBEAT_INTERVAL:
-                # The reverse beacon: workers reset their read deadline on
+                # The reverse beacon: peers reset their read deadline on
                 # any frame, so this is what keeps an idle (credit-holding)
-                # worker from declaring a healthy coordinator dead.
+                # peer from declaring a healthy coordinator dead.
                 last_beat = now
-                for remote in list(self.remotes):
+                for remote in peers:
                     if remote.alive and remote.state == "active":
                         self._send(remote, {"type": "heartbeat"})
-            for remote in self.remotes:
+            for remote in peers:
                 if remote.alive and now - remote.last_seen > self.worker_timeout:
                     self._drop(remote, f"{remote.name} heartbeat timeout")
             self._steal(now)
             if not any(remote.alive for remote in self.remotes):
-                if not all(task.wait(0) for task in self.tasks):
-                    if now - self.last_progress > self.worker_timeout:
-                        if self.workers_seen == 0:
-                            raise RuntimeError(
-                                "distributed export stalled: no worker "
-                                f"connected within {self.worker_timeout:.0f} s"
-                            )
-                        raise RuntimeError(
-                            "distributed export stalled: workers went silent "
-                            f"after completing {len(self.completed)}/"
-                            f"{len(self.leases)} leases"
-                        )
-                    continue
                 detail = f" (last error: {self.last_error})" if self.last_error else ""
                 raise RuntimeError(
                     "all distributed workers died before completing the "
                     f"export{detail}"
                 )
         for remote in self.remotes:
-            if remote.alive:
+            if remote.alive and not remote.local:
                 self._send(remote, {"type": "shutdown"})
 
 
@@ -1331,10 +1363,10 @@ def export_fleet_distributed(
 ) -> DistributedExportResult:
     """Export a fleet through coordinator-scheduled distributed workers.
 
-    Spawns ``workers`` local worker processes and/or dials the
-    ``connect`` list of ``(host, port)`` :func:`serve_worker` endpoints,
-    leases them RNG-block ranges of ``lease_blocks`` blocks (at most
-    ``lease_depth`` in flight per worker) with work-stealing and failure
+    Runs ``workers`` pool slots and/or dials the ``connect`` list of
+    ``(host, port)`` :func:`serve_worker` endpoints, leases them
+    RNG-block ranges of ``lease_blocks`` blocks (at most ``lease_depth``
+    in flight per peer, one per slot) with work-stealing and failure
     reassignment, and merges their serialized
     :class:`~repro.engine.reduce.ReducerSet` states in block order.  The
     resulting manifest (``layout="block"``, CSV only) and payload bytes
@@ -1345,10 +1377,11 @@ def export_fleet_distributed(
     run's ``FleetDistributedMetrics`` JSON.  The run checkpoints every
     completed lease (see :func:`~repro.engine.writer.resume_export`).
     ``reducers`` accepts the :data:`WIRE_REDUCER_FACTORIES` subset by
-    name (factories cannot travel a JSON wire).  Local workers are tasks
-    on the persistent pool (:func:`~repro.engine.pool.get_pool`).  Raises
-    :class:`RuntimeError` when every worker has died with leases
-    outstanding.
+    name (factories cannot travel a JSON wire).  A pool slot runs one
+    lease at a time as a task on the persistent pool
+    (:func:`~repro.engine.pool.get_pool`); ``workers=1`` too runs there,
+    never in this process.  Raises :class:`RuntimeError` when every
+    worker has died with leases outstanding.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
@@ -1476,45 +1509,24 @@ def _run_distributed(
     )
 
     start = time.perf_counter()
-    listener = None
     try:
         if coordinator.pending:
             if workers:
-                # The pool comes before the listener: a worker forked
-                # after the bind would inherit the listening socket and,
-                # orphaned by a coordinator crash, redial into its backlog
-                # instead of seeing the refusal that lets it exit.  Forking
-                # here also precedes every coordinator thread.
-                pool = get_pool(workers, start_method)
-                listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                listener.bind(("127.0.0.1", 0))
-                listener.listen(workers)
-                port = listener.getsockname()[1]
-                for _ in range(workers):
-                    coordinator.tasks.append(
-                        pool.apply_async(
-                            _local_worker_main, ("127.0.0.1", port, token, out_dir)
-                        )
-                    )
-                threading.Thread(
-                    target=coordinator._accept_loop, args=(listener,), daemon=True
-                ).start()
+                # The pool forks here, before any coordinator thread.
+                task = BlockTask(
+                    generator, plan["when"], size, root, range(block_count(size)),
+                    out_dir=out_dir, chunk_size=plan["chunk_size"],
+                    factories=factories,
+                )
+                coordinator.add_slots(get_pool(workers, start_method), task, workers)
             for host, port in connect:
-                sock = _dial(host, port, SITE_CONNECT_DIAL, timeout=worker_timeout)
+                sock = _dial(host, port, timeout=worker_timeout)
                 sock.settimeout(None)
-                coordinator.attach(sock, f"tcp-{host}:{port}", local=False)
+                coordinator.attach(sock, f"tcp-{host}:{port}")
             coordinator.run()
     finally:
         checkpoint_log.close()
-        if listener is not None:
-            listener.close()
-        for remote in coordinator.remotes:
-            _hang_up(remote.sock)
-        # With every socket closed the local workers return promptly; a
-        # worker's death or error already surfaced through its leases.
-        for task in coordinator.tasks:
-            if not task.wait(5):
-                task.kill()
+        coordinator.close()
     elapsed = time.perf_counter() - start
 
     records: "list[SegmentRecord]" = []

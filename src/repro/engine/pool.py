@@ -2,7 +2,7 @@
 
 Every multiprocess fan-out — ``generate_sharded``, ``export_fleet``
 (shard and columnar), ``export_fleet_blocks``/``resume_export`` and the
-distributed backend's local workers — runs on one persistent worker
+distributed backend's pool slots — runs on one persistent worker
 set, fault plan or not:
 
 :func:`fan_out`
@@ -35,7 +35,6 @@ import multiprocessing
 import os
 import signal
 import threading
-import time
 from collections import deque
 from multiprocessing.connection import wait
 from multiprocessing.pool import ExceptionWithTraceback
@@ -140,17 +139,10 @@ class AsyncTask:
         self.worker = None
         self.value, self.error, self.done = value, error, True
 
-    def wait(self, timeout: "float | None" = None) -> bool:
-        """Whether the task finished (or lost its worker) within
-        ``timeout`` seconds: ``0`` only polls, ``None`` waits as long as
-        that takes."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def wait(self) -> None:
+        """Block until the task finishes (or loses its worker)."""
         while not self.done:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            self._pool._poll(None if remaining is None else max(remaining, 0.0))
-            if remaining is not None and remaining <= 0:
-                break
-        return self.done
+            self._pool.poll(None)
 
     def kill(self) -> None:
         """Kill the worker running this task and wait until the pool has
@@ -218,7 +210,7 @@ class WorkerPool:
         is eager, so callers fork here, before opening anything a worker
         must not inherit."""
         with self._lock:
-            self._poll(0)
+            self.poll(0)
             for worker in list(self._workers):
                 if worker.task is None and not worker.process.is_alive():
                     self._retire(worker)
@@ -273,7 +265,7 @@ class WorkerPool:
             try:
                 worker.conn.send(task._message)
             except OSError:
-                pass  # it died while idle: _poll reports that as this task's end
+                pass  # it died while idle: poll reports that as this task's end
             except Exception as error:  # the task does not pickle
                 task._finish(error=error)
                 continue
@@ -283,16 +275,19 @@ class WorkerPool:
             task = self._queue.popleft()
             task._finish(error=WorkerDiedError(task.payload, None))
 
-    def _poll(self, timeout: "float | None") -> None:
-        """Collect every reply and worker death ready within ``timeout``."""
+    def poll(self, timeout: "float | None", also: "list | tuple" = ()) -> None:
+        """Collect every reply and worker death ready within ``timeout``,
+        returning early when one of ``also`` (objects
+        :func:`~multiprocessing.connection.wait` takes) is ready: the
+        distributed coordinator's one wait for its slots and peers."""
         with self._lock:
             busy = {}  # pipe and sentinel -> busy worker
             for worker in self._workers:
                 if worker.task is not None:
                     busy[worker.conn] = busy[worker.process.sentinel] = worker
-            if busy:
-                for worker in {busy[ready] for ready in wait(list(busy), timeout)}:
-                    self._collect(worker)
+            ready = wait([*busy, *also], timeout) if busy or also else ()
+            for worker in {busy[item] for item in ready if item in busy}:
+                self._collect(worker)
             self._dispatch()
 
     def _collect(self, worker: _Worker) -> None:

@@ -1,14 +1,13 @@
 """Shared retry/backoff policies for the export stack.
 
 Every place the stack used to fail hard on the first transient error —
-a worker dialling a coordinator that is not listening *yet*, a block
-write hitting a momentary ``ENOSPC``/``EIO``, a local worker whose
-coordinator connection hiccuped mid-job — now routes through one
-:class:`RetryPolicy`: jittered exponential backoff, capped both by an
-attempt budget and a wall-clock deadline.  The policy is a frozen value
-object so call sites can share tuned instances (:data:`DIAL_RETRY`,
-:data:`WRITE_RETRY`, :data:`RECONNECT_RETRY`) and tests can assert the
-exact delay schedule.
+a coordinator dialling a ``serve-worker`` peer that is not listening
+*yet*, a block write hitting a momentary ``ENOSPC``/``EIO`` — now routes
+through one :class:`RetryPolicy`: jittered exponential backoff, capped
+both by an attempt budget and a wall-clock deadline.  The policy is a
+frozen value object so call sites can share tuned instances
+(:data:`DIAL_RETRY`, :data:`WRITE_RETRY`) and tests can assert the exact
+delay schedule.
 
 Jitter is *full jitter* on a fraction of each step: step ``i`` sleeps
 ``base_delay * multiplier**i``, of which ``jitter`` of the span is
@@ -97,7 +96,7 @@ class RetryPolicy:
         ) from last_error
 
 
-#: A worker (or coordinator) dialling a TCP endpoint that may not be
+#: The coordinator dialling a ``--connect`` endpoint that may not be
 #: listening yet — the serve-worker race the CI smokes used to paper
 #: over with ``sleep 1``.
 DIAL_RETRY = RetryPolicy(
@@ -109,14 +108,3 @@ DIAL_RETRY = RetryPolicy(
 WRITE_RETRY = RetryPolicy(
     attempts=3, base_delay=0.02, multiplier=2.0, max_delay=0.2, deadline=5.0
 )
-
-#: A local worker re-dialling a coordinator it lost mid-job: a *bounded*
-#: window — the coordinator may simply be gone, and a worker must not
-#: outlive teardown by more than a couple of seconds.
-RECONNECT_RETRY = RetryPolicy(
-    attempts=3, base_delay=0.05, multiplier=2.0, max_delay=0.5, deadline=2.0
-)
-
-#: Reconnect attempts (full dial cycles) a local worker spends on a lost
-#: coordinator connection before giving up for good.
-WORKER_RECONNECT_ATTEMPTS = 2

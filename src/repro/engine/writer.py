@@ -759,8 +759,7 @@ def describe_export_dir(out_dir: str) -> "str | None":
     if DISTRIBUTED_PLAN_NAME in entries:
         return (
             "this looks like an interrupted distributed export — pass "
-            "--backend distributed --resume to finish it, or --force to "
-            "start over"
+            "--resume to finish it, or --force to start over"
         )
     if "manifest.json" in entries:
         return (
@@ -1265,8 +1264,11 @@ def resume_export(
       a :class:`~repro.engine.distributed.DistributedExportResult`.
 
     A corrupt, mismatched or older-build plan or journal raises
-    :class:`~repro.stats.state.StateError`.  If the export already
-    finished, returns its manifest with ``statistics=None``.
+    :class:`~repro.stats.state.StateError`, as do ``connect``,
+    ``metrics_path``, ``lease_depth`` (other than 1) and
+    ``worker_timeout`` on a block plan, which would drop them.  If the
+    export already finished, returns its manifest with
+    ``statistics=None``.
     """
     found = [
         name for name in (PLAN_NAME, DISTRIBUTED_PLAN_NAME)
@@ -1293,6 +1295,18 @@ def resume_export(
             worker_timeout=worker_timeout, lease_depth=lease_depth,
             start_method=start_method, token=token, metrics_path=metrics_path,
         )
+    for given, name in (
+        (connect, "connect (--connect)"),
+        (metrics_path, "metrics_path (--metrics)"),
+        # 1 is the CLI's --lease-depth default, not a request.
+        (lease_depth not in (None, 1), "lease_depth (--lease-depth)"),
+        (worker_timeout is not None, "worker_timeout"),
+    ):
+        if given:
+            raise StateError(
+                f"{out_dir} holds an interrupted block export; {name} "
+                "applies to a distributed run only — resume without it"
+            )
     factories = _resolve_factories(reducers, quantiles)
     if sorted(factories) != plan["reducers"]:
         raise StateError(

@@ -25,7 +25,7 @@ Inline shorthand (``--fault-spec``)::
 
     writer.block.done:after=3
     writer.block.write:kind=io-error,errno=ENOSPC,after=2,count=2
-    distributed.worker.dial:kind=dial-refuse,count=2;distributed.heartbeat:after=1
+    distributed.connect.dial:kind=dial-refuse,count=2;distributed.heartbeat:after=1
 
 ``SITE`` alone arms the site's default kind on its first invocation;
 ``;`` separates multiple specs.

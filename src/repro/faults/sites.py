@@ -109,7 +109,6 @@ SITE_MANIFEST_WRITE = "writer.manifest.write"
 SITE_POOL_TASK = "pool.task"
 SITE_FRAME_SEND = "distributed.frame.send"
 SITE_FRAME_RECV = "distributed.frame.recv"
-SITE_WORKER_DIAL = "distributed.worker.dial"
 SITE_CONNECT_DIAL = "distributed.connect.dial"
 SITE_WORKER_BLOCK = "distributed.worker.block"
 SITE_HEARTBEAT = "distributed.heartbeat"
@@ -169,12 +168,6 @@ _SITES = (
         "repro.engine.distributed",
         (KIND_CONN_RESET, KIND_RAISE, KIND_DELAY),
         "an incoming protocol frame read",
-    ),
-    FaultSite(
-        SITE_WORKER_DIAL,
-        "repro.engine.distributed",
-        (KIND_DIAL_REFUSE, KIND_CONN_RESET, KIND_DELAY),
-        "a local worker dialling the coordinator (inside the retry loop)",
     ),
     FaultSite(
         SITE_CONNECT_DIAL,

@@ -88,6 +88,18 @@ def worker_sigkill_after_block(tmp_path):
     deactivate()
 
 
+@pytest.fixture
+def slot_starts_late(tmp_path_factory):
+    """Delay the first pool task by half a second, so that a peer
+    attached beside one pool slot has done its handshake and holds a lease
+    (about 20 ms here) before the slot could have run every lease."""
+    spec = FaultSpec(site="pool.task", kind="delay", delay_seconds=0.5, once=True)
+    state_dir = tmp_path_factory.mktemp("pace")
+    activate(FaultPlan(faults=(spec,)), state_dir=str(state_dir))
+    yield
+    deactivate()
+
+
 def _payload_bytes(out_dir, manifest) -> bytes:
     payload = b""
     for segment in manifest.segments:
@@ -349,7 +361,7 @@ class TestProtocolFailureHandling:
         assert not thread.is_alive()
 
     def test_rejected_result_requeues_lease_to_healthy_workers(
-        self, tmp_path, paper_generator, golden
+        self, tmp_path, paper_generator, golden, slot_starts_late
     ):
         """A bad result must give its lease back: with a healthy worker
         still alive, the export completes (regression: clearing the lease
@@ -470,7 +482,9 @@ class TestServeWorker:
         )
         assert verify_manifest(str(out / "manifest.json")).ok
 
-    def test_mixed_local_and_attached_workers(self, tmp_path, paper_generator, golden):
+    def test_mixed_local_and_attached_workers(
+        self, tmp_path, paper_generator, golden, slot_starts_late
+    ):
         _, golden_result = golden
         ports: "queue.Queue[int]" = queue.Queue()
         thread = threading.Thread(
@@ -588,6 +602,39 @@ def _make_coordinator(leases, size=16_384, lease_depth=1):
     )
 
 
+class TestCoordinatorWait:
+    def test_peer_frame_wakes_the_wait_on_a_busy_slot(self, monkeypatch):
+        """One wait covers the slots' pool pipes and the peers' frames: a
+        hello wakes it at once while a slot is busy, with no polling
+        interval (the tick between periodic duties is a minute here)."""
+        import repro.engine.distributed as distributed
+        from repro.engine.distributed import _Remote
+        from repro.engine.pool import get_pool
+
+        monkeypatch.setattr(distributed, "_TICK", 60.0)
+        coordinator = _make_coordinator([(0, 1)])
+        coordinator.pool = get_pool(1)
+        slot = _Remote("local-0")
+        slot.task = coordinator.pool.apply_async(time.sleep, (120,))
+        coordinator.remotes.append(slot)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            theirs = socket.create_connection(listener.getsockname())
+            ours, _ = listener.accept()
+        theirs.settimeout(30)
+        try:
+            coordinator.attach(ours, "peer")
+            send_frame(theirs, {"type": "hello", "protocol": PROTOCOL_VERSION})
+            start = time.monotonic()
+            coordinator._wait()
+            assert time.monotonic() - start < 30
+            assert recv_frame(theirs) == coordinator.job  # the hello's answer
+            assert not slot.task.done
+        finally:
+            slot.task.kill()
+            coordinator.close()
+            theirs.close()
+
+
 class TestWorkStealing:
     def test_idle_worker_steals_the_oldest_straggler_lease(self):
         """Scheduler unit: queue empty + aged straggler → speculative assign."""
@@ -597,10 +644,10 @@ class TestWorkStealing:
         straggler_sock, _straggler_peer = socket.socketpair()
         idle_sock, idle_peer = socket.socketpair()
         with straggler_sock, _straggler_peer, idle_sock, idle_peer:
-            straggler = _Remote(straggler_sock, "slow", local=True)
+            straggler = _Remote("slow", straggler_sock)
             straggler.state = "active"
             straggler.leases = {(0, 2): 0.0}  # ancient — well past STEAL_AFTER
-            idle = _Remote(idle_sock, "fast", local=True)
+            idle = _Remote("fast", idle_sock)
             idle.state = "active"
             idle.credits = 1
             coordinator.remotes.extend([straggler, idle])
@@ -623,13 +670,13 @@ class TestWorkStealing:
         try:
             stragglers = []
             for i, lease in enumerate([(0, 2), (2, 4)]):
-                remote = _Remote(socks[i][0], f"slow-{i}", local=True)
+                remote = _Remote(f"slow-{i}", socks[i][0])
                 remote.state = "active"
                 remote.leases = {lease: float(i)}  # (0,2) is the oldest
                 stragglers.append(remote)
             idlers = []
             for i in range(2, 4):
-                remote = _Remote(socks[i][0], f"fast-{i}", local=True)
+                remote = _Remote(f"fast-{i}", socks[i][0])
                 remote.state = "active"
                 remote.credits = 1
                 idlers.append(remote)
@@ -654,10 +701,10 @@ class TestWorkStealing:
         coordinator = _make_coordinator([(0, 2), (2, 4)])
         socks = [socket.socketpair() for _ in range(2)]
         try:
-            straggler = _Remote(socks[0][0], "slow", local=True)
+            straggler = _Remote("slow", socks[0][0])
             straggler.state = "active"
             straggler.leases = {(0, 2): 0.0}
-            busy = _Remote(socks[1][0], "busy", local=True)
+            busy = _Remote("busy", socks[1][0])
             busy.state = "active"
             busy.credits = 1
             busy.leases = {(2, 4): time.monotonic()}  # pipelining, not idle
@@ -679,7 +726,7 @@ class TestWorkStealing:
         coordinator = _make_coordinator([(0, 1)], size=4_096)
         sock, peer = socket.socketpair()
         with sock, peer:
-            remote = _Remote(sock, "dup", local=True)
+            remote = _Remote("dup", sock)
             remote.state = "active"
             remote.leases = {(0, 1): 0.0}
             coordinator.remotes.append(remote)
@@ -703,7 +750,7 @@ class TestLeaseDepth:
         coordinator.pending.clear()  # nothing assignable: credits accumulate
         sock, _peer = socket.socketpair()
         with sock, _peer:
-            remote = _Remote(sock, "greedy", local=True)
+            remote = _Remote("greedy", sock)
             remote.state = "active"
             coordinator.remotes.append(remote)
             coordinator._handle_frame(remote, {"type": "ready"})
@@ -803,7 +850,12 @@ class TestCliSubprocessCrashInjection:
              "distributed.worker.block:kind=sigkill,once=true,after=1"],
             env=env, check=True, capture_output=True, text=True, timeout=300,
         )
-        assert "reassigned" in completed.stdout
+        (summary,) = [
+            line for line in completed.stdout.splitlines()
+            if line.startswith("distributed:")
+        ]
+        reassigned = int(summary.split(", ")[1].split()[0])
+        assert reassigned >= 1, summary
         verify = subprocess.run(
             [sys.executable, "-m", "repro", "fleet", "verify",
              str(dist / "manifest.json")],
@@ -1125,37 +1177,9 @@ class TestWorkerReadDeadline:
         ours.close()
 
 
-class TestStallDiagnostics:
-    """S2 regression: the stall error must say whether any work happened."""
-
-    class _Running:
-        """A local worker's pool task that never finishes."""
-
-        def wait(self, timeout=None):
-            return False
-
-    def test_reports_when_no_worker_ever_connected(self):
-        coordinator = _make_coordinator([(0, 1)])
-        coordinator.worker_timeout = 0.2
-        coordinator.tasks.append(self._Running())
-        with pytest.raises(RuntimeError, match="no worker connected within"):
-            coordinator.run()
-
-    def test_reports_progress_made_before_the_fleet_went_silent(self):
-        coordinator = _make_coordinator([(0, 1), (1, 2)])
-        coordinator.worker_timeout = 0.2
-        coordinator.tasks.append(self._Running())
-        coordinator.workers_seen = 1
-        coordinator.completed[(0, 1)] = {}
-        with pytest.raises(
-            RuntimeError, match=r"went silent after completing 1/2 leases"
-        ):
-            coordinator.run()
-
-
 class TestGracefulDrain:
     def test_drained_worker_deregisters_cleanly(
-        self, tmp_path, paper_generator, golden
+        self, tmp_path, paper_generator, golden, slot_starts_late
     ):
         golden_dir, golden_result = golden
         ports = queue.Queue()
@@ -1222,11 +1246,151 @@ class TestMetricsDocument:
 
 
 class TestPooledWorkerHandle:
-    """Local workers are tasks on the persistent pool; the coordinator
-    holds their task handles."""
+    """Local workers are pool slots: each runs one lease at a time as a
+    task on the persistent pool, with no socket in between."""
+
+    def test_local_export_binds_dials_and_frames_nothing(
+        self, tmp_path, paper_generator, golden, monkeypatch
+    ):
+        import repro.engine.distributed as distributed
+
+        def no_sockets(*args, **kwargs):
+            raise AssertionError("a local-only export touched a socket")
+
+        for name in ("send_frame", "recv_frame"):
+            monkeypatch.setattr(distributed, name, no_sockets)
+        monkeypatch.setattr(socket.socket, "bind", no_sockets)
+        monkeypatch.setattr(socket, "create_connection", no_sockets)
+        golden_dir, golden_result = golden
+        out = tmp_path / "local"
+        result = export_fleet_distributed(
+            paper_generator, SEPT_2010, SIZE, SEED, str(out),
+            workers=2, lease_blocks=1, quantiles=True,
+        )
+        assert result.manifest.to_json() == golden_result.manifest.to_json()
+        assert _payload_bytes(out, result.manifest) == _payload_bytes(
+            golden_dir, golden_result.manifest
+        )
+        workers = result.metrics["workers"]
+        assert sorted(workers) == ["local-0", "local-1"]
+        assert all(entry["local"] for entry in workers.values())
+        assert all(entry["frames"] == 0 for entry in workers.values())
+
+    @pytest.fixture
+    def first_task_raises(self, tmp_path_factory):
+        spec = FaultSpec(site="pool.task", kind="raise", once=True)
+        activate(
+            FaultPlan(faults=(spec,)),
+            state_dir=str(tmp_path_factory.mktemp("faults")),
+        )
+        yield
+        deactivate()
+
+    def test_raising_slot_is_retired_and_its_lease_requeued(
+        self, tmp_path, paper_generator, golden, first_task_raises
+    ):
+        golden_dir, golden_result = golden
+        out = tmp_path / "absorbed"
+        result = export_fleet_distributed(
+            paper_generator, SEPT_2010, SIZE, SEED, str(out),
+            workers=2, lease_blocks=1, quantiles=True,
+        )
+        assert result.reassigned_leases >= 1
+        assert result.manifest.to_json() == golden_result.manifest.to_json()
+        assert _payload_bytes(out, result.manifest) == _payload_bytes(
+            golden_dir, golden_result.manifest
+        )
+
+    def test_lone_raising_slot_fails_the_export(
+        self, tmp_path, paper_generator, first_task_raises
+    ):
+        with pytest.raises(
+            RuntimeError, match="all distributed workers died.*injected fault"
+        ):
+            export_fleet_distributed(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path / "out"),
+                workers=1, lease_blocks=1,
+            )
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the pool workers must inherit the patched opens",
+    )
+    def test_killed_duplicate_leaves_accepted_blocks_whole(
+        self, tmp_path, paper_generator, golden, monkeypatch
+    ):
+        """The slot still running a stolen lease when the export completes
+        is killed between opening and writing a block whose first result
+        was already accepted: that block stays whole."""
+        import builtins
+        import re
+
+        import repro.engine.distributed as distributed
+        from repro.engine.pool import AsyncTask, shutdown_pools
+
+        rewriting = tmp_path / "rewriting"
+        block_name = re.compile(r"block-\d{6}\.csv")
+
+        def then_hang_on_rewrite(real_open):
+            # Either open of a block file that already holds bytes: the
+            # duplicate's.  It hangs once the open (truncating or not) is
+            # done, and is killed there.
+            def opener(path, mode, *args, **kwargs):
+                rewrite = (
+                    isinstance(path, str)
+                    and block_name.fullmatch(os.path.basename(path))
+                    and os.path.exists(path)
+                    and os.path.getsize(path) > 0
+                    and (not isinstance(mode, str) or "w" in mode)
+                )
+                opened = real_open(path, mode, *args, **kwargs)
+                if rewrite:
+                    rewriting.touch()
+                    time.sleep(60)
+                return opened
+            return opener
+
+        kill = AsyncTask.kill
+
+        def kill_while_rewriting(task):
+            deadline = time.monotonic() + 30
+            while not rewriting.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            kill(task)
+
+        # The forked pool workers inherit the patched opens; the first task
+        # waits a second, so the other slot steals its lease and wins.
+        monkeypatch.setattr(
+            distributed, "open", then_hang_on_rewrite(builtins.open), raising=False
+        )
+        monkeypatch.setattr(os, "open", then_hang_on_rewrite(os.open))
+        monkeypatch.setattr(distributed, "STEAL_AFTER", 0.0)
+        monkeypatch.setattr(AsyncTask, "kill", kill_while_rewriting)
+        spec = FaultSpec(site="pool.task", kind="delay", delay_seconds=1.0, once=True)
+        activate(FaultPlan(faults=(spec,)), state_dir=str(tmp_path / "faults"))
+        shutdown_pools()
+        golden_dir, golden_result = golden
+        out = tmp_path / "duplicate"
+        try:
+            result = export_fleet_distributed(
+                paper_generator, SEPT_2010, SIZE, SEED, str(out),
+                workers=2, lease_blocks=1, quantiles=True, start_method="fork",
+            )
+        finally:
+            deactivate()
+            shutdown_pools()  # their opens stay patched
+        assert rewriting.exists() and result.reassigned_leases >= 1
+        assert verify_manifest(str(out / "manifest.json")).ok
+        assert _payload_bytes(out, result.manifest) == _payload_bytes(
+            golden_dir, golden_result.manifest
+        )
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [segment.path for segment in result.manifest.segments] + ["manifest.json"]
+        )
 
     def test_pooled_worker_completes_a_reassigned_lease(
-        self, tmp_path, paper_generator, golden
+        self, tmp_path, paper_generator, golden, slot_starts_late
     ):
         """A remote worker takes a lease and dies; the pooled local worker
         must absorb the requeue and the export must stay byte-identical."""

@@ -440,6 +440,53 @@ class TestResumeRejections:
         assert (tmp_path / "manifest.json").read_text() == before
 
 
+class TestDistributedOnlyFlags:
+    """A block plan's resume refuses the transport flags it would drop,
+    before any block is regenerated, and a plain resume still finishes."""
+
+    @pytest.mark.parametrize(
+        "keyword, value, flag, cli_value",
+        [
+            ("metrics_path", "metrics.json", "--metrics", None),
+            ("connect", [("127.0.0.1", 9)], "--connect", "127.0.0.1:9"),
+            ("lease_depth", 3, "--lease-depth", "3"),
+            ("worker_timeout", 5.0, None, None),  # no CLI flag
+        ],
+        ids=["metrics", "connect", "lease-depth", "worker-timeout"],
+    )
+    def test_block_resume_refuses_then_finishes(
+        self, tmp_path, paper_generator, golden, capsys, keyword, value, flag,
+        cli_value,
+    ):
+        from repro.cli import main
+
+        golden_dir, golden_result = golden
+        out = tmp_path / "blk"
+        with _interrupted_after(3):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(out),
+                shards=1, checkpoint_every=CHECKPOINT_EVERY, quantiles=True,
+            )
+        if keyword == "metrics_path":
+            value = cli_value = str(tmp_path / value)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        with pytest.raises(StateError, match=keyword):
+            resume_export(paper_generator, str(out), quantiles=True, **{keyword: value})
+        if flag is not None:
+            capsys.readouterr()
+            argv = ["fleet", "export", "--resume", "--out-dir", str(out), flag, cli_value]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+            assert err.startswith("fleet export --resume: ") and flag in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert not (tmp_path / "metrics.json").exists()
+
+        resumed = resume_export(paper_generator, str(out), quantiles=True)
+        _assert_identical_runs(golden_dir, golden_result, out, resumed)
+
+
 class TestJournal:
     """The append-only checkpoint journal: one line per checkpoint."""
 

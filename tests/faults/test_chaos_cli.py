@@ -158,7 +158,8 @@ class TestExportDirHints:
         (tmp_path / DISTRIBUTED_PLAN_NAME).write_text("{}")
         hint = describe_export_dir(str(tmp_path))
         assert hint is not None
-        assert "--backend distributed --resume" in hint
+        assert "interrupted distributed export" in hint
+        assert "pass --resume to finish it" in hint
 
     def test_columnar_leftovers_read_as_partial_segments(self, tmp_path):
         # A columnar export creates its column files before the fan-out,

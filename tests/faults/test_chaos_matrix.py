@@ -5,10 +5,12 @@ the fault through a retry/requeue policy, or refuses with a typed error.
 Faulted export legs run as CLI subprocesses (SIGKILL and torn-write
 faults kill the whole victim process — the harness must outlive it),
 armed through the ``REPRO_FAULT_PLAN`` environment contract.  Repair
-legs re-run ``--resume`` fault-free.  Two transport sites whose firing
-windows are timing-dependent inside a full export (the heartbeat tick
-and the coordinator's ``--connect`` dial) are driven in-process against
-the same engine code paths instead.
+legs re-run ``--resume`` fault-free.  The frame sites fire on the
+coordinator's side of a ``fleet serve-worker`` peer, a subprocess with
+no plan of its own, attached beside one pool slot.  Two transport sites
+whose firing windows are timing-dependent inside a full export (the
+heartbeat tick and the coordinator's ``--connect`` dial) are driven
+in-process against the same engine code paths instead.
 
 The final test is the coverage meta-assertion: across all cases the
 firing logs must span the whole site catalogue and at least 8 distinct
@@ -18,7 +20,9 @@ catalogue without a matrix case fails here by construction.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -52,7 +56,7 @@ _SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
 FIRED: "set[tuple[str, str]]" = set()
 
 
-def _run_cli(argv, env=None):
+def _cli_env(env=None):
     environment = dict(os.environ)
     environment["PYTHONPATH"] = (
         _SRC + os.pathsep + environment.get("PYTHONPATH", "")
@@ -61,13 +65,41 @@ def _run_cli(argv, env=None):
         environment.pop(name, None)
     if env:
         environment.update(env)
+    return environment
+
+
+def _run_cli(argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         capture_output=True,
         text=True,
-        env=environment,
+        env=_cli_env(env),
         timeout=300,
     )
+
+
+@contextlib.contextmanager
+def _serve_worker():
+    """A one-job ``fleet serve-worker --port 0`` with no fault plan in its
+    environment; yields its port and waits for it to exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fleet", "serve-worker", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=_cli_env(),
+    )
+    try:
+        line = proc.stdout.readline()
+        bound = re.search(r"serving fleet worker on [^:]+:(\d+)", line)
+        assert bound, line
+        yield int(bound.group(1))
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +123,7 @@ class Case:
     def __init__(self, site, kind, layout, outcome, **opts):
         self.site = site
         self.kind = kind
-        self.layout = layout  # shard | block | block2 | dist
+        self.layout = layout  # shard | block | block2 | dist | remote
         self.outcome = outcome  # absorbed | recovered | refused
         self.opts = opts
 
@@ -120,33 +152,26 @@ MATRIX = [
     # A pool worker killed mid-task (the OOM-kill model) is a typed
     # error once its sibling finishes, never a hung fan-out.
     Case("pool.task", "sigkill", "block2", "recovered", once=True),
-    # Transport faults: the coordinator retires the poisoned connection,
-    # requeues the lease, and the export completes in one leg.
-    Case(
-        "distributed.frame.send",
-        "frame-corrupt",
-        "dist",
-        "absorbed",
-        after=4,
-        once=True,
-    ),
+    # Transport faults on a peer's connection: the coordinator retires
+    # the poisoned peer, requeues any lease it held, and the pool slot
+    # completes the export in one leg.  The corrupted frame is the job.
+    Case("distributed.frame.send", "frame-corrupt", "remote", "absorbed", once=True),
     Case(
         "distributed.frame.recv",
         "conn-reset",
-        "dist",
+        "remote",
         "absorbed",
         after=3,
         once=True,
     ),
-    # Injected dial refusals are burned by DIAL_RETRY's backoff, then
-    # the real dial goes through.
-    Case("distributed.worker.dial", "dial-refuse", "dist", "absorbed", count=2),
+    # Fault counters restart with every pool task, so ``after`` counts
+    # blocks within one lease.
     Case(
         "distributed.worker.block",
         "sigkill",
         "dist",
         "absorbed",
-        after=2,
+        after=1,
         once=True,
     ),
     Case(
@@ -160,7 +185,13 @@ MATRIX = [
 ]
 
 
-def _export_argv(layout, out_dir):
+#: In the ``remote`` layout the slot's first lease waits half a second,
+#: so the peer has its job and a lease before the slot could run every
+#: lease.
+PACE = FaultSpec(site="pool.task", kind="delay", delay_seconds=0.5, once=True)
+
+
+def _export_argv(layout, out_dir, port=None):
     argv = [
         "fleet",
         "export",
@@ -179,6 +210,11 @@ def _export_argv(layout, out_dir):
         argv += ["--checkpoint-every", "2", "--shards", "2"]
     elif layout == "dist":
         argv += ["--backend", "distributed", "--workers", "2", "--lease-blocks", "1"]
+    elif layout == "remote":
+        argv += [
+            "--backend", "distributed", "--workers", "1", "--lease-blocks", "1",
+            "--connect", f"127.0.0.1:{port}",
+        ]
     return argv
 
 
@@ -199,20 +235,25 @@ def _manifest_digests(out_dir):
 
 @pytest.mark.parametrize("case", MATRIX, ids=lambda case: case.id)
 def test_matrix(case, tmp_path, golden):
-    plan = FaultPlan(
-        seed=3, faults=(FaultSpec(site=case.site, kind=case.kind, **case.opts),)
-    )
+    faults = (FaultSpec(site=case.site, kind=case.kind, **case.opts),)
+    if case.layout == "remote":
+        faults += (PACE,)
+    plan = FaultPlan(seed=3, faults=faults)
     state_dir = tmp_path / "state"
     state_dir.mkdir()
     plan_path = state_dir / "plan.json"
     plan.save(str(plan_path))
     out_dir = str(tmp_path / "out")
 
-    proc = _run_cli(
-        _export_argv(case.layout, out_dir),
-        env={ENV_PLAN_FILE: str(plan_path), ENV_STATE_DIR: str(state_dir)},
-    )
-    firings = read_firings(str(state_dir / FIRING_LOG_NAME))
+    peer = _serve_worker() if case.layout == "remote" else contextlib.nullcontext()
+    with peer as port:
+        proc = _run_cli(
+            _export_argv(case.layout, out_dir, port),
+            env={ENV_PLAN_FILE: str(plan_path), ENV_STATE_DIR: str(state_dir)},
+        )
+    firings = [
+        f for f in read_firings(str(state_dir / FIRING_LOG_NAME)) if f["spec"] == 0
+    ]
     assert firings, f"{case.site} never fired (exit {proc.returncode})"
     assert all(
         (f["site"], f["kind"]) == (case.site, case.kind) for f in firings
@@ -285,7 +326,7 @@ class TestInProcessSites:
         listener = socket.create_server(("127.0.0.1", 0))
         try:
             port = listener.getsockname()[1]
-            sock = _dial("127.0.0.1", port, SITE_CONNECT_DIAL)
+            sock = _dial("127.0.0.1", port)
             sock.close()
         finally:
             listener.close()

@@ -155,12 +155,12 @@ class TestEnactment:
     def test_dial_refuse_and_conn_reset_types(self):
         activate(
             plan_of(
-                FaultSpec(site="distributed.worker.dial", kind="dial-refuse"),
+                FaultSpec(site="distributed.connect.dial", kind="dial-refuse"),
                 FaultSpec(site="distributed.frame.recv", kind="conn-reset"),
             )
         )
         with pytest.raises(ConnectionRefusedError):
-            fire("distributed.worker.dial")
+            fire("distributed.connect.dial")
         with pytest.raises(ConnectionResetError):
             fire("distributed.frame.recv")
 

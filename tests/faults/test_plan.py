@@ -102,7 +102,7 @@ class TestFaultPlan:
             faults=(
                 FaultSpec(site="writer.block.write", kind="torn-write", after=3),
                 FaultSpec(
-                    site="distributed.worker.dial",
+                    site="distributed.connect.dial",
                     kind="dial-refuse",
                     count=2,
                     probability=0.5,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine.retry import (
     DIAL_RETRY,
-    RECONNECT_RETRY,
     WRITE_RETRY,
     RetryError,
     RetryPolicy,
@@ -126,7 +125,7 @@ class TestTunedPolicies:
     def test_shared_instances_are_bounded(self):
         # The tuned policies must never spin forever: every one has a
         # finite attempt budget and a deadline.
-        for policy in (DIAL_RETRY, WRITE_RETRY, RECONNECT_RETRY):
+        for policy in (DIAL_RETRY, WRITE_RETRY):
             assert policy.attempts >= 2
             assert policy.deadline > 0
             total_sleep = sum(policy.delays(seed=0))

@@ -488,6 +488,7 @@ class TestFleetDistributedCli:
             (["--metrics", "metrics.json"], "--metrics"),
             (["--lease-depth", "2"], "--lease-depth"),
             (["--checkpoint-every", "-1"], "--checkpoint-every"),
+            (["--resume", "--workers", "0"], "--connect"),
         ],
     )
     @pytest.mark.parametrize(
@@ -788,3 +789,46 @@ class TestLegacyCommandValidation:
         out = tmp_path / "trace.csv"
         assert main(["trace", "--scale", "-1", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestParamsFile:
+    """A --params file that cannot be used is one usage line, exit 2,
+    before anything is written."""
+
+    @pytest.fixture(params=["unreadable", "not-json", "no-field", "mistyped"])
+    def params_file(self, request, tmp_path, paper_params):
+        path = tmp_path / "params.json"
+        payload = json.loads(paper_params.to_json())
+        if request.param == "not-json":
+            path.write_text("{not json")
+        elif request.param == "no-field":
+            del payload["core_chain"]
+            path.write_text(json.dumps(payload))
+        elif request.param == "mistyped":
+            payload["dhrystone_mean"] = {"a": "fast", "b": 0.1}
+            path.write_text(json.dumps(payload))
+        return path  # "unreadable" is never created
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("generate", ["generate", "--hosts", "5"]),
+            ("fleet", ["fleet", "--size", "100"]),
+            ("fleet export", ["fleet", "export", "--size", "100"]),
+            ("predict", ["predict"]),
+        ],
+        ids=["generate", "fleet", "fleet-export", "predict"],
+    )
+    def test_bad_params_exit_2_in_one_line(
+        self, tmp_path, capsys, params_file, command, argv
+    ):
+        out_dir = tmp_path / "out"
+        if command == "fleet export":
+            argv = [*argv, "--out-dir", str(out_dir)]
+        assert main([*argv, "--params", str(params_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith(f"{command}: --params {params_file}: ")
+        assert "Traceback" not in captured.err
+        assert not out_dir.exists()
