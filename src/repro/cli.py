@@ -235,7 +235,7 @@ def _check_export_flags(args: argparse.Namespace, command: str) -> "str | None":
     if not problem and args.checkpoint_every and args.format == "npz-columnar":
         problem = (
             "npz-columnar writes whole columns and has no per-block segments "
-            "to checkpoint; drop --checkpoint-every or use --format csv/npz"
+            "to checkpoint; drop --checkpoint-every or use --format csv"
         )
     if not problem:
         from repro.engine import parse_endpoint
@@ -277,6 +277,7 @@ def _export(
         resolve_fleet_token,
         resume_export,
     )
+    from repro.engine.writer import PLAN_NAME
 
     problem = _check_fleet_ints(args, command) or _check_export_flags(args, command)
     if problem:
@@ -312,7 +313,14 @@ def _export(
         # manifest layout they are attacking.
         arm_process(plan, state_dir=os.path.abspath(out_dir) + ".faults")
     token = None
-    if args.backend == "distributed" or args.resume:
+    # --token-file always reaches the engine, whose block-plan resume
+    # refuses it as it refuses --metrics; the REPRO_FLEET_TOKEN variable
+    # authenticates distributed runs only, so a block resume goes without.
+    if args.token_file or (
+        not os.path.exists(os.path.join(out_dir, PLAN_NAME))
+        if args.resume
+        else args.backend == "distributed"
+    ):
         try:
             token = resolve_fleet_token(args.token_file)
         except (OSError, ValueError) as error:
@@ -341,7 +349,7 @@ def _export(
             # into the plan as part of the determinism envelope.
             result = export_fleet_blocks(
                 generator, when, args.size, seed, out_dir, shards=args.shards,
-                fmt=args.format, checkpoint_every=args.checkpoint_every,
+                checkpoint_every=args.checkpoint_every,
                 chunk_size=args.chunk_size, reducers=reducers,
             )
         else:
@@ -1121,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--format",
-            choices=["csv", "npz", "npz-columnar"],
+            choices=["csv", "npz-columnar"],
             default="csv",
             help="segment format (csv concatenates byte-identically; "
             "npz-columnar writes one contiguous binary array per resource "

@@ -22,9 +22,9 @@ Layers
 :mod:`~repro.engine.sharding`
     Fan-out over RNG blocks with reducer-set reduction.
 :mod:`~repro.engine.writer`
-    Sharded fleet export: per-shard CSV/NPZ segments plus a sha256
-    manifest (``fleet export`` / ``fleet verify``), the resumable
-    per-block layout with reducer-state checkpoints
+    Sharded fleet export: per-shard CSV segments (or columnar arrays)
+    plus a sha256 manifest (``fleet export`` / ``fleet verify``), the
+    resumable per-block layout with reducer-state checkpoints
     (``export_fleet_blocks`` / ``compact_export``), and the one
     resumable-run format both resumable exporters keep (``resume_export``
     finishes either).

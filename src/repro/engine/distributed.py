@@ -150,26 +150,21 @@ from repro.engine.streaming import (
     BlockTask,
     as_seed_sequence,
     block_count,
-    population_digest,
 )
-from repro.engine.csvfmt import encode_csv_rows
-from repro.engine.table import block_schema
 from repro.engine.writer import (
     DISTRIBUTED_LEASE_LOG,
     DISTRIBUTED_PLAN_NAME,
     FleetManifest,
-    SegmentRecord,
     _append_journal,
-    _block_name,
-    _clear_resume_files,
     _decode_entries,
+    _finish_run,
     _grid_cells,
-    _hash_file_into,
     _journal_line,
     _load_journal,
     _read_matching_block,
-    _save_manifest,
+    _render_block,
     _start_run,
+    _write_block_file,
     _write_json_atomic,
 )
 from repro.faults.injector import fire as _fire
@@ -545,7 +540,7 @@ def _heartbeat_loop(send, stop: threading.Event, interval: float) -> None:
 def run_lease(task: BlockTask, lease: "tuple[int, int]") -> dict:
     """Run one lease of ``task`` and return its ``result`` frame.
 
-    Generates blocks ``[lo, hi)``, encodes and hashes each, writes it into
+    Generates and renders blocks ``[lo, hi)``, writes each into
     ``task.out_dir`` (a pool slot's task) or, with none (a socket peer's
     :func:`_worker_loop`), inlines it base64, and folds the lease into its
     own reducer set.
@@ -555,25 +550,9 @@ def run_lease(task: BlockTask, lease: "tuple[int, int]") -> dict:
     fold = ChunkedFold(reducers, task.chunk_size)
     blocks: "list[dict]" = []
     for index, block in task.generate(range(lo, hi)):
-        data = encode_csv_rows(block.to_matrix(), block_schema(block).csv_fmt)
-        entry = {
-            "index": index,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-            "digest": population_digest(block),
-        }
+        data, entry = _render_block(index, block)
         if task.out_dir:
-            # Opened without truncating: a duplicate of a stolen lease
-            # rewrites an accepted block with the same bytes, so a kill
-            # mid-write never leaves it short.
-            fd = os.open(
-                os.path.join(task.out_dir, _block_name(index, "csv")),
-                os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
-                0o666,
-            )
-            with open(fd, "wb") as handle:
-                handle.write(data)
-                handle.truncate()  # a longer file left by an earlier run
+            _write_block_file(task.out_dir, index, data)
         else:
             entry["data"] = base64.b64encode(data).decode("ascii")
         blocks.append(entry)
@@ -904,7 +883,10 @@ class _Coordinator:
         self.wake = self.waker = None
         self.wake_lock = threading.Lock()
         self.remotes: "list[_Remote]" = []
-        self.completed: "dict[tuple[int, int], dict]" = dict(completed or {})
+        #: Finished lease → its block entries and its own reducer set.
+        self.completed: "dict[tuple[int, int], tuple[list, ReducerSet]]" = dict(
+            completed or {}
+        )
         self.pending: "deque[tuple[int, int]]" = deque(
             lease for lease in leases if lease not in self.completed
         )
@@ -1176,7 +1158,7 @@ class _Coordinator:
             del remote.leases[lease]
             return  # a speculative duplicate lost the race; first result won
         try:
-            entry = self._validate_result(remote, lease, message)
+            entries, reducers, writes = self._validate_result(remote, lease, message)
         except (StateError, ProtocolError, ValueError, TypeError, KeyError) as error:
             # The lease is still attached to the remote here, so _drop
             # requeues it — clearing it first would leak the lease and
@@ -1185,10 +1167,9 @@ class _Coordinator:
                 remote, f"rejected result from {remote.name}: {error}"
             )
         started = remote.leases.pop(lease)
-        for name, data in entry.pop("writes"):
-            with open(os.path.join(self.out_dir, name), "wb") as handle:
-                handle.write(data)
-        self.completed[lease] = entry
+        for entry, data in zip(entries, writes):
+            _write_block_file(self.out_dir, entry["index"], data)
+        self.completed[lease] = entries, reducers
         self.lease_events.append(
             {
                 "block_lo": lease[0],
@@ -1200,51 +1181,41 @@ class _Coordinator:
         stats = self._worker_entry(remote)
         stats["leases_completed"] += 1
         stats["blocks_completed"] += lease[1] - lease[0]
-        self._checkpoint(entry)
-
-    def _checkpoint(self, entry: dict) -> None:
-        """Append the lease's fsynced journal line (its own reducer state)."""
-        if self.checkpoint_log is None:
-            return
-        _append_journal(
-            self.checkpoint_log,
-            [_journal_line(entry["records"], entry["digests"], entry["reducers"])],
-            site=SITE_COORDINATOR_CHECKPOINT,
-        )
+        if self.checkpoint_log is not None:
+            # The lease's fsynced journal line, with its own reducer state.
+            _append_journal(
+                self.checkpoint_log,
+                [_journal_line(entries, reducers)],
+                site=SITE_COORDINATOR_CHECKPOINT,
+            )
 
     def _validate_result(
         self, remote: _Remote, lease: "tuple[int, int]", message: dict
-    ) -> dict:
-        """Decode one lease result, mapping any malformed piece to an error.
+    ) -> tuple:
+        """Check one lease result, mapping any malformed piece to an error.
 
-        Returns the segment records, block digests, restored reducer set
-        and (for inline transport) the decoded file bytes to write.  The
-        reducer payload goes through :meth:`ReducerSet.from_state` here,
-        so a corrupt or version-mismatched state is caught while we can
-        still retire the worker and requeue its lease.
+        Returns the block entries (a peer's with their inline ``data``
+        taken out), the restored reducer set and, for a peer, the decoded
+        file bytes to write.  The reducer payload goes through
+        :meth:`ReducerSet.from_state` here, so a corrupt or
+        version-mismatched state is caught while we can still retire the
+        worker and requeue its lease.
         """
-        blocks = message.get("blocks")
-        records, digests = _decode_entries(
-            blocks, lease, self.size, "csv", 0, f"result from {remote.name}"
-        )
-        writes: "list[tuple[str, bytes]]" = []
+        entries = message.get("blocks")
+        _decode_entries(entries, lease, self.size, 0, f"result from {remote.name}")
+        writes: "list[bytes]" = []
         if not remote.local:
-            for record, raw in zip(records, blocks):
-                data = base64.b64decode(raw["data"], validate=True)
-                if hashlib.sha256(data).hexdigest() != record.sha256 or (
-                    len(data) != record.bytes
+            for entry in entries:
+                data = base64.b64decode(entry.pop("data"), validate=True)
+                if hashlib.sha256(data).hexdigest() != entry["sha256"] or (
+                    len(data) != entry["bytes"]
                 ):
                     raise ProtocolError(
-                        f"block {record.block_lo} inline data does not match "
+                        f"block {entry['index']} inline data does not match "
                         "its digest"
                     )
-                writes.append((record.path, data))
-        return {
-            "records": records,
-            "digests": digests,
-            "reducers": _lease_reducers(message["reducers"], self.factories),
-            "writes": writes,
-        }
+                writes.append(data)
+        return entries, _lease_reducers(message["reducers"], self.factories), writes
 
     # -- main loop -----------------------------------------------------------
 
@@ -1401,8 +1372,8 @@ def export_fleet_distributed(
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     plan = _start_run(
-        out_dir, DISTRIBUTED_PLAN_NAME, generator, "csv", size, when, root,
-        chunk_size, factories, manifest_name, lease_blocks=lease_blocks,
+        out_dir, DISTRIBUTED_PLAN_NAME, generator, size, when, root, chunk_size,
+        factories, manifest_name, lease_blocks=lease_blocks,
         # Raises ValueError, before anything is written, for a factory that
         # cannot travel as a registry name plus JSON-safe arguments.
         reducer_args=_wire_reducer_args(factories),
@@ -1460,20 +1431,10 @@ def _run_distributed(
     leases = _grid_cells(0, block_count(size), plan["lease_blocks"])
     path = os.path.join(out_dir, DISTRIBUTED_LEASE_LOG)
     lines, kept = _load_journal(path, plan, leases) if os.path.exists(path) else ([], 0)
-    completed: "dict[tuple[int, int], dict]" = {}
-    for lease, (records, digests, state) in {
-        cell: rest for cell, *rest in lines
-    }.items():
-        if all(
-            _read_matching_block(os.path.join(out_dir, record.path), record)
-            is not None
-            for record in records
-        ):
-            completed[lease] = {
-                "records": records,
-                "digests": digests,
-                "reducers": _lease_reducers(state, factories),
-            }
+    completed: "dict[tuple[int, int], tuple[list, ReducerSet]]" = {}
+    for lease, (entries, state) in {cell: rest for cell, *rest in lines}.items():
+        if all(_read_matching_block(out_dir, entry) is not None for entry in entries):
+            completed[lease] = entries, _lease_reducers(state, factories)
     job = {
         "type": "job",
         "protocol": PROTOCOL_VERSION,
@@ -1529,42 +1490,21 @@ def _run_distributed(
         coordinator.close()
     elapsed = time.perf_counter() - start
 
-    records: "list[SegmentRecord]" = []
-    all_digests: "list[tuple[int, bytes]]" = []
-    merged = ReducerSet.from_factories(factories)
-    for lease in sorted(coordinator.completed):
-        entry = coordinator.completed[lease]
-        records.extend(entry["records"])
-        all_digests.extend(entry["digests"])
-        merged.merge(entry["reducers"])
-
+    done = [coordinator.completed[lease] for lease in sorted(coordinator.completed)]
+    entries = [entry for lease_entries, _ in done for entry in lease_entries]
     payload_hash = hashlib.sha256()
-    for record in records:
-        path = os.path.join(out_dir, record.path)
-        file_hash = hashlib.sha256()
-        _hash_file_into(path, file_hash, payload_hash)
-        if file_hash.hexdigest() != record.sha256:
+    for entry in entries:
+        data = _read_matching_block(out_dir, entry)
+        if data is None:
             raise RuntimeError(
-                f"segment {record.path} on disk does not match the digest its "
+                f"block {entry['index']} on disk does not match the digest its "
                 "worker reported; refusing to finalise a corrupt export"
             )
-
-    manifest = _save_manifest(
-        os.path.join(out_dir, plan["manifest_name"]), generator, "csv", size,
-        plan["when"], root, 1, records, payload_hash.hexdigest(), all_digests,
-        layout="block",
-    )
-    # The run is finalised: the plan and lease log are no longer needed
-    # (and their absence is what marks the directory as complete).
-    _clear_resume_files(out_dir)
-
-    statistics = FleetStatistics(
-        size=size,
-        when=plan["when"],
-        shards=max(1, coordinator.workers_seen),
-        reducers=merged,
-        elapsed_seconds=elapsed,
-        digest=manifest.fleet_sha256,
+        payload_hash.update(data)
+    manifest, statistics = _finish_run(
+        generator, plan, root, out_dir, factories,
+        [((0, block_count(size)), entries)], [reducers for _, reducers in done],
+        max(1, coordinator.workers_seen), elapsed, payload_hash.hexdigest(),
     )
     metrics = make_envelope(
         DISTRIBUTED_METRICS_KIND,

@@ -99,7 +99,6 @@ class BlockTask:
     root: np.random.SeedSequence
     blocks: range
     shard: int = 0
-    fmt: str = "csv"
     out_dir: str = ""
     chunk_size: int = DEFAULT_CHUNK_SIZE
     factories: "dict | None" = None

@@ -3,9 +3,9 @@
 ``generate_sharded`` reduces a fleet to statistics; this module *exports*
 one beyond a single process.  The host index space is split into
 contiguous runs of RNG blocks, one per shard; each worker process writes
-its run to a segment file (CSV rows or NPZ columns) and the parent records
-a JSON manifest with per-segment sha256 digests, block ranges and row
-ranges.
+its run to a CSV segment file and the parent records a JSON manifest with
+per-segment sha256 digests, block ranges and row ranges.  (The columnar
+binary format, :data:`COLUMNAR_FORMAT`, writes whole columns instead.)
 
 Two segment layouts share the manifest schema:
 
@@ -22,7 +22,7 @@ Two segment layouts share the manifest schema:
     makes regenerated blocks byte-identical, and checkpoint cadence is a
     run parameter so sketch compression points line up too).
     :func:`compact_export` merges a completed block layout back into the
-    per-shard layout byte-identically (CSV).
+    per-shard layout byte-identically.
 
 This module also owns the one resumable-run format that the block writer
 and the distributed coordinator (:mod:`~repro.engine.distributed`) share:
@@ -109,17 +109,13 @@ from repro.stats.state import StateError, make_envelope
 MANIFEST_VERSION = 1
 
 #: The columnar binary format: one contiguous ``.npy`` array per resource
-#: column (see :func:`read_columnar_export`).  Unlike ``npz``, plain
-#: ``.npy`` bytes are deterministic (no zip timestamps), so columnar
-#: payload digests pin like CSV ones.
+#: column (see :func:`read_columnar_export`).  Plain ``.npy`` bytes are
+#: deterministic (no zip timestamps), so columnar payload digests pin like
+#: CSV ones.
 COLUMNAR_FORMAT = "npz-columnar"
 
-#: Supported segment formats.
-FORMATS = ("csv", "npz", COLUMNAR_FORMAT)
-
-#: Formats a *per-shard or per-block row-segment* writer can produce;
-#: the columnar layout has its own whole-column writer.
-ROW_SEGMENT_FORMATS = ("csv", "npz")
+#: Supported segment formats.  Every row segment (shard or block) is CSV.
+FORMATS = ("csv", COLUMNAR_FORMAT)
 
 
 #: Rows rendered per encoder call in :func:`write_population_csv` —
@@ -151,9 +147,8 @@ def _hash_file_into(path: str, *hashes) -> None:
 
     Verification-oriented: the row-segment writers hash bytes *as they
     produce them*, so this re-read only runs where one hash must span
-    bytes other processes wrote (multi-shard payloads, column files), on
-    resume (checking blocks an interrupted run left behind) and in
-    :func:`verify_manifest`.
+    bytes other processes wrote (multi-worker payloads, column files) and
+    in :func:`verify_manifest`.
     """
     with open(path, "rb") as handle:
         for piece in iter(lambda: handle.read(1 << 20), b""):
@@ -280,9 +275,9 @@ def _save_manifest(
 ) -> FleetManifest:
     """Build a finished export's manifest, save it to ``path``, return it.
 
-    Every layout and backend records its fleet fields here.  NPZ row
-    segments carry no CSV header; the columnar layout records its column
-    order there.
+    Every layout and backend records its fleet fields here.  The header is
+    the CSV header of the generator's rows; the columnar layout reads its
+    column order from it.
     """
     manifest = FleetManifest(
         version=MANIFEST_VERSION,
@@ -293,7 +288,7 @@ def _save_manifest(
         spawn_key=tuple(int(k) for k in root.spawn_key),
         shards=shards,
         block_size=RNG_BLOCK_SIZE,
-        header="" if fmt == "npz" else generator_schema(generator).csv_header,
+        header=generator_schema(generator).csv_header,
         payload_sha256=payload_sha256,
         fleet_sha256=combine_block_digests(digests),
         segments=tuple(segments),
@@ -304,52 +299,46 @@ def _save_manifest(
     return manifest
 
 
-def _segment_name(shard: int, fmt: str) -> str:
-    return f"segment-{shard:04d}.{fmt}"
+def _segment_name(shard: int) -> str:
+    return f"segment-{shard:04d}.csv"
+
+
+def _render_block(index: int, block) -> "tuple[bytes, dict]":
+    """One RNG block's CSV bytes and its entry ``{index, sha256, bytes,
+    digest}``: the shape journal lines and ``result`` frames carry.
+
+    Every CSV exporter renders its blocks here.  The vectorised encoder
+    reproduces the historical ``np.savetxt`` bytes exactly (the export
+    goldens pin it); the digests come from the in-memory bytes and rows,
+    so no writer re-reads what it wrote.
+    """
+    data = encode_csv_rows(block.to_matrix(), block_schema(block).csv_fmt)
+    return data, {
+        "index": index,
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "bytes": len(data),
+        "digest": population_digest(block),
+    }
 
 
 def _write_segment(task: BlockTask):
-    """Worker: generate the task's blocks into one CSV or NPZ segment.
+    """Worker: generate the task's blocks into one CSV segment.
 
     Returns ``(segment_record, block_digests)``; module-level so it
     pickles under fork and spawn alike.
     """
-    schema = generator_schema(task.generator)
-    name = _segment_name(task.shard, task.fmt)
+    name = _segment_name(task.shard)
     path = os.path.join(task.out_dir, name)
     digests: "list[tuple[int, bytes]]" = []
     file_hash = hashlib.sha256()
-    columns = None
-    if task.fmt == "npz":
-        # Preallocate the segment's columns and fill block by block, so
-        # peak working memory stays one block above the (unavoidable for a
-        # single .npy entry) segment arrays rather than 2x the segment.
-        row_lo = min(task.blocks.start * RNG_BLOCK_SIZE, task.size)
-        row_hi = min(task.blocks.stop * RNG_BLOCK_SIZE, task.size)
-        columns = {label: np.empty(row_hi - row_lo) for label in schema.labels}
-
     try:
         with open(path, "wb") as handle:
             for index, block in task.generate():
-                digests.append((index, bytes.fromhex(population_digest(block))))
+                data, entry = _render_block(index, block)
+                digests.append((index, bytes.fromhex(entry["digest"])))
                 _fire(SITE_SEGMENT_WRITE, path=path)
-                if columns is None:
-                    # The vectorised encoder reproduces the historical
-                    # np.savetxt bytes exactly, so segment bytes stay
-                    # identical to the CLI's sequential export; hashing
-                    # the in-memory data as it is written spares a re-read.
-                    data = encode_csv_rows(block.to_matrix(), schema.csv_fmt)
-                    handle.write(data)
-                    file_hash.update(data)
-                else:
-                    lo = index * RNG_BLOCK_SIZE - row_lo
-                    rows = slice(lo, lo + len(block))
-                    for label in schema.labels:
-                        columns[label][rows] = block.column(label)
-            if columns is not None:
-                np.savez(handle, **columns)
-        if columns is not None:
-            _hash_file_into(path, file_hash)
+                handle.write(data)
+                file_hash.update(data)
     except BaseException:
         # A worker dying mid-segment must not leave a half-written file
         # for the next export (or a verify) to trip over.  SIGKILL still
@@ -376,13 +365,10 @@ def export_fleet(
 ) -> FleetManifest:
     """Export a fleet as per-shard segments plus a manifest.
 
-    ``shards`` workers each write one contiguous-block segment; the
+    ``shards`` workers each write one contiguous-block CSV segment; the
     manifest (written to ``out_dir/manifest_name``) records per-segment
     sha256 digests, block and row ranges, and the two fleet digests
-    described in the module docstring.  NPZ files embed zip metadata, so
-    only CSV segments carry the byte-concatenation guarantee; the
-    ``fleet_sha256`` row-digest chain identifies the fleet in either
-    format.
+    described in the module docstring.
 
     ``fmt=`` :data:`COLUMNAR_FORMAT` switches to the columnar binary
     layout (one contiguous ``.npy`` per resource column, which the
@@ -400,8 +386,7 @@ def export_fleet(
     _clear_resume_files(out_dir)
     tasks = [
         BlockTask(
-            generator, when, size, root, range(lo, hi),
-            shard=shard, fmt=fmt, out_dir=out_dir,
+            generator, when, size, root, range(lo, hi), shard=shard, out_dir=out_dir
         )
         for shard, (lo, hi) in enumerate(shard_block_ranges(block_count(size), shards))
     ]
@@ -567,11 +552,14 @@ def read_columnar_export(manifest_path: str) -> "tuple[FleetManifest, dict]":
 # first pins a plan: one `FleetExportPlan` envelope holding the shared run
 # fields plus the exporter's block grid.  It then appends one fsynced journal
 # line per finished grid cell, `{block_lo, block_hi, blocks: [{index,
-# sha256, bytes, digest}], reducers}`.  A block-export shard's cells are
-# runs of `checkpoint_every` blocks done in order, and its lines carry the
-# shard's cumulative reducer state.  A distributed run's cells are leases
-# done in any order, and each line carries the lease's own state.
-# `resume_export` reads whichever plan it finds and runs its exporter.
+# sha256, bytes, digest}], reducers}`, whose block entries are the ones
+# `_render_block` made.  A block-export shard's cells are runs of
+# `checkpoint_every` blocks done in order, and its lines carry the shard's
+# cumulative reducer state.  A distributed run's cells are leases done in
+# any order, and each line carries the lease's own state.  Every block file
+# reaches disk through `_write_block_file`, and both exporters end in
+# `_finish_run`.  `resume_export` reads whichever plan it finds and runs its
+# exporter.
 
 #: The block writer's plan file; its presence (without a final manifest)
 #: marks an interrupted run.
@@ -590,11 +578,10 @@ PLAN_KIND = "FleetExportPlan"
 #: ``FleetDistributedPlan``) is refused rather than resumed.
 CHECKPOINT_STATE_VERSION = 3
 
-#: Each exporter's plan file: its grid fields (with their minimum) and the
-#: segment formats it writes.
+#: Each exporter's plan file and its grid fields (with their minimum).
 _EXPORTERS = {
-    PLAN_NAME: ({"shards": 1, "checkpoint_every": 0}, ROW_SEGMENT_FORMATS),
-    DISTRIBUTED_PLAN_NAME: ({"lease_blocks": 1}, ("csv",)),
+    PLAN_NAME: {"shards": 1, "checkpoint_every": 0},
+    DISTRIBUTED_PLAN_NAME: {"lease_blocks": 1},
 }
 
 #: Resume files of either exporter and any build: plans, journals, the
@@ -624,8 +611,8 @@ class BlockExportResult:
     resumed_blocks: int
 
 
-def _block_name(index: int, fmt: str) -> str:
-    return f"block-{index:06d}.{fmt}"
+def _block_name(index: int) -> str:
+    return f"block-{index:06d}.csv"
 
 
 def _journal_name(shard: int) -> str:
@@ -790,8 +777,8 @@ def _generator_fingerprint(generator) -> "str | None":
 
 
 def _start_run(
-    out_dir, plan_name, generator, fmt, size, when, root, chunk_size,
-    factories, manifest_name, /, **grid,
+    out_dir, plan_name, generator, size, when, root, chunk_size, factories,
+    manifest_name, /, **grid,
 ) -> dict:
     """Pin a fresh run's plan (the shared fields plus ``grid``); return it.
 
@@ -804,7 +791,7 @@ def _start_run(
         CHECKPOINT_STATE_VERSION,
         {
             "version": MANIFEST_VERSION,
-            "format": fmt,
+            "format": "csv",
             "size": size,
             "when": _when_as_float(when),
             "entropy": str(root.entropy),
@@ -849,8 +836,7 @@ def _load_plan(out_dir: str, name: str, generator):
                 else f"expected {PLAN_KIND} v{CHECKPOINT_STATE_VERSION}"
             )
         )
-    grid, formats = _EXPORTERS[name]
-    for field_name, minimum in {"size": 0, "chunk_size": 1, **grid}.items():
+    for field_name, minimum in {"size": 0, "chunk_size": 1, **_EXPORTERS[name]}.items():
         value = plan.get(field_name)
         if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
             raise StateError(
@@ -867,10 +853,11 @@ def _load_plan(out_dir: str, name: str, generator):
             f"{where} used RNG block size {plan.get('block_size')!r}; this "
             f"build generates {RNG_BLOCK_SIZE} and cannot reproduce its blocks"
         )
-    if plan.get("format") not in formats:
+    if plan.get("format") != "csv":
+        # An older build also wrote row-segment npz block exports.
         raise StateError(
-            f"{where} has unknown format {plan.get('format')!r}; "
-            f"supported: {formats}"
+            f"{where} has format {plan.get('format')!r}; this build resumes "
+            "csv exports only — re-run the export with --force"
         )
     if not isinstance(plan.get("when"), (int, float)):
         raise StateError(f"{where} field 'when' is not numeric")
@@ -902,36 +889,28 @@ def _load_plan(out_dir: str, name: str, generator):
     return plan, root
 
 
-def _journal_line(records, digests, reducers) -> dict:
-    """The journal line of one finished grid cell.
-
-    Its block entries have the shape worker ``result`` frames carry; the
-    segment records' paths, shards and row ranges are not written, since
-    :func:`_decode_entries` derives them from the plan.
-    """
+def _journal_line(entries: "list[dict]", reducers) -> dict:
+    """The journal line of one finished grid cell: its block entries, as
+    :func:`_render_block` made them, and the serialized ``reducers``."""
     return {
-        "block_lo": records[0].block_lo,
-        "block_hi": records[-1].block_hi,
-        "blocks": [
-            {
-                "index": index,
-                "sha256": record.sha256,
-                "bytes": record.bytes,
-                "digest": digest.hex(),
-            }
-            for record, (index, digest) in zip(records, digests)
-        ],
+        "block_lo": entries[0]["index"],
+        "block_hi": entries[-1]["index"] + 1,
+        "blocks": entries,
         "reducers": reducers.to_state(),
     }
 
 
-def _decode_entries(blocks, cell, size: int, fmt: str, shard: int, where: str):
+def _decode_entries(blocks, cell, size: int, shard: int, where: str):
     """Segment records and row digests of one cell's block entries.
 
-    Shared by journal restore and live ``result`` frames.  Each entry must
-    be the next block of ``cell`` with a byte count and two sha256 hex
-    digests; path, shard and row range come from the block index and the
-    run.  Anything malformed raises :class:`StateError` naming ``where``.
+    The one step from block entries to :class:`SegmentRecord` objects, and
+    the check of every entry that arrives from outside the process: journal
+    restore and live ``result`` frames validate through it, and
+    :func:`_finish_run` builds the manifest's records with it.  Each entry
+    must be the next block of ``cell`` with a byte count and two sha256
+    hex digests; path, shard and row range come from the block index and
+    the run.  Anything malformed raises :class:`StateError` naming
+    ``where``.
     """
     lo, hi = cell
     if not isinstance(blocks, list) or len(blocks) != hi - lo:
@@ -952,20 +931,19 @@ def _decode_entries(blocks, cell, size: int, fmt: str, shard: int, where: str):
             raise StateError(f"{where} block {index} has a malformed byte count")
         records.append(
             _block_segment(
-                _block_name(index, fmt), shard, range(index, index + 1), size,
-                sha, nbytes,
+                _block_name(index), shard, range(index, index + 1), size, sha, nbytes
             )
         )
         digests.append((index, bytes.fromhex(digest)))
     return records, digests
 
 
-def _load_journal(path: str, plan: dict, cells, shard: int = 0, ordered: bool = False):
+def _load_journal(path: str, plan: dict, cells, ordered: bool = False):
     """One journal's validated lines and the bytes they span.
 
     Every line must be a cell of ``cells``, the plan's grid; with
     ``ordered`` (a block-export shard) the lines must be those cells in
-    order from the first.  Returns ``([(cell, records, digests, reducer
+    order from the first.  Returns ``([(cell, block entries, reducer
     state)], bytes)``.  Whether each entry still matches its file is the
     exporter's check at restore (:func:`_read_matching_block`): the block
     writer heals a block, the coordinator re-runs its lease.
@@ -982,73 +960,56 @@ def _load_journal(path: str, plan: dict, cells, shard: int = 0, ordered: bool = 
             )
         if not isinstance(line.get("reducers"), dict):
             raise StateError(f"{where} is missing its serialized reducer state")
-        records, digests = _decode_entries(
-            line.get("blocks"), cell, plan["size"], plan["format"], shard, where
-        )
-        loaded.append((cell, records, digests, line["reducers"]))
+        _decode_entries(line.get("blocks"), cell, plan["size"], 0, where)
+        loaded.append((cell, line["blocks"], line["reducers"]))
     return loaded, kept
 
 
-def _write_block_file(path: str, block, fmt: str) -> "tuple[str, int, bytes]":
-    """Write one block's segment file; return ``(sha256 hex, size, bytes)``.
+def _write_block_file(out_dir: str, index: int, data: bytes) -> None:
+    """Write block ``index``'s file in ``out_dir``: the only writer of
+    ``block-NNNNNN.csv`` files.
 
-    The block is rendered in memory first, so the digest (and the caller's
-    running payload hash) comes from the bytes as they are written rather
-    than a second read of the file.  Module-level so the crash-injection
-    tests can monkeypatch a fault in (and so it pickles for the worker
-    pool).
+    The block writer, pool slots and the coordinator (for a peer's inline
+    bytes) all write here, under :data:`WRITE_RETRY` at the
+    ``writer.block.write`` site.  The file is opened without truncating and
+    cut to ``data`` after the write, so a duplicate lease or a healed block
+    rewrites an accepted file with the same bytes and a kill mid-write
+    never leaves it short.  A failed write leaves the file for the resume
+    or the requeued lease to rewrite; removing it could remove an accepted
+    block.  Module-level so the crash-injection tests can patch a fault in.
     """
-    schema = block_schema(block)
-    if fmt == "csv":
-        data = encode_csv_rows(block.to_matrix(), schema.csv_fmt)
-    elif fmt == "npz":
-        columns = {
-            label: np.asarray(block.column(label), dtype=float)
-            for label in schema.labels
-        }
-        buffer = io.BytesIO()
-        np.savez(buffer, **columns)
-        data = buffer.getvalue()
-    else:
-        raise ValueError(
-            f"unknown segment format {fmt!r}; supported: {ROW_SEGMENT_FORMATS}"
-        )
+    path = os.path.join(out_dir, _block_name(index))
 
-    def _attempt() -> None:
+    def attempt() -> None:
         _fire(SITE_BLOCK_WRITE, path=path, data=data)
-        with open(path, "wb") as handle:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as handle:
             handle.write(data)
+            handle.truncate()  # a longer file left by an earlier run
 
-    try:
-        # Transient I/O (a momentary ENOSPC/EIO, a hiccuping network
-        # mount) gets a short, bounded second chance before the export
-        # dies; a persistent failure still surfaces fast, with the
-        # partial file cleaned up and named in the error.
-        WRITE_RETRY.call(
-            _attempt, retry_on=(OSError,), describe=f"writing block segment {path}"
-        )
-    except BaseException:
-        _remove_quiet(path)
-        raise
-    return hashlib.sha256(data).hexdigest(), len(data), data
+    # Transient I/O (a momentary ENOSPC/EIO, a hiccuping network mount)
+    # gets a short, bounded second chance before the export dies; a
+    # persistent failure still surfaces fast, naming the file.
+    WRITE_RETRY.call(
+        attempt, retry_on=(OSError,), describe=f"writing block segment {path}"
+    )
 
 
-def _read_matching_block(path: str, record: SegmentRecord) -> "bytes | None":
-    """A checkpointed block file's bytes, or ``None`` if it no longer
-    matches its segment record (missing, resized or hash-flipped).
+def _read_matching_block(out_dir: str, entry: dict) -> "bytes | None":
+    """The bytes of a journalled block's file in ``out_dir``, or ``None``
+    if it no longer matches its entry (missing, resized or hash-flipped).
 
     Blocks are bounded at :data:`~repro.engine.streaming.RNG_BLOCK_SIZE`
     rows, so reading one whole is cheap — and returning the verified bytes
     lets the resuming worker fold them straight into its running payload
     hash instead of hashing the file a second time.
     """
-    if not os.path.exists(path):
-        return None
-    if record.bytes >= 0 and os.path.getsize(path) != record.bytes:
+    path = os.path.join(out_dir, _block_name(entry["index"]))
+    if not os.path.exists(path) or os.path.getsize(path) != entry["bytes"]:
         return None
     with open(path, "rb") as handle:
         data = handle.read()
-    if hashlib.sha256(data).hexdigest() != record.sha256:
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
         return None
     return data
 
@@ -1065,15 +1026,16 @@ def _write_block_shard(task: BlockTask):
     ``SeedSequence.spawn`` contract.
 
     ``task.checkpoint`` (when resuming) is the shard's journal as
-    :func:`_run_block_export` joined it; recorded block files are re-verified
-    against their digests and — being deterministic — simply rewritten if
-    missing or corrupt, without touching the restored reducer state.
+    :func:`_run_block_export` joined it; each journalled block file is
+    re-verified against its entry and — being deterministic — simply
+    rewritten if missing or corrupt, without touching the restored reducer
+    state.  Returns ``(entries, reducers, restored blocks, payload
+    sha256)``.
     """
-    shard, blocks, fmt, out_dir = task.shard, task.blocks, task.fmt, task.out_dir
+    shard, blocks, out_dir = task.shard, task.blocks, task.out_dir
     checkpoint, checkpoint_every = task.checkpoint, task.checkpoint_every
     reducers = ReducerSet.from_factories(task.factories)
-    records: "list[SegmentRecord]" = []
-    digests: "list[tuple[int, bytes]]" = []
+    entries: "list[dict]" = []
     # Runs alongside the writes: sha256 over this shard's block bytes in
     # block order.  For a single-shard run this *is* the manifest's
     # payload digest, so the parent never re-reads the segments.
@@ -1081,30 +1043,25 @@ def _write_block_shard(task: BlockTask):
 
     if checkpoint is not None:
         reducers = ReducerSet.from_state(checkpoint["reducers"])
-        journalled = zip(checkpoint["records"], checkpoint["digests"])
-        for record, (index, digest) in journalled:
-            path = os.path.join(out_dir, record.path)
-            data = _read_matching_block(path, record)
+        for journalled in checkpoint["entries"]:
+            data = _read_matching_block(out_dir, journalled)
             if data is None:
+                index = journalled["index"]
                 [(_, block)] = task.generate(range(index, index + 1))
-                # Regeneration must reproduce the checkpointed rows exactly;
-                # failing fast here beats finishing an expensive resume
-                # whose manifest then fails `fleet verify`.  The row digest
-                # is format-independent, so it guards npz rewrites too.
-                if population_digest(block) != digest.hex():
+                data, entry = _render_block(index, block)
+                # A healed block must reproduce its journalled entry
+                # exactly; failing fast here beats finishing an expensive
+                # resume whose manifest then fails `fleet verify`.
+                if entry != journalled:
                     raise StateError(
-                        f"regenerated {record.path} does not reproduce its "
-                        f"checkpointed row digest; the resume environment "
+                        f"regenerated {_block_name(index)} does not reproduce "
+                        "its checkpointed entry; the resume environment "
                         "generates a different fleet than the interrupted run"
                     )
-                sha, nbytes, data = _write_block_file(path, block, fmt)
-                # Same rows, but the *file* may differ for npz (zip
-                # metadata is not byte-stable) — record what is on disk.
-                record = replace(record, sha256=sha, bytes=nbytes)
+                _write_block_file(out_dir, index, data)
             shard_payload.update(data)
-            records.append(record)
-            digests.append((index, digest))
-    restored = logged = len(records)
+            entries.append(journalled)
+    restored = logged = len(entries)
 
     # Reducer updates are batched through the shared ChunkedFold (the same
     # accumulation the statistics fan-out uses).  Flush points are a
@@ -1122,31 +1079,27 @@ def _write_block_shard(task: BlockTask):
             journal.truncate(checkpoint["journal_bytes"] if checkpoint else 0)
 
     for index, block in task.generate(blocks[restored:]):
-        name = _block_name(index, fmt)
-        sha, nbytes, data = _write_block_file(os.path.join(out_dir, name), block, fmt)
+        data, entry = _render_block(index, block)
+        _write_block_file(out_dir, index, data)
         shard_payload.update(data)
-        records.append(
-            _block_segment(name, shard, range(index, index + 1), task.size, sha, nbytes)
-        )
-        digests.append((index, bytes.fromhex(population_digest(block))))
+        entries.append(entry)
         fold.add(block)
         done = index + 1 - blocks.start
         if checkpoint_every and (
             done % checkpoint_every == 0 or index + 1 == blocks.stop
         ):
             fold.flush()
-            line = _journal_line(records[logged:], digests[logged:], reducers)
             with open(journal_path, "ab") as journal:
                 _append_journal(
                     journal,
-                    [line],
+                    [_journal_line(entries[logged:], reducers)],
                     site=SITE_CHECKPOINT_WRITE,
                     fsync_site=SITE_CHECKPOINT_FSYNC,
                 )
-            logged = len(records)
+            logged = len(entries)
         _fire(SITE_BLOCK_DONE)
     fold.flush()
-    return records, reducers, digests, restored, shard_payload.hexdigest()
+    return entries, reducers, restored, shard_payload.hexdigest()
 
 
 def export_fleet_blocks(
@@ -1156,7 +1109,6 @@ def export_fleet_blocks(
     rng: "int | np.random.SeedSequence | np.random.Generator | None",
     out_dir: str,
     shards: int = 1,
-    fmt: str = "csv",
     checkpoint_every: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     reducers: "dict[str, ReducerFactory] | None" = None,
@@ -1164,7 +1116,7 @@ def export_fleet_blocks(
     manifest_name: str = "manifest.json",
     start_method: "str | None" = None,
 ) -> BlockExportResult:
-    """Export a fleet as per-block segments with reducer checkpoints.
+    """Export a fleet as per-block CSV segments with reducer checkpoints.
 
     The resumable counterpart of :func:`export_fleet`: every RNG block
     becomes its own segment file, each shard worker appends its new
@@ -1190,14 +1142,6 @@ def export_fleet_blocks(
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    if fmt == COLUMNAR_FORMAT:
-        raise ValueError(
-            f"{COLUMNAR_FORMAT!r} writes whole columns and has no per-block "
-            "segments to checkpoint; use export_fleet for the columnar "
-            "layout, or csv/npz here"
-        )
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown segment format {fmt!r}; supported: {FORMATS}")
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be non-negative")
     if chunk_size < 1:
@@ -1220,8 +1164,8 @@ def export_fleet_blocks(
                 "checkpoint_every=0 or use state-restorable reducers"
             )
     plan = _start_run(
-        out_dir, PLAN_NAME, generator, fmt, size, when, root, chunk_size,
-        factories, manifest_name,
+        out_dir, PLAN_NAME, generator, size, when, root, chunk_size, factories,
+        manifest_name,
         shards=len(shard_block_ranges(block_count(size), shards)),
         checkpoint_every=checkpoint_every,
     )
@@ -1265,7 +1209,7 @@ def resume_export(
 
     A corrupt, mismatched or older-build plan or journal raises
     :class:`~repro.stats.state.StateError`, as do ``connect``,
-    ``metrics_path``, ``lease_depth`` (other than 1) and
+    ``metrics_path``, ``token``, ``lease_depth`` (other than 1) and
     ``worker_timeout`` on a block plan, which would drop them.  If the
     export already finished, returns its manifest with
     ``statistics=None``.
@@ -1298,6 +1242,7 @@ def resume_export(
     for given, name in (
         (connect, "connect (--connect)"),
         (metrics_path, "metrics_path (--metrics)"),
+        (token is not None, "token (--token-file)"),
         # 1 is the CLI's --lease-depth default, not a request.
         (lease_depth not in (None, 1), "lease_depth (--lease-depth)"),
         (worker_timeout is not None, "worker_timeout"),
@@ -1323,71 +1268,90 @@ def _run_block_export(
     """Drive the shard workers and finalise a block-layout manifest.
 
     Each shard resumes from its journal's lines (a fresh run has none):
-    the records and digests of every checkpointed block and the last
-    line's cumulative reducer state.
+    the entries of every checkpointed block and the last line's
+    cumulative reducer state.
     """
-    fmt, size, when = plan["format"], plan["size"], plan["when"]
-    every = plan["checkpoint_every"]
+    size, every = plan["size"], plan["checkpoint_every"]
     ranges = shard_block_ranges(block_count(size), plan["shards"])
     tasks = []
     for shard, (lo, hi) in enumerate(ranges):
         path = os.path.join(out_dir, _journal_name(shard))
         lines, kept = (
-            _load_journal(path, plan, _grid_cells(lo, hi, every), shard, ordered=True)
+            _load_journal(path, plan, _grid_cells(lo, hi, every), ordered=True)
             if every and os.path.exists(path)
             else ([], 0)
         )
         checkpoint = {
-            "records": [record for _, records, _, _ in lines for record in records],
-            "digests": [digest for _, _, digests, _ in lines for digest in digests],
-            "reducers": lines[-1][3],
+            "entries": [entry for _, entries, _ in lines for entry in entries],
+            "reducers": lines[-1][2],
             "journal_bytes": kept,
         } if lines else None
         tasks.append(
             BlockTask(
-                generator, when, size, root, range(lo, hi),
-                shard=shard, fmt=fmt, out_dir=out_dir,
-                chunk_size=plan["chunk_size"], factories=factories,
-                checkpoint_every=every, checkpoint=checkpoint,
+                generator, plan["when"], size, root, range(lo, hi),
+                shard=shard, out_dir=out_dir, chunk_size=plan["chunk_size"],
+                factories=factories, checkpoint_every=every, checkpoint=checkpoint,
             )
         )
 
     start = time.perf_counter()
     results = fan_out(_write_block_shard, tasks, start_method)
     elapsed = time.perf_counter() - start
-
-    merged = ReducerSet.from_factories(factories)
-    segments: "list[SegmentRecord]" = []
-    all_digests: "list[tuple[int, bytes]]" = []
-    resumed = 0
-    for shard_records, shard_reducers, shard_digests, restored, _ in results:
-        merged.merge(shard_reducers)
-        segments.extend(shard_records)
-        all_digests.extend(shard_digests)
-        resumed += restored
-
-    manifest = _save_manifest(
-        os.path.join(out_dir, plan["manifest_name"]), generator, fmt, size, when,
-        root, len(ranges), segments,
+    entries, parts, restored, payloads = zip(*results)
+    manifest, statistics = _finish_run(
+        generator, plan, root, out_dir, factories, list(zip(ranges, entries)),
+        parts, len(ranges), elapsed,
         # A single shard's running payload digest covers the whole export.
-        results[0][4] if len(tasks) == 1 else _payload_sha256(out_dir, segments),
-        all_digests, layout="block", checkpoint_every=every,
+        payloads[0] if len(payloads) == 1 else None,
+    )
+    return BlockExportResult(
+        manifest=manifest, statistics=statistics, resumed_blocks=sum(restored)
+    )
+
+
+def _finish_run(
+    generator, plan, root, out_dir, factories, runs, parts, workers, elapsed,
+    payload_sha256=None,
+):
+    """Finalise a run of either resumable exporter: save its manifest,
+    remove its resume files and return ``(manifest, statistics)``.
+
+    ``runs`` holds each manifest shard's ``(cell, block entries)`` and
+    ``parts`` the reducer sets to merge, both in block order; ``workers``
+    is the statistics' worker count.  ``payload_sha256`` is the payload
+    digest when the caller already hashed every block in order; without
+    it the block files are re-read.
+    """
+    size = plan["size"]
+    records: "list[SegmentRecord]" = []
+    digests: "list[tuple[int, bytes]]" = []
+    for shard, (cell, entries) in enumerate(runs):
+        shard_records, shard_digests = _decode_entries(
+            entries, cell, size, shard, f"shard {shard} of {out_dir}"
+        )
+        records += shard_records
+        digests += shard_digests
+    merged = ReducerSet.from_factories(factories)
+    for reducers in parts:
+        merged.merge(reducers)
+    manifest = _save_manifest(
+        os.path.join(out_dir, plan["manifest_name"]), generator, "csv", size,
+        plan["when"], root, len(runs), records,
+        payload_sha256 or _payload_sha256(out_dir, records), digests,
+        layout="block", checkpoint_every=plan.get("checkpoint_every", 0),
     )
     # Finalised: the plan and journals are now redundant (and would
     # otherwise mark the directory as an interrupted run).
     _clear_resume_files(out_dir)
-
     statistics = FleetStatistics(
         size=size,
-        when=when,
-        shards=len(ranges),
+        when=plan["when"],
+        shards=workers,
         reducers=merged,
         elapsed_seconds=elapsed,
         digest=manifest.fleet_sha256,
     )
-    return BlockExportResult(
-        manifest=manifest, statistics=statistics, resumed_blocks=resumed
-    )
+    return manifest, statistics
 
 
 def compact_export(
@@ -1406,8 +1370,8 @@ def compact_export(
     manifest during the copy, so silent corruption of a block segment
     fails the compaction rather than propagating.
 
-    NPZ block exports cannot be compacted (zip metadata is not
-    byte-stable); re-export in the shard layout instead.
+    The row-segment npz block exports older builds wrote cannot be
+    compacted (zip metadata is not byte-stable); re-export them instead.
     """
     manifest = FleetManifest.load(manifest_path)
     if manifest.layout != "block":
@@ -1417,8 +1381,9 @@ def compact_export(
         )
     if manifest.format != "csv":
         raise ValueError(
-            "npz segments embed zip metadata and cannot be compacted "
-            "byte-identically; re-export with fmt='csv' or layout='shard'"
+            f"only csv block exports can be compacted byte-identically (got "
+            f"format={manifest.format!r}, whose segments embed zip metadata); "
+            "re-export the fleet"
         )
     base = os.path.dirname(os.path.abspath(manifest_path))
     os.makedirs(out_dir, exist_ok=True)
@@ -1434,7 +1399,7 @@ def compact_export(
     payload_hash = hashlib.sha256()
     records: "list[SegmentRecord]" = []
     for shard, (lo, hi) in enumerate(ranges):
-        name = _segment_name(shard, manifest.format)
+        name = _segment_name(shard)
         segment_hash = hashlib.sha256()
         nbytes = 0
         with open(os.path.join(out_dir, name), "wb") as out_handle:

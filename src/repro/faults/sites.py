@@ -125,7 +125,7 @@ _SITES = (
         SITE_BLOCK_WRITE,
         "repro.engine.writer",
         (KIND_IO_ERROR, KIND_TORN_WRITE, KIND_RAISE, KIND_SIGKILL, KIND_DELAY),
-        "a block segment file write (layout=block); retried by the writer",
+        "every block file write (block layout, pool slots, peer bytes); retried",
     ),
     FaultSite(
         SITE_BLOCK_DONE,

@@ -9,7 +9,6 @@ from repro.engine import (
     COLUMNAR_FORMAT,
     FleetManifest,
     export_fleet,
-    export_fleet_blocks,
     generate_fleet,
     read_columnar_export,
     shutdown_pools,
@@ -182,17 +181,6 @@ class TestColumnarEdges:
 
 
 class TestColumnarRejections:
-    def test_blocks_export_rejects_columnar(self, paper_generator, tmp_path):
-        with pytest.raises(ValueError, match="per-block segments"):
-            export_fleet_blocks(
-                paper_generator,
-                SEPT_2010,
-                SIZE,
-                SEED,
-                str(tmp_path / "blocks"),
-                fmt=COLUMNAR_FORMAT,
-            )
-
     def test_reader_rejects_row_layout_manifest(self, paper_generator, tmp_path):
         export_fleet(
             paper_generator, SEPT_2010, 100, SEED, str(tmp_path / "csv"), shards=1

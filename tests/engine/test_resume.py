@@ -181,13 +181,14 @@ class TestMonkeypatchedWriterFault:
         with pytest.MonkeyPatch.context() as patch:
             calls = {"n": 0}
 
-            def torn_write(path, block, fmt):
+            def torn_write(out_dir, index, data):
                 if calls["n"] == 3:
+                    path = os.path.join(out_dir, f"block-{index:06d}.csv")
                     with open(path, "wb") as handle:
                         handle.write(b"torn mid-write")
                     raise OSError("disk vanished")
                 calls["n"] += 1
-                return real(path, block, fmt)
+                return real(out_dir, index, data)
 
             patch.setattr(writer, "_write_block_file", torn_write)
             with pytest.raises(OSError, match="disk vanished"):
@@ -361,46 +362,36 @@ class TestResumeRejections:
         with pytest.raises(StateError, match="reducer"):
             resume_export(paper_generator, str(tmp_path), quantiles=False)
 
+    @pytest.mark.parametrize(
+        "forged",
+        [{"digest": "ab" * 32, "sha256": "cd" * 32}, {"sha256": "cd" * 32},
+         {"bytes": 12}],
+        ids=["digest", "sha256", "bytes"],
+    )
     def test_non_reproducing_generator_fails_on_torn_block(
-        self, tmp_path, paper_generator
+        self, tmp_path, paper_generator, forged
     ):
         """A torn checkpointed file + a fleet that no longer reproduces it
         must fail fast, not finish with a self-contradictory manifest.
 
         (Simulates resuming in an environment whose RNG stream differs;
-        here the recorded digest is forged instead.)
+        here the recorded entry is forged instead.)  A heal must reproduce
+        the whole journalled entry, so matching rows with a different file
+        digest or size fail too.
         """
         with _interrupted_after(2):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
                 shards=1, checkpoint_every=1,
             )
-        # tear block 0 on disk and forge its checkpointed digests so the
-        # (correct) regeneration cannot match them
+        # tear block 0 on disk and forge its checkpointed entry so the
+        # (correct) regeneration cannot match it
         (tmp_path / "block-000000.csv").write_bytes(b"torn")
-
-        def forge(line):
-            line["blocks"][0]["digest"] = "ab" * 32
-            line["blocks"][0]["sha256"] = "cd" * 32
-
-        _rewrite_journal_line(_journal(tmp_path), 0, forge)
+        _rewrite_journal_line(
+            _journal(tmp_path), 0, lambda line: line["blocks"][0].update(forged)
+        )
         with pytest.raises(StateError, match="does not reproduce"):
             resume_export(paper_generator, str(tmp_path))
-
-    def test_npz_torn_checkpointed_block_heals_with_fresh_record(
-        self, tmp_path, paper_generator
-    ):
-        """An npz rewrite records the bytes actually on disk (zip metadata
-        is not byte-stable), so the healed export still verifies."""
-        with _interrupted_after(3):
-            export_fleet_blocks(
-                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, fmt="npz", checkpoint_every=1,
-            )
-        (tmp_path / "block-000001.npz").unlink()
-        resumed = resume_export(paper_generator, str(tmp_path))
-        assert resumed.resumed_blocks == 3
-        assert verify_manifest(str(tmp_path / "manifest.json")).ok
 
     def test_unrestorable_reducer_set_fails_before_exporting(
         self, tmp_path, paper_generator
@@ -451,8 +442,9 @@ class TestDistributedOnlyFlags:
             ("connect", [("127.0.0.1", 9)], "--connect", "127.0.0.1:9"),
             ("lease_depth", 3, "--lease-depth", "3"),
             ("worker_timeout", 5.0, None, None),  # no CLI flag
+            ("token", "secret", "--token-file", "fleet.token"),
         ],
-        ids=["metrics", "connect", "lease-depth", "worker-timeout"],
+        ids=["metrics", "connect", "lease-depth", "worker-timeout", "token"],
     )
     def test_block_resume_refuses_then_finishes(
         self, tmp_path, paper_generator, golden, capsys, keyword, value, flag,
@@ -469,6 +461,9 @@ class TestDistributedOnlyFlags:
             )
         if keyword == "metrics_path":
             value = cli_value = str(tmp_path / value)
+        elif keyword == "token":
+            cli_value = str(tmp_path / cli_value)
+            (tmp_path / "fleet.token").write_text(value + "\n")
         before = {path.name: path.read_bytes() for path in out.iterdir()}
 
         with pytest.raises(StateError, match=keyword):
@@ -586,15 +581,14 @@ class TestJournal:
         with pytest.raises(StateError, match="not the next cell of the plan's grid"):
             resume_export(paper_generator, str(out), quantiles=True)
 
-    @pytest.mark.parametrize("fmt", ["csv", "npz"])
     @pytest.mark.parametrize("shards", [1, 2])
     def test_torn_tail_resume_second_crash_second_resume(
-        self, tmp_path, paper_generator, shards, fmt
+        self, tmp_path, paper_generator, shards
     ):
         """Torn tail, resume, a second crash, a second resume: the end
         state equals an uninterrupted run."""
         size = 12 * writer.RNG_BLOCK_SIZE  # six blocks per shard at shards=2
-        options = dict(shards=shards, fmt=fmt, checkpoint_every=2, quantiles=True)
+        options = dict(shards=shards, checkpoint_every=2, quantiles=True)
         golden_dir = tmp_path / "golden"
         golden_result = export_fleet_blocks(
             paper_generator, SEPT_2010, size, SEED, str(golden_dir), **options
@@ -621,24 +615,7 @@ class TestJournal:
         assert resumed.resumed_blocks == 4 * shards
         assert verify_manifest(str(out / "manifest.json")).ok
         assert not any(journal.exists() for journal in journals)
-        if fmt == "csv":
-            _assert_identical_runs(golden_dir, golden_result, out, resumed)
-        else:
-            # npz zip members carry a write timestamp, so only the
-            # format-independent digests and the statistics must match.
-            def stable(manifest):
-                payload = json.loads(manifest.to_json())
-                payload.pop("payload_sha256")
-                for segment in payload["segments"]:
-                    segment.pop("sha256"), segment.pop("bytes")
-                return payload
-
-            assert stable(resumed.manifest) == stable(golden_result.manifest)
-            assert resumed.manifest.fleet_sha256 == golden_result.manifest.fleet_sha256
-            assert (
-                resumed.statistics.reducers.to_state()
-                == golden_result.statistics.reducers.to_state()
-            )
+        _assert_identical_runs(golden_dir, golden_result, out, resumed)
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_each_line_carries_only_its_new_records(
@@ -764,6 +741,30 @@ class TestFreshRunsAndOldExports:
                      str(tmp_path), "--checkpoint-every", "2", "--force"]) == 0
         assert not list(tmp_path.glob("checkpoint-*"))
         assert verify_manifest(str(tmp_path / "manifest.json")).ok
+
+    def test_npz_partial_export_is_refused(self, tmp_path, paper_generator, capsys):
+        """An older build's row-segment npz block export (plan format
+        "npz") cannot be resumed: the API and the CLI refuse it in one
+        line naming --force."""
+        from repro.cli import main
+
+        with _interrupted_after(2):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                shards=1, checkpoint_every=1,
+            )
+        plan_path = tmp_path / writer.PLAN_NAME
+        plan = json.loads(plan_path.read_text())
+        plan["format"] = "npz"
+        plan_path.write_text(json.dumps(plan, indent=2))
+        with pytest.raises(StateError, match="'npz'.*--force"):
+            resume_export(paper_generator, str(tmp_path))
+        capsys.readouterr()
+        assert main(["fleet", "export", "--resume", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("fleet export --resume: ") and "--force" in err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_version_2_partial_export_is_refused(
         self, tmp_path, paper_generator, capsys

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -17,6 +18,7 @@ from repro.engine import (
     verify_manifest,
 )
 from repro.engine.writer import HOST_CSV_HEADER
+from repro.hosts.population import RESOURCE_LABELS
 
 SEPT_2010 = 2010.667
 SEED = 20110611
@@ -226,30 +228,66 @@ class TestCsvExport:
 
 
 class TestNpzExport:
-    def test_npz_columns_equal_batch_fleet(self, paper_generator, tmp_path):
-        out = tmp_path / "npz"
-        manifest = export_fleet(
-            paper_generator, SEPT_2010, 9_000, SEED, str(out), shards=3, fmt="npz"
-        )
-        fleet = generate_fleet(paper_generator, SEPT_2010, 9_000, SEED)
-        pieces = []
-        for segment in manifest.segments:
-            with np.load(out / segment.path) as payload:
-                pieces.append(payload["disk_gb"])
-        np.testing.assert_array_equal(np.concatenate(pieces), fleet.disk_gb)
-        assert manifest.fleet_sha256 == fleet_digest(
-            paper_generator, SEPT_2010, 9_000, SEED
-        )
+    """Row-segment npz is retired: exports refuse it, while npz exports an
+    older build wrote still verify (compact_export refuses them, see
+    test_resume)."""
 
-    def test_npz_verifies(self, paper_generator, tmp_path):
-        out = tmp_path / "npz2"
-        export_fleet(
-            paper_generator, SEPT_2010, 5_000, SEED, str(out), shards=2, fmt="npz"
-        )
-        assert verify_manifest(str(out / "manifest.json")).ok
+    @staticmethod
+    def _older_build_npz_export(generator, out, layout="shard"):
+        """An npz export as an older build wrote it: one zip of column
+        arrays and a format-"npz" manifest with no header."""
+        from repro.engine import RNG_BLOCK_SIZE, SegmentRecord
 
-    def test_unknown_format_rejected(self, paper_generator, tmp_path):
-        with pytest.raises(ValueError, match="format"):
+        size = 5_000
+        fleet = generate_fleet(generator, SEPT_2010, size, SEED)
+        out.mkdir()
+        name = "segment-0000.npz" if layout == "shard" else "block-000000.npz"
+        columns = {label: fleet.column(label) for label in RESOURCE_LABELS}
+        with open(out / name, "wb") as handle:
+            np.savez(handle, **columns)
+        data = (out / name).read_bytes()
+        sha = hashlib.sha256(data).hexdigest()
+        blocks = -(-size // RNG_BLOCK_SIZE)
+        FleetManifest(
+            version=1, format="npz", size=size, when=SEPT_2010,
+            entropy=str(SEED), spawn_key=(), shards=1, block_size=RNG_BLOCK_SIZE,
+            header="", payload_sha256=sha,
+            fleet_sha256=fleet_digest(generator, SEPT_2010, size, SEED),
+            segments=(
+                SegmentRecord(
+                    path=name, shard=0, block_lo=0, block_hi=blocks, row_lo=0,
+                    row_hi=size, sha256=sha, bytes=len(data),
+                ),
+            ),
+            layout=layout,
+        ).save(str(out / "manifest.json"))
+        return out / "manifest.json"
+
+    def test_older_build_npz_export_still_verifies(
+        self, paper_generator, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        manifest = self._older_build_npz_export(paper_generator, tmp_path / "npz")
+        assert verify_manifest(str(manifest)).ok
+        assert main(["fleet", "verify", str(manifest)]) == 0
+        assert "1 segment(s) verified: OK" in capsys.readouterr().out
+
+    def test_older_build_npz_block_export_is_not_compacted(
+        self, paper_generator, tmp_path
+    ):
+        from repro.engine import compact_export
+
+        manifest = self._older_build_npz_export(
+            paper_generator, tmp_path / "npz", layout="block"
+        )
+        with pytest.raises(ValueError, match="only csv block exports"):
+            compact_export(str(manifest), str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("fmt", ["parquet", "npz"])
+    def test_unknown_format_rejected(self, paper_generator, tmp_path, fmt):
+        with pytest.raises(ValueError, match=f"unknown segment format '{fmt}'"):
             export_fleet(
-                paper_generator, SEPT_2010, 100, SEED, str(tmp_path), fmt="parquet"
+                paper_generator, SEPT_2010, 100, SEED, str(tmp_path), fmt=fmt
             )
+        assert not list(tmp_path.iterdir())

@@ -164,6 +164,9 @@ MATRIX = [
         after=3,
         once=True,
     ),
+    # Pool slots write their block files through the block writer's
+    # retried write, so a transient ENOSPC there is absorbed in one leg.
+    Case("writer.block.write", "io-error", "dist", "absorbed", once=True),
     # Fault counters restart with every pool task, so ``after`` counts
     # blocks within one lease.
     Case(

@@ -478,7 +478,7 @@ class TestFleetDistributedCli:
             (["--backend", "distributed", "--workers", "0"], "--connect"),
             (["--backend", "distributed", "--connect", "nohost"], "endpoint"),
             (["--backend", "distributed", "--connect", "host:0"], "endpoint"),
-            (["--backend", "distributed", "--format", "npz"], "csv"),
+            (["--backend", "distributed", "--format", "npz-columnar"], "csv"),
             (["--backend", "distributed", "--lease-depth", "0"],
              "--lease-depth"),
             (["--backend", "distributed", "--checkpoint-every", "2"],
@@ -570,6 +570,52 @@ class TestOneExportPath:
             assert (type(a), a.dest, a.type, a.choices, a.default, a.nargs) == (
                 type(b), b.dest, b.type, b.choices, b.default, b.nargs
             ), flag
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fleet", "export"], ["fleet", "scenario", "run", "availability"]],
+        ids=["export", "scenario-run"],
+    )
+    def test_retired_npz_format_is_a_usage_error(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "npz"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--size", "100", "--out-dir", str(out_dir),
+                  "--format", "npz"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'npz'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fleet", "export"], ["fleet", "scenario", "run", "availability"]],
+        ids=["export", "scenario-run"],
+    )
+    def test_block_resume_refuses_token_file_but_not_the_variable(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """--token-file on a block-layout resume would be dropped, so it is
+        refused in one line before any block is regenerated; the ambient
+        REPRO_FLEET_TOKEN does not stop a block export from resuming."""
+        out_dir = tmp_path / "blk"
+        assert main([*command, "--size", "20000", "--out-dir", str(out_dir),
+                     "--checkpoint-every", "2", "--fault-spec",
+                     "writer.block.done:kind=raise,after=3"]) == 1
+        token = tmp_path / "fleet.token"
+        token.write_text("secret\n")
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        capsys.readouterr()
+        resume = [*command, "--out-dir", str(out_dir), "--resume"]
+        assert main([*resume, "--token-file", str(token)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"{' '.join(command[:3])} --resume: ")
+        assert "--token-file" in err
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+        monkeypatch.setenv("REPRO_FLEET_TOKEN", "secret")
+        assert main(resume) == 0
+        assert "resumed: 2 block(s) restored" in capsys.readouterr().out
+        assert main(["fleet", "verify", str(out_dir / "manifest.json")]) == 0
 
     @pytest.mark.parametrize(
         "argv",
