@@ -428,7 +428,9 @@ def _fleet_stats_writing_csv(generator, when, args):
     for a shard pool plus a second generation pass; the determinism contract
     guarantees this sequential stream is the exact fleet any sharded run
     would summarise.  (``fleet export`` is the sharded, manifest-producing
-    counterpart.)
+    counterpart.)  Blocks fold in ``--chunk-size`` batches through the
+    :class:`~repro.engine.reduce.ChunkedFold` a one-shard
+    ``generate_sharded`` uses, so both report the same statistics.
     """
     import time
 
@@ -441,6 +443,7 @@ def _fleet_stats_writing_csv(generator, when, args):
         iter_blocks,
         population_digest,
     )
+    from repro.engine.reduce import ChunkedFold
     from repro.engine.writer import HOST_CSV_HEADER, write_population_csv
 
     if args.out.endswith(".gz"):
@@ -453,15 +456,17 @@ def _fleet_stats_writing_csv(generator, when, args):
     if getattr(args, "quantiles", False):
         factories["quantiles"] = QuantileReducer
     reducers = ReducerSet.from_factories(factories)
+    fold = ChunkedFold(reducers, args.chunk_size)
     digests = []
     start = time.perf_counter()
     with handle:
         handle.write(HOST_CSV_HEADER)
         for index, block in iter_blocks(generator, when, args.size, args.seed):
             write_population_csv(block, handle)
-            reducers.update(block)
+            fold.add(block)
             if args.digest:
                 digests.append((index, bytes.fromhex(population_digest(block))))
+    fold.flush()
     return FleetStatistics(
         size=args.size,
         when=float(when),

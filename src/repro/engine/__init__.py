@@ -7,6 +7,10 @@ Layers
     (``SeedSequence.spawn`` per fixed RNG block), plus fleet hashing, and
     the internal ``BlockTask`` — a fleet plus a range of RNG blocks —
     that every fan-out hands its workers: one block loop for all of them.
+    Every block is a :class:`~repro.table.ColumnBlock` (a host
+    population is the block of ``HOST_SCHEMA``), and the engine reaches
+    it only through ``block.schema``, ``block.slice(lo, hi)`` and
+    ``block[label]``, so hosts and scenario rows take the same paths.
 :mod:`~repro.engine.accumulate`
     One-pass Welford/pairwise moment reducers reproducing the batch
     :class:`~repro.hosts.population.HostPopulation` statistics.
@@ -88,15 +92,6 @@ from repro.engine.sharding import (
     FleetStatistics,
     generate_sharded,
 )
-from repro.engine.table import (
-    HOST_CSV_FMT,
-    HOST_CSV_HEADER,
-    HOST_SCHEMA,
-    ColumnBlock,
-    TableSchema,
-    block_schema,
-    generator_schema,
-)
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RNG_BLOCK_SIZE,
@@ -120,12 +115,15 @@ from repro.engine.writer import (
     describe_export_dir,
     export_fleet,
     export_fleet_blocks,
+    generator_schema,
     read_columnar_export,
     resume_export,
     shard_block_ranges,
     verify_manifest,
 )
+from repro.hosts.population import HOST_CSV_FMT, HOST_CSV_HEADER, HOST_SCHEMA
 from repro.stats.state import StateError
+from repro.table import ColumnBlock, TableSchema
 
 __all__ = [
     "COLUMNAR_FORMAT",
@@ -134,7 +132,6 @@ __all__ = [
     "HOST_CSV_HEADER",
     "HOST_SCHEMA",
     "TableSchema",
-    "block_schema",
     "generator_schema",
     "CorrelationAccumulator",
     "MomentAccumulator",

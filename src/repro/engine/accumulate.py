@@ -22,11 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.hosts.population import (
-    CORRELATION_LABELS,
-    RESOURCE_LABELS,
-    HostPopulation,
-)
+from repro.hosts.population import CORRELATION_LABELS, RESOURCE_LABELS
 from repro.stats.correlation import CorrelationMatrix
 from repro.stats.state import (
     decode_count,
@@ -34,6 +30,7 @@ from repro.stats.state import (
     decode_labels,
     require_state,
 )
+from repro.table import ColumnBlock
 
 
 def _sequential_sums(columns: "Iterable[np.ndarray]") -> np.ndarray:
@@ -67,7 +64,7 @@ class ColumnCache:
 
     __slots__ = ("source", "_columns", "_checked", "_matrices")
 
-    def __init__(self, source: "HostPopulation | dict"):
+    def __init__(self, source: "ColumnBlock | dict"):
         if isinstance(source, ColumnCache):  # pragma: no cover - defensive
             source = source.source
         self.source = source
@@ -78,10 +75,7 @@ class ColumnCache:
     def __getitem__(self, label: str) -> np.ndarray:
         column = self._columns.get(label)
         if column is None:
-            if isinstance(self.source, HostPopulation):
-                column = self.source.column(label)
-            else:
-                column = np.asarray(self.source[label], dtype=float)
+            column = np.asarray(self.source[label], dtype=float)
             self._columns[label] = column
         return column
 
@@ -90,8 +84,6 @@ class ColumnCache:
     column = __getitem__
 
     def __len__(self) -> int:
-        if isinstance(self.source, HostPopulation):
-            return len(self.source)
         for label in self.source:
             return int(self[label].size)
         return 0
@@ -101,17 +93,13 @@ class ColumnCache:
     # without these Python's legacy fallback would forward integer
     # indices into __getitem__ and raise a bogus KeyError.
     def __contains__(self, label: object) -> bool:
-        if isinstance(self.source, HostPopulation):
-            return label == "mem_per_core" or label in RESOURCE_LABELS
         return label in self.source
 
     def __iter__(self):
-        if isinstance(self.source, HostPopulation):
-            return iter(CORRELATION_LABELS)
         return iter(self.source)
 
     def keys(self):
-        """The chunk's labels (derived columns included for populations)."""
+        """The chunk's labels."""
         return list(self)
 
     def checked_columns(self, labels: "tuple[str, ...]") -> "list[np.ndarray]":
@@ -153,10 +141,11 @@ def as_columns(source, labels: "tuple[str, ...]") -> "list[np.ndarray]":
     """The chunk's own columns for ``labels``, checked, in label order.
 
     The shared chunk-normalisation step of the built-in reducers.  It
-    accepts a population, a ``{label: column}`` mapping (a scenario
-    :class:`~repro.engine.table.ColumnBlock` too) or the :class:`ColumnCache`
-    :class:`~repro.engine.reduce.ReducerSet` wraps a chunk in, and stacks
-    nothing: the folds read each column where it lives.
+    accepts a :class:`~repro.table.ColumnBlock` (a host population or a
+    scenario block), a ``{label: column}`` mapping or the
+    :class:`ColumnCache` :class:`~repro.engine.reduce.ReducerSet` wraps a
+    chunk in, and stacks nothing: the folds read each column where it
+    lives.
 
     Columns must be 1-D and of equal length, and non-finite entries are
     **rejected** with a :class:`ValueError` naming the offending
@@ -200,7 +189,7 @@ class MomentAccumulator:
         self._mean = np.zeros(len(self.labels))
         self._m2 = np.zeros(len(self.labels))
 
-    def update(self, source: "HostPopulation | dict") -> "MomentAccumulator":
+    def update(self, source: "ColumnBlock | dict") -> "MomentAccumulator":
         """Fold one chunk (population or column dict) into the running state."""
         columns = as_columns(source, self.labels)
         n_b = columns[0].size
@@ -324,7 +313,7 @@ class CorrelationAccumulator:
         self._mean = np.zeros(k)
         self._comoment = np.zeros((k, k))
 
-    def update(self, source: "HostPopulation | dict") -> "CorrelationAccumulator":
+    def update(self, source: "ColumnBlock | dict") -> "CorrelationAccumulator":
         """Fold one chunk (population or column dict) into the running state."""
         columns = as_columns(source, self.labels)
         n_b = columns[0].size

@@ -1326,7 +1326,6 @@ def export_fleet_distributed(
     quantiles: bool = False,
     lease_blocks: int = DEFAULT_LEASE_BLOCKS,
     worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-    manifest_name: str = "manifest.json",
     start_method: "str | None" = None,
     lease_depth: int = DEFAULT_LEASE_DEPTH,
     token: "str | None" = None,
@@ -1373,7 +1372,7 @@ def export_fleet_distributed(
     os.makedirs(out_dir, exist_ok=True)
     plan = _start_run(
         out_dir, DISTRIBUTED_PLAN_NAME, generator, size, when, root, chunk_size,
-        factories, manifest_name, lease_blocks=lease_blocks,
+        factories, lease_blocks=lease_blocks,
         # Raises ValueError, before anything is written, for a factory that
         # cannot travel as a registry name plus JSON-safe arguments.
         reducer_args=_wire_reducer_args(factories),

@@ -50,7 +50,7 @@ from repro.engine.accumulate import (
     as_columns,
     as_matrix,
 )
-from repro.hosts.population import RESOURCE_LABELS, HostPopulation
+from repro.hosts.population import RESOURCE_LABELS
 from repro.stats.sketch import DEFAULT_COMPRESSION, QuantileSketch
 from repro.stats.state import (
     StateError,
@@ -61,6 +61,7 @@ from repro.stats.state import (
     require_state,
     state_field,
 )
+from repro.table import ColumnBlock
 
 #: The nine decile probabilities reported by quantile reducers.
 DECILES: tuple[float, ...] = tuple(np.round(np.arange(0.1, 0.91, 0.1), 2))
@@ -70,16 +71,16 @@ DECILES: tuple[float, ...] = tuple(np.round(np.arange(0.1, 0.91, 0.1), 2))
 class Reducer(Protocol):
     """One-pass, mergeable aggregation over population chunks.
 
-    ``update`` folds a chunk (a :class:`HostPopulation` or a ``{label:
-    column}`` dict) into the running state and returns ``self``; ``merge``
-    folds a same-shaped reducer in (shard reduction) and returns ``self``;
-    ``result`` reports the aggregate.  Implementations must satisfy
-    ``merge(a, b).result() == update(a with b's data).result()`` to
-    float-merge precision — that algebra is what makes chunking and shard
-    placement invisible to every consumer.
+    ``update`` folds a chunk (a :class:`~repro.table.ColumnBlock` or a
+    ``{label: column}`` dict) into the running state and returns
+    ``self``; ``merge`` folds a same-shaped reducer in (shard reduction)
+    and returns ``self``; ``result`` reports the aggregate.
+    Implementations must satisfy ``merge(a, b).result() == update(a with
+    b's data).result()`` to float-merge precision — that algebra is what
+    makes chunking and shard placement invisible to every consumer.
     """
 
-    def update(self, chunk: "HostPopulation | dict") -> "Reducer": ...
+    def update(self, chunk: "ColumnBlock | dict") -> "Reducer": ...
 
     def merge(self, other: "Reducer") -> "Reducer": ...
 
@@ -92,14 +93,15 @@ ReducerFactory = Callable[[], Reducer]
 
 
 def as_chunk_stream(
-    source: "HostPopulation | dict | Iterable[HostPopulation | dict]",
-) -> "Iterator[HostPopulation | dict]":
-    """Normalise population-or-chunks input into a chunk iterator.
+    source: "ColumnBlock | dict | Iterable[ColumnBlock | dict]",
+) -> "Iterator[ColumnBlock | dict]":
+    """Normalise block-or-chunks input into a chunk iterator.
 
-    Lets every consumer accept either an in-memory population (one chunk)
-    or a stream such as :func:`~repro.engine.streaming.stream_population`.
+    Lets every consumer accept either an in-memory block — a host
+    population or a scenario block — (one chunk) or a stream such as
+    :func:`~repro.engine.streaming.stream_population`.
     """
-    if isinstance(source, (HostPopulation, dict)):
+    if isinstance(source, (ColumnBlock, dict)):
         yield source
     else:
         yield from source
@@ -130,7 +132,7 @@ class QuantileReducer:
         """Number of hosts folded in."""
         return self._sketches[self.labels[0]].count if self.labels else 0
 
-    def update(self, chunk: "HostPopulation | dict") -> "QuantileReducer":
+    def update(self, chunk: "ColumnBlock | dict") -> "QuantileReducer":
         for label, column in zip(self.labels, as_columns(chunk, self.labels)):
             self._sketches[label].update(column)
         return self
@@ -225,7 +227,7 @@ class ExactQuantileReducer:
         """Number of hosts folded in."""
         return sum(part.shape[0] for part in self._parts)
 
-    def update(self, chunk: "HostPopulation | dict") -> "ExactQuantileReducer":
+    def update(self, chunk: "ColumnBlock | dict") -> "ExactQuantileReducer":
         data = as_matrix(chunk, self.labels)
         if data.shape[0]:
             self._parts.append(data)
@@ -392,13 +394,8 @@ class HistogramReducer:
         self.counts = np.zeros(self.edges.size - 1, dtype=np.int64)
         self.count = 0
 
-    def _column(self, chunk: "HostPopulation | dict") -> np.ndarray:
-        if isinstance(chunk, HostPopulation):
-            return chunk.column(self.label)
-        return np.asarray(chunk[self.label], dtype=float)
-
-    def update(self, chunk: "HostPopulation | dict") -> "HistogramReducer":
-        values = self._column(chunk)
+    def update(self, chunk: "ColumnBlock | dict") -> "HistogramReducer":
+        values = np.asarray(chunk[self.label], dtype=float)
         if self.transform is not None:
             values = self.transform(values)
         values = values[np.isfinite(values)]
@@ -516,11 +513,8 @@ class ECDFReducer:
         """Number of values folded in."""
         return self.sketch.count
 
-    def update(self, chunk: "HostPopulation | dict") -> "ECDFReducer":
-        if isinstance(chunk, HostPopulation):
-            values = chunk.column(self.label)
-        else:
-            values = np.asarray(chunk[self.label], dtype=float)
+    def update(self, chunk: "ColumnBlock | dict") -> "ECDFReducer":
+        values = np.asarray(chunk[self.label], dtype=float)
         if self.transform is not None:
             values = self.transform(values)
         self.sketch.update(values[np.isfinite(values)])
@@ -605,7 +599,7 @@ class ReducerSet:
         """Instantiate a fresh set from ``{name: factory}``."""
         return cls({name: factory() for name, factory in factories.items()})
 
-    def update(self, chunk: "HostPopulation | dict") -> "ReducerSet":
+    def update(self, chunk: "ColumnBlock | dict") -> "ReducerSet":
         # One ColumnCache per chunk: members share column extraction and
         # the shape and finiteness checks instead of each re-normalising
         # the same block (see accumulate.ColumnCache).
@@ -791,10 +785,10 @@ class ChunkedFold:
     def __init__(self, reducers: ReducerSet, chunk_size: int):
         self.reducers = reducers
         self.chunk_size = chunk_size
-        self._batch: "list[HostPopulation]" = []
+        self._batch: "list[ColumnBlock]" = []
         self._rows = 0
 
-    def add(self, block: HostPopulation) -> None:
+    def add(self, block: ColumnBlock) -> None:
         """Buffer one block, flushing when the batch reaches chunk_size."""
         self._batch.append(block)
         self._rows += len(block)
@@ -808,8 +802,6 @@ class ChunkedFold:
         merged = (
             self._batch[0]
             if len(self._batch) == 1
-            # Dispatch through the block's own class so scenario
-            # ColumnBlocks fold exactly like host populations.
             else type(self._batch[0]).concatenate(self._batch)
         )
         self.reducers.update(merged)
@@ -818,10 +810,10 @@ class ChunkedFold:
 
 
 def reduce_stream(
-    source: "HostPopulation | dict | Iterable[HostPopulation | dict]",
+    source: "ColumnBlock | dict | Iterable[ColumnBlock | dict]",
     reducers: "ReducerSet | dict[str, Reducer]",
 ) -> ReducerSet:
-    """Fold a population or chunk stream through a reducer set and return it."""
+    """Fold a block or chunk stream through a reducer set and return it."""
     reducer_set = reducers if isinstance(reducers, ReducerSet) else ReducerSet(reducers)
     for chunk in as_chunk_stream(source):
         reducer_set.update(chunk)

@@ -78,22 +78,29 @@ class RetryPolicy:
         Exceptions outside ``retry_on`` propagate untouched on the first
         throw.  A ``retry_on`` failure that exhausts the budget raises
         :class:`RetryError` naming the operation, the attempts spent and
-        the final error (chained as ``__cause__``).
+        the final error (chained as ``__cause__``).  The backoff schedule,
+        :meth:`delays` of ``seed``, is built at the first such failure, so
+        a call that succeeds at once draws no random numbers.
         """
         start = time.monotonic()
-        last_error: "BaseException | None" = None
-        for attempt, delay in enumerate([*self.delays(seed), None], start=1):
+        delays: "list[float] | None" = None
+        attempt = 0
+        while True:
+            attempt += 1
             try:
                 return func()
             except retry_on as error:
-                last_error = error
-                if delay is None or time.monotonic() - start + delay > self.deadline:
-                    break
-                time.sleep(delay)
-        raise RetryError(
-            f"{describe} failed after {attempt} attempt(s) over "
-            f"{time.monotonic() - start:.2f} s: {last_error}"
-        ) from last_error
+                if delays is None:
+                    delays = self.delays(seed)
+                if (
+                    attempt > len(delays)
+                    or time.monotonic() - start + delays[attempt - 1] > self.deadline
+                ):
+                    raise RetryError(
+                        f"{describe} failed after {attempt} attempt(s) over "
+                        f"{time.monotonic() - start:.2f} s: {error}"
+                    ) from error
+                time.sleep(delays[attempt - 1])
 
 
 #: The coordinator dialling a ``--connect`` endpoint that may not be

@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.hosts.population import HostPopulation
+from repro.table import ColumnBlock
 
 #: Number of hosts generated per RNG block.  Part of the determinism
 #: contract — see the module docstring before changing it.
@@ -131,8 +131,8 @@ def iter_blocks(
     when: "_dt.date | float",
     size: int,
     rng: "int | np.random.SeedSequence | np.random.Generator | None",
-) -> "Iterator[tuple[int, HostPopulation]]":
-    """Yield ``(block_index, population)`` pairs in index order.
+) -> "Iterator[tuple[int, ColumnBlock]]":
+    """Yield ``(block_index, block)`` pairs in index order.
 
     This is the primitive the streaming, hashing and sharding layers share;
     each block holds at most :data:`RNG_BLOCK_SIZE` hosts.
@@ -140,25 +140,6 @@ def iter_blocks(
     yield from BlockTask(
         generator, when, size, as_seed_sequence(rng), range(block_count(size))
     ).generate()
-
-
-def _slice(population, lo: int, hi: int):
-    """Row range ``[lo, hi)`` of a population (numpy views, no copy).
-
-    Blocks exposing a ``slice`` method (scenario
-    :class:`~repro.engine.table.ColumnBlock`) slice themselves; host
-    populations are sliced column-wise here.
-    """
-    slicer = getattr(population, "slice", None)
-    if slicer is not None:
-        return slicer(lo, hi)
-    return HostPopulation(
-        cores=population.cores[lo:hi],
-        memory_mb=population.memory_mb[lo:hi],
-        dhrystone=population.dhrystone[lo:hi],
-        whetstone=population.whetstone[lo:hi],
-        disk_gb=population.disk_gb[lo:hi],
-    )
 
 
 def _concatenate(pieces):
@@ -172,8 +153,8 @@ def stream_population(
     size: int,
     rng: "int | np.random.SeedSequence | np.random.Generator | None",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[HostPopulation]:
-    """Stream a fleet as :class:`HostPopulation` chunks of ``chunk_size``.
+) -> Iterator[ColumnBlock]:
+    """Stream a fleet as chunks of ``chunk_size`` rows.
 
     Every chunk except possibly the last has exactly ``chunk_size`` hosts.
     Peak memory is bounded by ``chunk_size + RNG_BLOCK_SIZE`` hosts, never by
@@ -186,13 +167,13 @@ def stream_population(
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
 
-    parts: "list[HostPopulation]" = []
+    parts: "list[ColumnBlock]" = []
     pending = 0
     for _, block in iter_blocks(generator, when, size, rng):
         parts.append(block)
         pending += len(block)
         while pending >= chunk_size:
-            pieces: "list[HostPopulation]" = []
+            pieces: "list[ColumnBlock]" = []
             need = chunk_size
             while need > 0:
                 head = parts[0]
@@ -200,8 +181,8 @@ def stream_population(
                     pieces.append(parts.pop(0))
                     need -= len(head)
                 else:
-                    pieces.append(_slice(head, 0, need))
-                    parts[0] = _slice(head, need, len(head))
+                    pieces.append(head.slice(0, need))
+                    parts[0] = head.slice(need, len(head))
                     need = 0
             yield _concatenate(pieces)
             pending -= chunk_size
@@ -214,10 +195,10 @@ def generate_fleet(
     when: "_dt.date | float",
     size: int,
     rng: "int | np.random.SeedSequence | np.random.Generator | None",
-) -> HostPopulation:
+) -> ColumnBlock:
     """One-shot fleet generation under the streaming determinism contract.
 
-    Equals ``HostPopulation.concatenate(list(stream_population(...)))`` for
+    Equals ``concatenate(list(stream_population(...)))`` for
     any chunk size, but materialises the fleet — use only when ``size`` fits
     comfortably in memory.
     """
@@ -227,13 +208,14 @@ def generate_fleet(
     return _concatenate(chunks)
 
 
-def population_digest(population: HostPopulation) -> str:
-    """SHA-256 of a population's rows (hex).
+def population_digest(population: ColumnBlock) -> str:
+    """SHA-256 of a block's rows (hex).
 
-    Rows are hashed in host order as row-major float64 ``(n, 5)`` bytes in
-    the canonical :data:`~repro.hosts.population.RESOURCE_LABELS` column
-    order, so the digest identifies the exact host data independently of how
-    the population was chunked together.
+    Rows are hashed in row order as row-major float64 ``(n, width)`` bytes
+    in the schema's column order (for hosts, the canonical
+    :data:`~repro.hosts.population.RESOURCE_LABELS`), so the digest
+    identifies the exact data independently of how the block was chunked
+    together.
     """
     return hashlib.sha256(population.to_matrix().tobytes()).hexdigest()
 

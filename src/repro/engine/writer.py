@@ -90,16 +90,14 @@ from repro.engine.streaming import (
     combine_block_digests,
     population_digest,
 )
-from repro.engine.table import (
+from repro.hosts.population import (  # HOST_CSV_FMT: re-exported
     HOST_CSV_FMT,
     HOST_CSV_HEADER,
     HOST_SCHEMA,
-    TableSchema,
-    block_schema,
-    generator_schema,
+    RESOURCE_LABELS,
 )
-from repro.hosts.population import RESOURCE_LABELS
 from repro.stats.state import StateError, make_envelope
+from repro.table import TableSchema
 
 #: Manifest schema version.  Bump only on changes a version-1 reader of
 #: *this* module cannot tolerate; fields with dataclass defaults
@@ -107,6 +105,9 @@ from repro.stats.state import StateError, make_envelope
 #: additions — current readers accept manifests written without them, and
 #: bumping would wrongly reject every previously published manifest.
 MANIFEST_VERSION = 1
+
+#: File name of every finished export's manifest inside its directory.
+MANIFEST_NAME = "manifest.json"
 
 #: The columnar binary format: one contiguous ``.npy`` array per resource
 #: column (see :func:`read_columnar_export`).  Plain ``.npy`` bytes are
@@ -116,6 +117,11 @@ COLUMNAR_FORMAT = "npz-columnar"
 
 #: Supported segment formats.  Every row segment (shard or block) is CSV.
 FORMATS = ("csv", COLUMNAR_FORMAT)
+
+
+def generator_schema(generator) -> TableSchema:
+    """The table schema a generator emits (host schema unless it says)."""
+    return getattr(generator, "schema", HOST_SCHEMA)
 
 
 #: Rows rendered per encoder call in :func:`write_population_csv` —
@@ -132,7 +138,7 @@ def write_population_csv(population, handle) -> None:
     several times faster.
     """
     matrix = population.to_matrix()
-    csv_fmt = block_schema(population).csv_fmt
+    csv_fmt = population.schema.csv_fmt
     text = isinstance(handle, io.TextIOBase) or (
         not isinstance(handle, (io.RawIOBase, io.BufferedIOBase))
         and getattr(handle, "encoding", None) is not None
@@ -312,7 +318,7 @@ def _render_block(index: int, block) -> "tuple[bytes, dict]":
     goldens pin it); the digests come from the in-memory bytes and rows,
     so no writer re-reads what it wrote.
     """
-    data = encode_csv_rows(block.to_matrix(), block_schema(block).csv_fmt)
+    data = encode_csv_rows(block.to_matrix(), block.schema.csv_fmt)
     return data, {
         "index": index,
         "sha256": hashlib.sha256(data).hexdigest(),
@@ -360,13 +366,12 @@ def export_fleet(
     out_dir: str,
     shards: int = 1,
     fmt: str = "csv",
-    manifest_name: str = "manifest.json",
     start_method: "str | None" = None,
 ) -> FleetManifest:
     """Export a fleet as per-shard segments plus a manifest.
 
     ``shards`` workers each write one contiguous-block CSV segment; the
-    manifest (written to ``out_dir/manifest_name``) records per-segment
+    manifest (written to ``out_dir/manifest.json``) records per-segment
     sha256 digests, block and row ranges, and the two fleet digests
     described in the module docstring.
 
@@ -402,7 +407,7 @@ def export_fleet(
         )
         digests = [entry for _, shard_digests in results for entry in shard_digests]
     return _save_manifest(
-        os.path.join(out_dir, manifest_name), generator, fmt, size, when, root,
+        os.path.join(out_dir, MANIFEST_NAME), generator, fmt, size, when, root,
         len(tasks), segments, payload_sha256, digests,
         layout="columnar" if fmt == COLUMNAR_FORMAT else "shard",
     )
@@ -748,7 +753,7 @@ def describe_export_dir(out_dir: str) -> "str | None":
             "this looks like an interrupted distributed export — pass "
             "--resume to finish it, or --force to start over"
         )
-    if "manifest.json" in entries:
+    if MANIFEST_NAME in entries:
         return (
             "this looks like a completed export — verify it with `fleet "
             "verify`, choose a fresh --out-dir, or pass --force to "
@@ -778,7 +783,7 @@ def _generator_fingerprint(generator) -> "str | None":
 
 def _start_run(
     out_dir, plan_name, generator, size, when, root, chunk_size, factories,
-    manifest_name, /, **grid,
+    /, **grid,
 ) -> dict:
     """Pin a fresh run's plan (the shared fields plus ``grid``); return it.
 
@@ -798,7 +803,7 @@ def _start_run(
             "spawn_key": [int(k) for k in root.spawn_key],
             "block_size": RNG_BLOCK_SIZE,
             "chunk_size": chunk_size,
-            "manifest_name": manifest_name,
+            "manifest_name": MANIFEST_NAME,
             "reducers": sorted(factories),
             "generator_sha256": _generator_fingerprint(generator),
             **grid,
@@ -862,11 +867,7 @@ def _load_plan(out_dir: str, name: str, generator):
     if not isinstance(plan.get("when"), (int, float)):
         raise StateError(f"{where} field 'when' is not numeric")
     manifest_name = plan.get("manifest_name")
-    if (
-        not isinstance(manifest_name, str)
-        or manifest_name in ("", ".", "..")
-        or os.path.basename(manifest_name) != manifest_name
-    ):
+    if manifest_name != MANIFEST_NAME:
         raise StateError(f"{where} has an invalid manifest_name {manifest_name!r}")
     names = plan.get("reducers")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -1113,7 +1114,6 @@ def export_fleet_blocks(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     reducers: "dict[str, ReducerFactory] | None" = None,
     quantiles: bool = False,
-    manifest_name: str = "manifest.json",
     start_method: "str | None" = None,
 ) -> BlockExportResult:
     """Export a fleet as per-block CSV segments with reducer checkpoints.
@@ -1165,7 +1165,6 @@ def export_fleet_blocks(
             )
     plan = _start_run(
         out_dir, PLAN_NAME, generator, size, when, root, chunk_size, factories,
-        manifest_name,
         shards=len(shard_block_ranges(block_count(size), shards)),
         checkpoint_every=checkpoint_every,
     )
@@ -1175,7 +1174,6 @@ def export_fleet_blocks(
 def resume_export(
     generator,
     out_dir: str,
-    manifest_name: str = "manifest.json",
     reducers: "dict[str, ReducerFactory] | None" = None,
     quantiles: bool = False,
     start_method: "str | None" = None,
@@ -1219,11 +1217,11 @@ def resume_export(
         if os.path.exists(os.path.join(out_dir, name))
     ]
     if not found:
-        manifest_path = os.path.join(out_dir, manifest_name)
+        manifest_path = os.path.join(out_dir, MANIFEST_NAME)
         if not os.path.exists(manifest_path):
             raise StateError(
                 f"nothing to resume in {out_dir}: no {PLAN_NAME} or "
-                f"{DISTRIBUTED_PLAN_NAME} (and no {manifest_name}) found"
+                f"{DISTRIBUTED_PLAN_NAME} (and no {MANIFEST_NAME}) found"
             )
         try:
             manifest = FleetManifest.load(manifest_path)
@@ -1335,7 +1333,7 @@ def _finish_run(
     for reducers in parts:
         merged.merge(reducers)
     manifest = _save_manifest(
-        os.path.join(out_dir, plan["manifest_name"]), generator, "csv", size,
+        os.path.join(out_dir, MANIFEST_NAME), generator, "csv", size,
         plan["when"], root, len(runs), records,
         payload_sha256 or _payload_sha256(out_dir, records), digests,
         layout="block", checkpoint_every=plan.get("checkpoint_every", 0),
@@ -1358,7 +1356,6 @@ def compact_export(
     manifest_path: str,
     out_dir: str,
     shards: int = 1,
-    manifest_name: str = "manifest.json",
 ) -> FleetManifest:
     """Merge a block-layout export into the per-shard layout byte-identically.
 
@@ -1387,11 +1384,11 @@ def compact_export(
         )
     base = os.path.dirname(os.path.abspath(manifest_path))
     os.makedirs(out_dir, exist_ok=True)
-    target = os.path.abspath(os.path.join(out_dir, manifest_name))
+    target = os.path.abspath(os.path.join(out_dir, MANIFEST_NAME))
     if target == os.path.abspath(manifest_path):
         raise ValueError(
             "compaction target would overwrite the source manifest; choose "
-            "a different out_dir or manifest_name"
+            "a different out_dir"
         )
     by_index = {record.block_lo: record for record in manifest.segments}
     n_blocks = block_count(manifest.size, manifest.block_size)
@@ -1440,7 +1437,7 @@ def compact_export(
         layout="shard",
         checkpoint_every=0,
     )
-    compacted.save(os.path.join(out_dir, manifest_name))
+    compacted.save(target)
     return compacted
 
 

@@ -6,16 +6,19 @@ objects.  :class:`HostPopulation` provides the aggregate operations the
 paper's figures need — means, standard deviations, correlation matrices of
 the six resource quantities (including the derived memory-per-core column of
 Table III) — plus conversion to/from :class:`~repro.hosts.host.Host` records.
+It is the :class:`~repro.table.ColumnBlock` of :data:`HOST_SCHEMA`, so the
+engine streams, folds and exports host blocks exactly like scenario blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.hosts.host import Host
 from repro.stats.correlation import CorrelationMatrix, pearson_matrix
+from repro.table import ColumnBlock, TableSchema
 
 #: Canonical resource column order used across the library.
 RESOURCE_LABELS: tuple[str, ...] = (
@@ -36,37 +39,46 @@ CORRELATION_LABELS: tuple[str, ...] = (
     "disk_gb",
 )
 
+#: CSV header line for host exports.
+HOST_CSV_HEADER = "cores,memory_mb,dhrystone_mips,whetstone_mips,disk_gb\n"
 
-@dataclass(frozen=True)
-class HostPopulation:
-    """A set of hosts stored as parallel resource columns."""
+#: Row format matching :data:`HOST_CSV_HEADER` (one ``%`` spec per column).
+HOST_CSV_FMT = "%d,%.1f,%.1f,%.1f,%.2f"
 
-    cores: np.ndarray
-    memory_mb: np.ndarray
-    dhrystone: np.ndarray
-    whetstone: np.ndarray
-    disk_gb: np.ndarray
+#: The host-resource schema: the columns of every :class:`HostPopulation`.
+HOST_SCHEMA = TableSchema(RESOURCE_LABELS, HOST_CSV_FMT, HOST_CSV_HEADER)
 
-    def __post_init__(self) -> None:
-        columns = {
-            "cores": np.asarray(self.cores, dtype=float),
-            "memory_mb": np.asarray(self.memory_mb, dtype=float),
-            "dhrystone": np.asarray(self.dhrystone, dtype=float),
-            "whetstone": np.asarray(self.whetstone, dtype=float),
-            "disk_gb": np.asarray(self.disk_gb, dtype=float),
-        }
-        size = columns["cores"].size
-        for name, column in columns.items():
-            if column.ndim != 1:
-                raise ValueError(f"column {name!r} must be one-dimensional")
-            if column.size != size:
-                raise ValueError(
-                    f"column {name!r} has {column.size} rows; expected {size}"
-                )
-            object.__setattr__(self, name, column)
 
-    def __len__(self) -> int:
-        return int(self.cores.size)
+def _resource(label: str) -> property:
+    return property(lambda self: self._columns[label], doc=f"The {label!r} column.")
+
+
+class HostPopulation(ColumnBlock):
+    """A set of hosts stored as parallel resource columns.
+
+    The :class:`~repro.table.ColumnBlock` of :data:`HOST_SCHEMA`, built
+    from one keyword per resource.  Besides the five stored columns it
+    answers the derived ``mem_per_core`` column through :meth:`column`,
+    ``[...]`` and ``in``.
+    """
+
+    def __init__(self, cores, memory_mb, dhrystone, whetstone, disk_gb):
+        super().__init__(
+            {
+                "cores": cores,
+                "memory_mb": memory_mb,
+                "dhrystone": dhrystone,
+                "whetstone": whetstone,
+                "disk_gb": disk_gb,
+            },
+            HOST_SCHEMA,
+        )
+
+    cores = _resource("cores")
+    memory_mb = _resource("memory_mb")
+    dhrystone = _resource("dhrystone")
+    whetstone = _resource("whetstone")
+    disk_gb = _resource("disk_gb")
 
     @classmethod
     def from_hosts(cls, hosts: "list[Host]") -> "HostPopulation":
@@ -94,19 +106,6 @@ class HostPopulation:
             )
         ]
 
-    def to_matrix(self) -> np.ndarray:
-        """Rows as a contiguous ``(n, 5)`` float64 array.
-
-        Columns follow :data:`RESOURCE_LABELS`; this is the canonical
-        row-major layout shared by CSV export and fleet hashing.
-        """
-        return np.ascontiguousarray(
-            np.column_stack(
-                [self.column(label) for label in RESOURCE_LABELS]
-            ),
-            dtype=np.float64,
-        )
-
     @property
     def mem_per_core(self) -> np.ndarray:
         """Derived memory-per-core column (MB).
@@ -122,14 +121,18 @@ class HostPopulation:
         """Fetch a column by its canonical label (including derived ones)."""
         if label == "mem_per_core":
             return self.mem_per_core
-        if label not in RESOURCE_LABELS:
+        if label not in self._columns:
             raise KeyError(f"unknown resource {label!r}; have {RESOURCE_LABELS}")
-        return getattr(self, label)
+        return self._columns[label]
+
+    def __contains__(self, label: str) -> bool:
+        return label == "mem_per_core" or label in self._columns
 
     def columns(self) -> dict[str, np.ndarray]:
         """All six Table III columns keyed by label."""
         return {label: self.column(label) for label in CORRELATION_LABELS}
 
+    @cached_property
     def _moments(self):
         """The population folded through the shared moment reducer.
 
@@ -139,21 +142,17 @@ class HostPopulation:
         columns are immutable by convention, and the common
         ``means()`` + ``stds()`` call pair must not pay two full passes.
         """
-        cached = self.__dict__.get("_moments_cache")
-        if cached is None:
-            from repro.engine.accumulate import MomentAccumulator
+        from repro.engine.accumulate import MomentAccumulator
 
-            cached = MomentAccumulator(RESOURCE_LABELS).update(self)
-            object.__setattr__(self, "_moments_cache", cached)
-        return cached
+        return MomentAccumulator(RESOURCE_LABELS).update(self)
 
     def means(self) -> dict[str, float]:
         """Mean of each of the five primary resources (via the moment reducer)."""
-        return self._moments().means()
+        return self._moments.means()
 
     def stds(self) -> dict[str, float]:
         """Standard deviation of each primary resource (via the moment reducer)."""
-        return self._moments().stds()
+        return self._moments.stds()
 
     def medians(self) -> dict[str, float]:
         """Median of each primary resource (via the exact quantile reducer)."""
@@ -172,13 +171,7 @@ class HostPopulation:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (len(self),):
             raise ValueError(f"mask shape {mask.shape} does not match {len(self)} hosts")
-        return HostPopulation(
-            cores=self.cores[mask],
-            memory_mb=self.memory_mb[mask],
-            dhrystone=self.dhrystone[mask],
-            whetstone=self.whetstone[mask],
-            disk_gb=self.disk_gb[mask],
-        )
+        return self._take(mask)
 
     def sample(
         self,
@@ -200,32 +193,11 @@ class HostPopulation:
             raise ValueError(
                 f"cannot sample {size} hosts from {len(self)} without replacement"
             )
-        idx = rng.choice(len(self), size=size, replace=replace)
-        mask_cols = {
-            "cores": self.cores[idx],
-            "memory_mb": self.memory_mb[idx],
-            "dhrystone": self.dhrystone[idx],
-            "whetstone": self.whetstone[idx],
-            "disk_gb": self.disk_gb[idx],
-        }
-        return HostPopulation(**mask_cols)
-
-    @classmethod
-    def concatenate(cls, populations: "list[HostPopulation]") -> "HostPopulation":
-        """Stack several populations into one."""
-        if not populations:
-            raise ValueError("nothing to concatenate")
-        return cls(
-            cores=np.concatenate([p.cores for p in populations]),
-            memory_mb=np.concatenate([p.memory_mb for p in populations]),
-            dhrystone=np.concatenate([p.dhrystone for p in populations]),
-            whetstone=np.concatenate([p.whetstone for p in populations]),
-            disk_gb=np.concatenate([p.disk_gb for p in populations]),
-        )
+        return self._take(rng.choice(len(self), size=size, replace=replace))
 
     def summary_table(self) -> str:
         """Aligned text table of mean/median/std per resource."""
-        moments = self._moments()  # one reducer pass for means and stds
+        moments = self._moments  # one reducer pass for means and stds
         means, medians, stds = moments.means(), self.medians(), moments.stds()
         lines = [f"{'resource':>12} {'mean':>12} {'median':>12} {'std':>12}"]
         for label in RESOURCE_LABELS:

@@ -8,7 +8,7 @@ Layers
 :mod:`~repro.scenarios.availability` / :mod:`~repro.scenarios.lifetimes` /
 :mod:`~repro.scenarios.allocation` / :mod:`~repro.scenarios.bandwidth`
     The four seed-era model layers refactored into scenario generators:
-    each emits :class:`~repro.engine.table.ColumnBlock` rows under the
+    each emits :class:`~repro.table.ColumnBlock` rows under the
     per-RNG-block determinism contract and registers a wire builder so
     ``--backend distributed`` works unchanged.
 :mod:`~repro.scenarios.runner`

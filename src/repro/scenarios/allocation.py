@@ -18,7 +18,7 @@ import numpy as np
 from repro.allocation.utility import APPLICATIONS
 from repro.core.generator import CorrelatedHostGenerator
 from repro.engine.distributed import register_wire_generator
-from repro.engine.table import ColumnBlock, TableSchema
+from repro.table import ColumnBlock, TableSchema
 from repro.hosts.population import HostPopulation
 from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.availability.model import AvailabilityModel
 from repro.engine.distributed import register_wire_generator
-from repro.engine.table import ColumnBlock, TableSchema
+from repro.table import ColumnBlock, TableSchema
 from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 
 AVAILABILITY_LABELS = ("fraction", "on_hours", "off_hours", "duty_cycle")

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.laws import ExponentialLaw
 from repro.engine.distributed import register_wire_generator
-from repro.engine.table import ColumnBlock, TableSchema
+from repro.table import ColumnBlock, TableSchema
 from repro.network.bandwidth import BandwidthModel
 from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 

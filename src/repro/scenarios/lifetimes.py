@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.engine.distributed import register_wire_generator
-from repro.engine.table import ColumnBlock, TableSchema
+from repro.table import ColumnBlock, TableSchema
 from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 from repro.traces.lifetimes import LifetimeModel
 

@@ -13,7 +13,7 @@ per-RNG-block ``SeedSequence.spawn`` determinism contract.
 A scenario generator is any picklable object with
 
 ``schema``
-    a :class:`~repro.engine.table.TableSchema` naming its columns,
+    a :class:`~repro.table.TableSchema` naming its columns,
 ``parameters``
     a frozen record with deterministic ``to_json()`` (and a matching
     ``from_json`` classmethod, so the generator can travel the
@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 
 from repro.engine.accumulate import CorrelationAccumulator, MomentAccumulator
 from repro.engine.reduce import ReducerFactory, QuantileReducer
-from repro.engine.table import TableSchema
+from repro.table import TableSchema
 from repro.stats.sketch import DEFAULT_COMPRESSION
 
 

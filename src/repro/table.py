@@ -1,27 +1,26 @@
-"""Column schemas and generic column blocks for non-host scenarios.
+"""Column schemas and the one block type every generator emits.
 
-The engine's streaming/sharding/export/distributed layers were written
-against one table shape — the five-resource
-:class:`~repro.hosts.population.HostPopulation`.  Scenario generators
-(availability churn, lifetime cohorts, allocation utilities, bandwidth)
-emit *other* column sets, so the table shape itself becomes a value:
+The engine's streaming, sharding, export and distributed layers move
+blocks of equal-length float columns, whatever the columns mean: the
+five host resources of the paper's model, or a scenario's availability,
+lifetime, allocation-utility or bandwidth rows.  The table shape is a
+value:
 
 :class:`TableSchema`
     A frozen record of ``(labels, csv_fmt, csv_header)`` — everything the
     writer and the distributed wire need to render and verify a block.
 :class:`ColumnBlock`
-    A generic labelled block of equal-length float columns satisfying the
-    population protocol the engine already duck-types against:
-    ``__len__``, ``column``/``__getitem__``, ``to_matrix``, ``slice`` and
+    A labelled block of equal-length float columns under a schema — the
+    block protocol the engine relies on: ``schema``, ``__len__``,
+    ``column``/``__getitem__``, ``to_matrix``, ``slice`` and
     ``classmethod concatenate``.  The dict-style access (``__iter__``,
-    ``__contains__``, ``keys``) lets reducers' :class:`ColumnCache` treat a
+    ``__contains__``, ``keys``) lets reducers' ``ColumnCache`` treat a
     block as a mapping without copies.
+    :class:`~repro.hosts.population.HostPopulation` is the block of the
+    host schema, :data:`~repro.hosts.population.HOST_SCHEMA`.
 
-Generators advertise their schema via a ``schema`` attribute; blocks carry
-the same attribute.  :func:`generator_schema` / :func:`block_schema`
-default to :data:`HOST_SCHEMA` so every existing host-resource path is
-untouched — the engine never needs to know whether it is moving hosts or
-scenario rows.
+This module imports only numpy, so :mod:`repro.hosts.population` builds
+on it without loading :mod:`repro.engine`.
 """
 
 from __future__ import annotations
@@ -29,15 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.hosts.population import RESOURCE_LABELS
-
-#: CSV header line for host exports (canonical home; re-exported by the
-#: writer for backward compatibility).
-HOST_CSV_HEADER = "cores,memory_mb,dhrystone_mips,whetstone_mips,disk_gb\n"
-
-#: Row format matching :data:`HOST_CSV_HEADER` (one ``%`` spec per column).
-HOST_CSV_FMT = "%d,%.1f,%.1f,%.1f,%.2f"
 
 
 def _format_spec_count(fmt: str) -> int:
@@ -90,18 +80,13 @@ class TableSchema:
         return len(self.labels)
 
 
-#: The host-resource schema every pre-scenario export used implicitly.
-HOST_SCHEMA = TableSchema(RESOURCE_LABELS, HOST_CSV_FMT, HOST_CSV_HEADER)
-
-
 class ColumnBlock:
     """A labelled block of equal-length float columns under a schema.
 
-    The generic population: reducers index it like a mapping, the writer
-    renders it via :meth:`to_matrix` + the schema's ``csv_fmt``, and the
-    streaming layer re-chunks it with :meth:`slice` /
-    :meth:`concatenate` — the same protocol surface as
-    :class:`~repro.hosts.population.HostPopulation`.
+    Reducers index it like a mapping, the writer renders it via
+    :meth:`to_matrix` + the schema's ``csv_fmt``, and the streaming layer
+    re-chunks it with :meth:`slice` / :meth:`concatenate`, both of which
+    return blocks of the caller's class.
     """
 
     __slots__ = ("schema", "_columns")
@@ -117,7 +102,7 @@ class ColumnBlock:
         for label in schema.labels:
             values = np.asarray(columns[label], dtype=float)
             if values.ndim != 1:
-                raise ValueError(f"column {label!r} must be 1-D")
+                raise ValueError(f"column {label!r} must be one-dimensional")
             if length is None:
                 length = values.shape[0]
             elif values.shape[0] != length:
@@ -129,6 +114,13 @@ class ColumnBlock:
         self.schema = schema
         self._columns = arrays
 
+    @classmethod
+    def _of(cls, columns: "dict[str, np.ndarray]", schema: TableSchema):
+        """A ``cls`` block over ``columns``, whatever ``cls``'s constructor takes."""
+        block = cls.__new__(cls)
+        ColumnBlock.__init__(block, columns, schema)
+        return block
+
     def __len__(self) -> int:
         return self._columns[self.schema.labels[0]].shape[0]
 
@@ -137,7 +129,7 @@ class ColumnBlock:
         return self._columns[label]
 
     def __getitem__(self, label: str) -> np.ndarray:
-        return self._columns[label]
+        return self.column(label)
 
     def __contains__(self, label: str) -> bool:
         return label in self._columns
@@ -158,15 +150,19 @@ class ColumnBlock:
             np.column_stack([self._columns[label] for label in self.schema.labels])
         )
 
-    def slice(self, lo: int, hi: int) -> "ColumnBlock":
-        """Row range ``[lo, hi)`` as numpy views (no copy)."""
-        return ColumnBlock(
-            {label: self._columns[label][lo:hi] for label in self.schema.labels},
+    def _take(self, index):
+        """The rows ``index`` selects, as a block of the caller's class."""
+        return self._of(
+            {label: column[index] for label, column in self._columns.items()},
             self.schema,
         )
 
+    def slice(self, lo: int, hi: int):
+        """Row range ``[lo, hi)`` as numpy views (no copy)."""
+        return self._take(slice(lo, hi))
+
     @classmethod
-    def concatenate(cls, blocks: "list[ColumnBlock]") -> "ColumnBlock":
+    def concatenate(cls, blocks: "list[ColumnBlock]"):
         """Concatenate same-schema blocks in order."""
         if not blocks:
             raise ValueError("cannot concatenate an empty list of blocks")
@@ -174,20 +170,10 @@ class ColumnBlock:
         for block in blocks[1:]:
             if block.schema != schema:
                 raise ValueError("cannot concatenate blocks of different schemas")
-        return cls(
+        return cls._of(
             {
                 label: np.concatenate([block._columns[label] for block in blocks])
                 for label in schema.labels
             },
             schema,
         )
-
-
-def generator_schema(generator) -> TableSchema:
-    """The table schema a generator emits (host schema unless it says)."""
-    return getattr(generator, "schema", HOST_SCHEMA)
-
-
-def block_schema(block) -> TableSchema:
-    """The table schema of one emitted block (host schema unless it says)."""
-    return getattr(block, "schema", HOST_SCHEMA)

@@ -223,6 +223,26 @@ class TestOneBlockLoop:
                     called.add(getattr(func, "id", getattr(func, "attr", None)))
             assert not called & {"block_seeds", "default_rng"}, module.__name__
 
+    def test_engine_modules_never_name_host_population(self):
+        """The engine reaches every block through ``block.schema``,
+        ``block.slice`` and ``block[label]``: no engine module imports or
+        names the host block class."""
+        import ast
+        import pathlib
+
+        import repro.engine
+
+        package = pathlib.Path(repro.engine.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 5
+        for path in modules:
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+                names.add(getattr(node, "id", getattr(node, "attr", None)))
+            assert "HostPopulation" not in names, path.name
+
 
 class TestSeedHandling:
     def test_seed_sequence_and_generator_inputs_agree(self, paper_generator):

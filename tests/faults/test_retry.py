@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import retry
 from repro.engine.retry import (
     DIAL_RETRY,
     WRITE_RETRY,
@@ -119,6 +120,53 @@ class TestCall:
             return value
 
         assert policy.call(dial, retry_on=(ConnectionError,)) == "up"
+
+
+class TestScheduleBuiltOnFailure:
+    """``call`` draws its backoff schedule only once something failed."""
+
+    def test_seeded_schedules_are_pinned(self):
+        assert WRITE_RETRY.delays(seed=7) == [
+            0.01625095466604667,
+            0.037944276019391515,
+        ]
+        assert DIAL_RETRY.delays(seed=3) == [
+            0.02714122917859061,
+            0.06184052532980499,
+            0.1801274465206397,
+            0.3164324072128736,
+            0.4376514568961597,
+        ]
+
+    @pytest.mark.parametrize("failures", [1, 3, 4])
+    def test_retried_call_sleeps_its_seeded_schedule(self, monkeypatch, failures):
+        slept = []
+        monkeypatch.setattr(retry.time, "sleep", slept.append)
+        policy = RetryPolicy(attempts=4, base_delay=0.01, max_delay=1.0)
+        outcomes = iter([OSError("boom")] * failures + ["ok"])
+
+        def flaky():
+            value = next(outcomes)
+            if isinstance(value, Exception):
+                raise value
+            return value
+
+        if failures < policy.attempts:
+            assert policy.call(flaky, seed=11) == "ok"
+        else:
+            with pytest.raises(RetryError, match="4 attempt"):
+                policy.call(flaky, seed=11)
+        schedule = policy.delays(seed=11)
+        assert slept == schedule[: min(failures, len(schedule))]
+
+    def test_first_attempt_success_builds_no_generator(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a call that succeeded at once built an RNG")
+
+        monkeypatch.setattr(retry.np.random, "default_rng", no_generator)
+        assert WRITE_RETRY.call(lambda: "written") == "written"
+        with pytest.raises(KeyError):
+            WRITE_RETRY.call(lambda: {}["not retried"])
 
 
 class TestTunedPolicies:

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.allocation.utility import APPLICATIONS
-from repro.engine import RNG_BLOCK_SIZE, generate_sharded
+from repro.engine import (
+    RNG_BLOCK_SIZE,
+    ReducerSet,
+    generate_sharded,
+    reduce_stream,
+)
 from repro.scenarios import get_scenario_spec, iter_scenario_specs
 
 BLOCK = 1024
@@ -180,3 +185,19 @@ class TestStreamedReducersMatchBatch:
         medians = stats.quantiles.medians()
         batch = float(np.median(columns["lifetime_days"]))
         assert medians["lifetime_days"] == pytest.approx(batch, rel=0.02)
+
+
+class TestScenarioBlockIsOneChunk:
+    @pytest.mark.parametrize(
+        "key", [spec.key for spec in iter_scenario_specs()]
+    )
+    def test_reduce_stream_folds_a_block_as_one_chunk(self, key):
+        """A scenario block handed to ``reduce_stream`` is one chunk, as a
+        host population is, not an iterable of its column labels."""
+        spec = get_scenario_spec(key)
+        block = spec.make_generator().generate(
+            WHEN, BLOCK, np.random.default_rng(SEED)
+        )
+        streamed = reduce_stream(block, ReducerSet.from_factories(spec.profile()))
+        direct = ReducerSet.from_factories(spec.profile()).update(block)
+        assert streamed.to_state() == direct.to_state()

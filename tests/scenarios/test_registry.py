@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.reduce import VALIDATION_PROFILE_NAMES
-from repro.engine.table import TableSchema
+from repro.table import TableSchema
 from repro.scenarios import (
     AVAILABILITY_SCHEMA,
     AllocationScenarioParameters,

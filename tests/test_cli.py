@@ -88,6 +88,29 @@ class TestFleet:
         assert lines[0].startswith("cores,")
         assert len(lines) == 1001
 
+    def test_fleet_csv_out_folds_at_chunk_size(self, tmp_path, capsys, monkeypatch):
+        """``--out`` folds ``--chunk-size`` batches, as one shard does."""
+        from repro.engine.reduce import ReducerSet
+
+        folded = []
+        update = ReducerSet.update
+
+        def counting_update(self, chunk):
+            folded.append(len(chunk))
+            return update(self, chunk)
+
+        monkeypatch.setattr(ReducerSet, "update", counting_update)
+        flags = ["fleet", "--size", "10000", "--chunk-size", "8192"]
+        assert main([*flags, "--out", str(tmp_path / "fleet.csv")]) == 0
+        written = capsys.readouterr().out
+        assert folded == [8192, 1808]
+        assert main([*flags, "--shards", "1"]) == 0
+        summarised = capsys.readouterr().out
+        # Identical apart from the timing line and the trailing "wrote" line.
+        assert written.split("\nwrote ")[0].splitlines()[1:] == (
+            summarised.splitlines()[1:]
+        )
+
     def test_fleet_summary_subcommand_equals_bare_fleet(self, capsys):
         assert main(["fleet", "summary", "--size", "5000", "--seed", "3"]) == 0
         summary_out = capsys.readouterr().out
@@ -160,6 +183,27 @@ class TestFleetExportVerify:
         assert (out_dir / "manifest.json").exists()
         assert main(["fleet", "verify", str(out_dir / "manifest.json")]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_csv_out_equals_header_plus_export_segments(self, tmp_path, capsys):
+        """``fleet --out`` writes the manifest header followed by the
+        concatenated shard segments, plain or gzipped."""
+        import gzip
+
+        out_dir = tmp_path / "export"
+        flags = ["--size", "9000", "--seed", "5"]
+        assert main(["fleet", "export", *flags, "--shards", "2",
+                     "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        exported = manifest["header"].encode() + b"".join(
+            (out_dir / segment["path"]).read_bytes()
+            for segment in manifest["segments"]
+        )
+        assert len(manifest["segments"]) == 2
+        assert main(["fleet", *flags, "--out", str(tmp_path / "f.csv")]) == 0
+        assert main(["fleet", *flags, "--out", str(tmp_path / "f.csv.gz")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "f.csv").read_bytes() == exported
+        assert gzip.decompress((tmp_path / "f.csv.gz").read_bytes()) == exported
 
     def test_verify_detects_corruption(self, tmp_path, capsys):
         out_dir = tmp_path / "corrupt"
