@@ -249,23 +249,15 @@ def _check_export_flags(args: argparse.Namespace, command: str) -> "str | None":
 
 
 def _export(
-    args: argparse.Namespace,
-    command: str,
-    make_generator,
-    seed: int,
-    reducers: "dict | None" = None,
-    noun: str = "hosts",
+    args: argparse.Namespace, command: str, spec, make_generator, noun: str
 ) -> int:
-    """Export one fleet for ``command`` (``fleet export`` or ``fleet
+    """Export ``spec``'s fleet for ``command`` (``fleet export`` or ``fleet
     scenario run --out-dir``): validate the flags, refuse a non-empty
     ``--out-dir``, arm ``--fault-spec``, resolve the token, then resume
-    or run the distributed, block or shard exporter and print the result
-    with :func:`_print_export`.
-
-    The target is ``make_generator()``, the run ``seed`` and the
-    ``reducers`` of the resumable layouts (``None``: the host defaults).
-    Exit codes: 0 ok, 1 a failed export (one line: a resumable layout
-    names ``--resume``, the shard layout says to re-run), 2 a usage error.
+    or run the distributed, block or shard exporter of ``make_generator()``
+    and print the result with :func:`_print_export`.  Exit codes: 0 ok,
+    1 a failed export (one line: a resumable layout names ``--resume``,
+    the shard layout says to re-run), 2 a usage error.
     """
     from repro.engine import (
         StateError,
@@ -335,6 +327,7 @@ def _export(
     )
     generator = make_generator()
     when = year_fraction(parse_date(args.date))
+    seed, reducers = args.seed + spec.seed_offset, spec.profile()
     try:
         if args.resume:
             result = resume_export(generator, out_dir, reducers=reducers, **transport)
@@ -529,18 +522,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet_export(args: argparse.Namespace) -> int:
-    """``fleet export``: the host fleet through the one export path."""
-    return _export(
-        args,
-        "fleet export",
-        lambda: CorrelatedHostGenerator(
-            _load_parameters(args.params, "fleet export")
-        ),
-        args.seed,
-    )
-
-
 def _cmd_fleet_compact(args: argparse.Namespace) -> int:
     """``fleet compact``: merge block segments into the per-shard layout."""
     from repro.engine import compact_export
@@ -683,7 +664,7 @@ def _cmd_fleet_serve_worker(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_scenario_list(args: argparse.Namespace) -> int:
     """``fleet scenario list``: print the registered scenario specs."""
-    from repro.scenarios import iter_scenario_specs
+    from repro.registry import iter_scenario_specs
 
     for spec in iter_scenario_specs():
         print(f"{spec.key:<14} {spec.title}")
@@ -694,32 +675,39 @@ def _cmd_fleet_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
-    """``fleet scenario run``: stream one scenario, summarise or export it.
+    """``fleet scenario run`` and ``fleet export``: stream one scenario,
+    summarise or export it.
 
     Without ``--out-dir`` this is the scenario counterpart of ``fleet
     summary``: one memoised streamed pass prints per-column statistics
-    plus the fleet and statistics digests.  With ``--out-dir`` it takes
-    ``fleet export``'s flags and export path, driven by the scenario's
-    registered generator, seed offset and reducer profile.  Exit codes
-    follow the fleet convention (0 ok, 1 runtime failure, 2 usage error).
+    plus the fleet and statistics digests.  With ``--out-dir`` it exports
+    the scenario through :func:`_export`.  ``fleet export`` is the
+    ``hosts`` export, plus ``--params``; it loads no other family.  Exit
+    codes follow the fleet convention (0 ok, 1 runtime failure, 2 usage
+    error).
     """
-    from repro.scenarios import ScenarioRun, get_scenario_spec
+    from repro.registry import get_scenario_spec
 
-    command = "fleet scenario run"
+    export = args.fleet_command == "export"
+    command = "fleet export" if export else "fleet scenario run"
     try:
         spec = get_scenario_spec(args.key)
     except ValueError as error:
         sys.stderr.write(f"{command}: {error}\n")
         return 2
+    if export:
+        return _export(
+            args, command, spec,
+            lambda: CorrelatedHostGenerator(_load_parameters(args.params, command)),
+            "hosts",
+        )
     if args.out_dir is not None:
         return _export(
-            args,
-            command,
-            spec.make_generator,
-            args.seed + spec.seed_offset,
-            spec.profile(),
+            args, command, spec, spec.make_generator,
             f"rows of scenario '{spec.key}'",
         )
+    from repro.scenarios import ScenarioRun
+
     problem = _check_fleet_ints(args, command) or _check_export_flags(args, command)
     if problem:
         sys.stderr.write(problem + "\n")
@@ -829,13 +817,21 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
         sys.stderr.write(f"fleet chaos: --plan {error}\n")
         return 2
 
-    common = ["--size", str(args.size), "--date", str(args.date)]
+    common = [
+        "--size", str(args.size), "--date", str(args.date), "--seed", str(args.seed)
+    ]
     if args.scenario:
+        if args.params:
+            # A scenario's generator comes from its spec; `fleet scenario
+            # run` has no --params to forward it to.
+            sys.stderr.write(
+                "fleet chaos: --params applies to the host fleet only; "
+                "drop it or --scenario\n"
+            )
+            return 2
         base = ["fleet", "scenario", "run", args.scenario]
-        common += ["--seed", str(args.seed)]
     else:
         base = ["fleet", "export"]
-        common += ["--seed", str(args.seed)]
         if args.params:
             common += ["--params", args.params]
     layout = args.layout
@@ -912,7 +908,7 @@ def _dispatch_fleet(args: argparse.Namespace) -> int:
         return 2
     command = getattr(args, "fleet_command", None)
     if command == "export":
-        return _cmd_fleet_export(args)
+        return _cmd_fleet_scenario_run(args)
     if command == "compact":
         return _cmd_fleet_compact(args)
     if command == "verify":
@@ -1264,10 +1260,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_summary_flags(p_fleet_summary, suppress=True)
 
     p_fleet_export = fleet_sub.add_parser(
-        "export", help="write per-shard segments plus a sha256 manifest"
+        "export",
+        help="write per-shard segments plus a sha256 manifest (the export "
+        "of `fleet scenario run hosts`, plus --params)",
     )
     _add_fleet_common(p_fleet_export, suppress=True)
     _add_export_flags(p_fleet_export, required=True)
+    p_fleet_export.set_defaults(key="hosts")
 
     p_fleet_compact = fleet_sub.add_parser(
         "compact", help="merge block segments into the per-shard layout"

@@ -37,7 +37,7 @@ from repro.core.memory import PerCoreMemoryModel
 from repro.core.parameters import ModelParameters
 from repro.core.speed import SpeedModel
 from repro.hosts.host import Host
-from repro.hosts.population import HostPopulation
+from repro.hosts.population import HOST_SCHEMA, HostPopulation
 
 
 #: Default per-core-memory truncation (§V-E's simplified six-value set).
@@ -51,8 +51,12 @@ class CorrelatedHostGenerator:
     generator uses the six canonical values up to 2048 MB (the Table V
     2G:4G law describes the data but is not sampled from — this choice
     reproduces the paper's Fig 12 σ_gen = 2741 MB and the 6.8 GB 2014 mean,
-    see DESIGN.md).  Pass ``None`` to keep the full chain.
+    see DESIGN.md).  Pass ``None`` to keep the full chain.  Registered as
+    the ``hosts`` scenario (:mod:`repro.registry`).
     """
+
+    wire_name = "CorrelatedHostGenerator"
+    schema = HOST_SCHEMA
 
     def __init__(
         self,
@@ -60,6 +64,7 @@ class CorrelatedHostGenerator:
         percore_max_mb: "float | None" = DEFAULT_PERCORE_MAX_MB,
     ):
         self._params = parameters if parameters is not None else ModelParameters.paper_reference()
+        self._percore_max_mb = percore_max_mb
         percore_chain = self._params.percore_memory_chain
         if percore_max_mb is not None:
             percore_chain = percore_chain.truncated(percore_max_mb)
@@ -87,6 +92,11 @@ class CorrelatedHostGenerator:
     def parameters(self) -> ModelParameters:
         """The parameter set driving this generator."""
         return self._params
+
+    @property
+    def percore_max_mb(self) -> "float | None":
+        """The per-core-memory truncation (``None``: the full chain)."""
+        return self._percore_max_mb
 
     @property
     def core_model(self) -> CoreCountModel:

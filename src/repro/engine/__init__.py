@@ -37,6 +37,8 @@ Layers
     JSON TCP protocol with heartbeats, lease reassignment and work
     stealing (``fleet export --backend distributed`` /
     ``fleet serve-worker``), byte-identical to the single-machine export.
+    A peer rebuilds a job's generator through :mod:`repro.registry`; no
+    engine module imports :mod:`repro.core` or :mod:`repro.scenarios`.
 
 Every reducer serializes through the versioned ``to_state``/``from_state``
 contract of :mod:`repro.stats.state` — the substrate of export
@@ -63,10 +65,8 @@ from repro.engine.reduce import (
 )
 from repro.engine.distributed import (
     PROTOCOL_VERSION,
-    WIRE_GENERATOR_BUILDERS,
     WIRE_REDUCER_FACTORIES,
     AuthenticationError,
-    register_wire_generator,
     DistributedExportResult,
     ProtocolError,
     export_fleet_distributed,
@@ -172,9 +172,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "STATE_KINDS",
-    "WIRE_GENERATOR_BUILDERS",
     "WIRE_REDUCER_FACTORIES",
-    "register_wire_generator",
     "export_fleet_distributed",
     "parse_endpoint",
     "resolve_fleet_token",

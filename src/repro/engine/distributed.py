@@ -240,55 +240,6 @@ WIRE_REDUCER_FACTORIES = {
     "quantiles": QuantileReducer,
 }
 
-#: Generators that may travel the wire by *name*: ``{wire_name:
-#: builder(params_json) -> generator}``.  Populated by
-#: :func:`register_wire_generator` (the scenario registry registers its
-#: generators on import); the host-resource default is resolved lazily in
-#: :func:`_resolve_wire_generator` so the engine package stays importable
-#: without the model layer.
-WIRE_GENERATOR_BUILDERS: "dict[str, object]" = {}
-
-
-def register_wire_generator(name: str, builder) -> None:
-    """Allow a generator family onto the wire under ``name``.
-
-    ``builder`` takes the job's ``params`` JSON string and returns a
-    generator.  Like reducers, generators travel by name — a coordinator
-    can only select from what the worker has registered, never ship code.
-    """
-    existing = WIRE_GENERATOR_BUILDERS.get(name)
-    if existing is not None and existing is not builder:
-        raise ValueError(f"wire generator {name!r} is already registered")
-    WIRE_GENERATOR_BUILDERS[name] = builder
-
-
-def _build_host_generator(params_json: str):
-    # Imported lazily: the engine package must stay importable without
-    # dragging the model layer in, and only workers rebuild generators.
-    from repro.core.generator import CorrelatedHostGenerator
-    from repro.core.parameters import ModelParameters
-
-    return CorrelatedHostGenerator(ModelParameters.from_json(params_json))
-
-
-def _resolve_wire_generator(name):
-    """The builder for a wire generator name, or ``None`` if unknown.
-
-    Unknown names trigger one lazy import of :mod:`repro.scenarios` (whose
-    import registers the scenario generators) before giving up.
-    """
-    if name == "CorrelatedHostGenerator":
-        return _build_host_generator
-    builder = WIRE_GENERATOR_BUILDERS.get(name)
-    if builder is None:
-        try:
-            import repro.scenarios  # noqa: F401  (registers on import)
-        except ImportError:
-            return None
-        builder = WIRE_GENERATOR_BUILDERS.get(name)
-    return builder
-
-
 def _wire_reducer_spec(name: str, factory) -> "list":
     """Encode one reducer factory's constructor arguments for the wire.
 
@@ -636,8 +587,11 @@ def _worker_loop(
         )
     if job.get("format") != "csv":
         return refuse(f"unsupported segment format {job.get('format')!r}")
+    from repro.registry import wire_builder  # the registry imports the engine
+
+    # A job frame without a generator name asks for the host model.
     generator_name = job.get("generator", "CorrelatedHostGenerator")
-    builder = _resolve_wire_generator(generator_name)
+    builder = wire_builder(generator_name)
     if builder is None:
         return refuse(
             f"unknown wire generator {generator_name!r}; this worker only "
@@ -1360,11 +1314,13 @@ def export_fleet_distributed(
     if lease_blocks < 1:
         raise ValueError("lease_blocks must be at least 1")
     connect = _check_transport(workers, connect, worker_timeout, lease_depth)
-    to_json = getattr(getattr(generator, "parameters", None), "to_json", None)
-    if to_json is None:
+    if not getattr(generator, "wire_name", None) or getattr(
+        getattr(generator, "parameters", None), "to_json", None
+    ) is None:
         raise ValueError(
-            "the distributed backend serialises the generator by its "
-            "parameters; it needs generator.parameters.to_json()"
+            "the distributed backend sends the generator by its wire_name and "
+            "parameters; it needs generator.wire_name and "
+            "generator.parameters.to_json()"
         )
     factories = _resolve_factories(reducers, quantiles)
     root = as_seed_sequence(rng)
@@ -1376,7 +1332,7 @@ def export_fleet_distributed(
         # Raises ValueError, before anything is written, for a factory that
         # cannot travel as a registry name plus JSON-safe arguments.
         reducer_args=_wire_reducer_args(factories),
-        generator=getattr(generator, "wire_name", "CorrelatedHostGenerator"),
+        generator=generator.wire_name,
     )
     return _run_distributed(
         generator, out_dir, plan, root, factories, workers, connect,
@@ -1399,7 +1355,7 @@ def _resume_distributed(
     if lease_depth is None:
         lease_depth = DEFAULT_LEASE_DEPTH
     connect = _check_transport(workers, connect, worker_timeout, lease_depth)
-    resuming = getattr(generator, "wire_name", "CorrelatedHostGenerator")
+    resuming = getattr(generator, "wire_name", None)
     if plan.get("generator") != resuming:
         raise StateError(
             f"distributed plan was built for generator "
@@ -1434,10 +1390,12 @@ def _run_distributed(
     for lease, (entries, state) in {cell: rest for cell, *rest in lines}.items():
         if all(_read_matching_block(out_dir, entry) is not None for entry in entries):
             completed[lease] = entries, _lease_reducers(state, factories)
+    from repro.registry import generator_params  # the registry imports the engine
+
     job = {
         "type": "job",
         "protocol": PROTOCOL_VERSION,
-        "params": generator.parameters.to_json(),
+        "params": generator_params(generator),
         **{
             key: plan[key]
             for key in (

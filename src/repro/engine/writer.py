@@ -90,11 +90,10 @@ from repro.engine.streaming import (
     combine_block_digests,
     population_digest,
 )
-from repro.hosts.population import (  # HOST_CSV_FMT: re-exported
+from repro.hosts.population import (  # HOST_CSV_FMT, HOST_CSV_HEADER: re-exported
     HOST_CSV_FMT,
     HOST_CSV_HEADER,
     HOST_SCHEMA,
-    RESOURCE_LABELS,
 )
 from repro.stats.state import StateError, make_envelope
 from repro.table import TableSchema
@@ -309,16 +308,21 @@ def _segment_name(shard: int) -> str:
     return f"segment-{shard:04d}.csv"
 
 
+def _encode_block(block) -> bytes:
+    """One RNG block's CSV bytes: every CSV exporter renders its blocks
+    here.  The vectorised encoder reproduces the historical ``np.savetxt``
+    bytes exactly (the export goldens pin it)."""
+    return encode_csv_rows(block.to_matrix(), block.schema.csv_fmt)
+
+
 def _render_block(index: int, block) -> "tuple[bytes, dict]":
     """One RNG block's CSV bytes and its entry ``{index, sha256, bytes,
     digest}``: the shape journal lines and ``result`` frames carry.
 
-    Every CSV exporter renders its blocks here.  The vectorised encoder
-    reproduces the historical ``np.savetxt`` bytes exactly (the export
-    goldens pin it); the digests come from the in-memory bytes and rows,
-    so no writer re-reads what it wrote.
+    The per-block layouts render here; the digests come from the in-memory
+    bytes and rows, so no writer re-reads what it wrote.
     """
-    data = encode_csv_rows(block.to_matrix(), block.schema.csv_fmt)
+    data = _encode_block(block)
     return data, {
         "index": index,
         "sha256": hashlib.sha256(data).hexdigest(),
@@ -340,8 +344,9 @@ def _write_segment(task: BlockTask):
     try:
         with open(path, "wb") as handle:
             for index, block in task.generate():
-                data, entry = _render_block(index, block)
-                digests.append((index, bytes.fromhex(entry["digest"])))
+                # The file's hash is the segment's; no per-block sha256.
+                data = _encode_block(block)
+                digests.append((index, bytes.fromhex(population_digest(block))))
                 _fire(SITE_SEGMENT_WRITE, path=path)
                 handle.write(data)
                 file_hash.update(data)
@@ -491,40 +496,29 @@ def _write_columns(tasks: "list[BlockTask]", start_method):
 def read_columnar_export(manifest_path: str) -> "tuple[FleetManifest, dict]":
     """Decode a columnar export: ``(manifest, {label: column ndarray})``.
 
-    Validates the manifest's format, the per-column file names against
-    the canonical :data:`~repro.hosts.population.RESOURCE_LABELS` order
-    and every decoded array's shape, raising :class:`ValueError` on any
-    mismatch.  Byte integrity is :func:`verify_manifest`'s job; this
-    reader checks *structure* so a verified export always decodes.
+    One rule for every schema: the manifest header names the registered
+    schema (:func:`repro.registry.schema_for_header`), label *i* is that
+    schema's column *i*, and segment *i* must be
+    ``column-{i}-{label}.npy``.  Any mismatch, and every decoded array of
+    the wrong shape, raises :class:`ValueError`.  Byte integrity is
+    :func:`verify_manifest`'s job; this reader checks *structure* so a
+    verified export always decodes.
     """
+    from repro.registry import schema_for_header  # the registry imports the engine
+
     manifest = FleetManifest.load(manifest_path)
     if manifest.format != COLUMNAR_FORMAT:
         raise ValueError(
             f"manifest {manifest_path} is a {manifest.format!r} export, "
             f"not {COLUMNAR_FORMAT!r}"
         )
-    if manifest.header == HOST_CSV_HEADER:
-        labels: "tuple[str, ...]" = RESOURCE_LABELS
-    else:
-        # Scenario exports: the manifest header orders the columns and the
-        # segment file names carry the labels (column-<i>-<label>.npy).
-        labels = tuple(
-            segment.path[len(f"column-{index}-"):-len(".npy")]
-            if segment.path.startswith(f"column-{index}-")
-            and segment.path.endswith(".npy")
-            else ""
-            for index, segment in enumerate(manifest.segments)
+    schema = schema_for_header(manifest.header)
+    if schema is None:
+        raise ValueError(
+            f"columnar manifest {manifest_path} has header "
+            f"{manifest.header!r}, which no registered schema writes"
         )
-        if "" in labels:
-            raise ValueError(
-                f"columnar manifest {manifest_path} has a segment that is "
-                "not the expected file for column its position names"
-            )
-        if len(labels) != len(manifest.header.strip("\n").split(",")):
-            raise ValueError(
-                f"columnar manifest {manifest_path} lists {len(labels)} "
-                "segment(s); expected one per header column"
-            )
+    labels = schema.labels
     if len(manifest.segments) != len(labels):
         raise ValueError(
             f"columnar manifest {manifest_path} lists "
@@ -769,16 +763,19 @@ def describe_export_dir(out_dir: str) -> "str | None":
 
 
 def _generator_fingerprint(generator) -> "str | None":
-    """sha256 of the generator's parameter JSON (None if it has none).
+    """sha256 of the generator's identity (None if it has no parameters).
 
-    Pinned into the export plan so a resume with different model
-    parameters fails loudly instead of silently splicing two fleets into
-    one self-consistent-looking manifest.
+    The identity is :func:`repro.registry.generator_params`: the parameter
+    JSON, naming a non-default host per-core cap too.  Pinned into the
+    export plan so a resume with a different generator fails loudly
+    instead of silently splicing two fleets into one
+    self-consistent-looking manifest.
     """
-    to_json = getattr(getattr(generator, "parameters", None), "to_json", None)
-    if to_json is None:
+    if getattr(getattr(generator, "parameters", None), "to_json", None) is None:
         return None
-    return hashlib.sha256(to_json().encode("utf-8")).hexdigest()
+    from repro.registry import generator_params  # the registry imports the engine
+
+    return hashlib.sha256(generator_params(generator).encode("utf-8")).hexdigest()
 
 
 def _start_run(
@@ -1031,16 +1028,18 @@ def _write_block_shard(task: BlockTask):
     re-verified against its entry and — being deterministic — simply
     rewritten if missing or corrupt, without touching the restored reducer
     state.  Returns ``(entries, reducers, restored blocks, payload
-    sha256)``.
+    sha256)``; the payload sha256 is ``None`` unless the task covers the
+    whole fleet.
     """
     shard, blocks, out_dir = task.shard, task.blocks, task.out_dir
     checkpoint, checkpoint_every = task.checkpoint, task.checkpoint_every
     reducers = ReducerSet.from_factories(task.factories)
     entries: "list[dict]" = []
-    # Runs alongside the writes: sha256 over this shard's block bytes in
-    # block order.  For a single-shard run this *is* the manifest's
-    # payload digest, so the parent never re-reads the segments.
-    shard_payload = hashlib.sha256()
+    # A task covering the whole fleet hashes its block bytes in block
+    # order as it goes: that is the manifest's payload digest, so the
+    # parent never re-reads the segments.  A part of the fleet hashes
+    # nothing beyond its entries; the parent re-reads every block then.
+    payload = hashlib.sha256() if len(blocks) == block_count(task.size) else None
 
     if checkpoint is not None:
         reducers = ReducerSet.from_state(checkpoint["reducers"])
@@ -1060,7 +1059,8 @@ def _write_block_shard(task: BlockTask):
                         "generates a different fleet than the interrupted run"
                     )
                 _write_block_file(out_dir, index, data)
-            shard_payload.update(data)
+            if payload is not None:
+                payload.update(data)
             entries.append(journalled)
     restored = logged = len(entries)
 
@@ -1082,7 +1082,8 @@ def _write_block_shard(task: BlockTask):
     for index, block in task.generate(blocks[restored:]):
         data, entry = _render_block(index, block)
         _write_block_file(out_dir, index, data)
-        shard_payload.update(data)
+        if payload is not None:
+            payload.update(data)
         entries.append(entry)
         fold.add(block)
         done = index + 1 - blocks.start
@@ -1100,7 +1101,7 @@ def _write_block_shard(task: BlockTask):
             logged = len(entries)
         _fire(SITE_BLOCK_DONE)
     fold.flush()
-    return entries, reducers, restored, shard_payload.hexdigest()
+    return entries, reducers, restored, payload.hexdigest() if payload else None
 
 
 def export_fleet_blocks(
@@ -1298,9 +1299,7 @@ def _run_block_export(
     entries, parts, restored, payloads = zip(*results)
     manifest, statistics = _finish_run(
         generator, plan, root, out_dir, factories, list(zip(ranges, entries)),
-        parts, len(ranges), elapsed,
-        # A single shard's running payload digest covers the whole export.
-        payloads[0] if len(payloads) == 1 else None,
+        parts, len(ranges), elapsed, payloads[0],
     )
     return BlockExportResult(
         manifest=manifest, statistics=statistics, resumed_blocks=sum(restored)

@@ -1,27 +1,29 @@
-"""The declarative scenario registry (``fleet scenario``).
+"""The seed-era scenario families (``fleet scenario``).
+
+The registry (:class:`~repro.registry.ScenarioSpec` and its lookups)
+lives in :mod:`repro.registry`, which also registers the host model as
+``hosts``; this package re-exports its names.
 
 Layers
 ------
-:mod:`~repro.scenarios.registry`
-    :class:`~repro.scenarios.registry.ScenarioSpec` records and the
-    registration surface; the shared memoised reducer profile.
 :mod:`~repro.scenarios.availability` / :mod:`~repro.scenarios.lifetimes` /
 :mod:`~repro.scenarios.allocation` / :mod:`~repro.scenarios.bandwidth`
     The four seed-era model layers refactored into scenario generators:
     each emits :class:`~repro.table.ColumnBlock` rows under the
-    per-RNG-block determinism contract and registers a wire builder so
-    ``--backend distributed`` works unchanged.
+    per-RNG-block determinism contract and registers its spec, whose
+    generator a distributed peer rebuilds by its ``wire_name``.
 :mod:`~repro.scenarios.runner`
     Memoised streamed passes per ``(scenario, shards)`` for the CLI.
 :mod:`~repro.scenarios.probes`
     Day-one validation probes and known-false controls, registered into
     the ``fleet validate`` suite.
 
-Importing this package is what registers everything — the validation
-runner does so lazily on first use.
+Importing this package registers the four families; the registry does
+so on the first lookup it cannot answer, the validation runner on first
+use.
 """
 
-from repro.scenarios.registry import (
+from repro.registry import (
     SCENARIO_SPECS,
     ScenarioSpec,
     get_scenario_spec,

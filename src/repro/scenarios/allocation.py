@@ -17,10 +17,9 @@ import numpy as np
 
 from repro.allocation.utility import APPLICATIONS
 from repro.core.generator import CorrelatedHostGenerator
-from repro.engine.distributed import register_wire_generator
+from repro.registry import ScenarioSpec, register_scenario_spec
 from repro.table import ColumnBlock, TableSchema
 from repro.hosts.population import HostPopulation
-from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 
 #: Column label → Table IX application name.
 APPLICATION_COLUMNS: "tuple[tuple[str, str], ...]" = (
@@ -114,14 +113,6 @@ class AllocationScenarioGenerator:
             ALLOCATION_SCHEMA,
         )
 
-
-def _build_allocation(params_json: str) -> AllocationScenarioGenerator:
-    return AllocationScenarioGenerator(
-        AllocationScenarioParameters.from_json(params_json)
-    )
-
-
-register_wire_generator("AllocationScenarioGenerator", _build_allocation)
 
 ALLOCATION_SPEC = register_scenario_spec(
     ScenarioSpec(

@@ -17,9 +17,8 @@ from math import gamma
 import numpy as np
 
 from repro.availability.model import AvailabilityModel
-from repro.engine.distributed import register_wire_generator
+from repro.registry import ScenarioSpec, register_scenario_spec
 from repro.table import ColumnBlock, TableSchema
-from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 
 AVAILABILITY_LABELS = ("fraction", "on_hours", "off_hours", "duty_cycle")
 
@@ -105,14 +104,6 @@ class AvailabilityScenarioGenerator:
             AVAILABILITY_SCHEMA,
         )
 
-
-def _build_availability(params_json: str) -> AvailabilityScenarioGenerator:
-    return AvailabilityScenarioGenerator(
-        AvailabilityScenarioParameters.from_json(params_json)
-    )
-
-
-register_wire_generator("AvailabilityScenarioGenerator", _build_availability)
 
 AVAILABILITY_SPEC = register_scenario_spec(
     ScenarioSpec(

@@ -16,10 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.core.laws import ExponentialLaw
-from repro.engine.distributed import register_wire_generator
+from repro.registry import ScenarioSpec, register_scenario_spec
 from repro.table import ColumnBlock, TableSchema
 from repro.network.bandwidth import BandwidthModel
-from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 
 BANDWIDTH_LABELS = ("down_mbps", "up_mbps", "asymmetry")
 
@@ -89,12 +88,6 @@ class BandwidthScenarioGenerator:
             BANDWIDTH_SCHEMA,
         )
 
-
-def _build_bandwidth(params_json: str) -> BandwidthScenarioGenerator:
-    return BandwidthScenarioGenerator(BandwidthScenarioParameters.from_json(params_json))
-
-
-register_wire_generator("BandwidthScenarioGenerator", _build_bandwidth)
 
 BANDWIDTH_SPEC = register_scenario_spec(
     ScenarioSpec(

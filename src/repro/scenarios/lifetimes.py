@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.engine.distributed import register_wire_generator
+from repro.registry import ScenarioSpec, register_scenario_spec
 from repro.table import ColumnBlock, TableSchema
-from repro.scenarios.registry import ScenarioSpec, register_scenario_spec
 from repro.traces.lifetimes import LifetimeModel
 
 LIFETIME_LABELS = ("creation_year", "quality", "lifetime_days", "survival_one_year")
@@ -108,12 +107,6 @@ class LifetimeScenarioGenerator:
             LIFETIME_SCHEMA,
         )
 
-
-def _build_lifetimes(params_json: str) -> LifetimeScenarioGenerator:
-    return LifetimeScenarioGenerator(LifetimeScenarioParameters.from_json(params_json))
-
-
-register_wire_generator("LifetimeScenarioGenerator", _build_lifetimes)
 
 LIFETIMES_SPEC = register_scenario_spec(
     ScenarioSpec(

@@ -35,7 +35,7 @@ from repro.scenarios.lifetimes import (
     LifetimeScenarioGenerator,
     LifetimeScenarioParameters,
 )
-from repro.scenarios.registry import get_scenario_spec
+from repro.registry import get_scenario_spec
 from repro.validation.probes import (
     Band,
     CheckResult,

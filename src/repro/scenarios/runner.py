@@ -15,7 +15,7 @@ import json
 
 from repro.engine.reduce import VALIDATION_PROFILE_NAMES
 from repro.engine.sharding import generate_sharded
-from repro.scenarios.registry import ScenarioSpec, get_scenario_spec
+from repro.registry import ScenarioSpec, get_scenario_spec, scenario_profile
 from repro.timeutil import parse_date, year_fraction
 from repro.validation.runner import CANONICAL_DATE, CANONICAL_SEED
 
@@ -52,7 +52,9 @@ class ScenarioRun:
         return self.seed + self.spec.seed_offset
 
     def stats(self, shards: int = 1):
-        """The memoised streamed pass for ``shards``."""
+        """The memoised streamed pass for ``shards``: it folds
+        :func:`~repro.registry.scenario_profile`, whose sketch gives the
+        medians, whatever profile the scenario's exports fold."""
         if shards not in self._stats:
             self._stats[shards] = generate_sharded(
                 self.generator,
@@ -61,7 +63,7 @@ class ScenarioRun:
                 self.effective_seed,
                 shards=shards,
                 digest=True,
-                reducers=self.spec.profile(),
+                reducers=scenario_profile(self.spec.schema.labels),
                 start_method=self.start_method,
             )
         return self._stats[shards]

@@ -49,6 +49,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from repro.core.generator import CorrelatedHostGenerator
 from repro.core.laws import ExponentialLaw
 from repro.core.parameters import ModelParameters
 from repro.core.ratios import RatioChain
@@ -137,12 +138,11 @@ class Probe:
 class Scenario:
     """A named fleet configuration probes stream over.
 
-    Exactly one of two builders must be set: ``make_parameters`` builds
-    correlated-host generator parameters (the paper reference, or a
-    deliberate perturbation for controls), while ``make_generator``
-    builds a whole generator — the hook the scenario registry
-    (:mod:`repro.scenarios`) uses to stream non-host column sets through
-    the same probe machinery.  ``profile`` optionally overrides the
+    ``make_generator`` builds the scenario's generator: a correlated-host
+    generator over the paper reference parameters or a deliberate
+    perturbation of them (controls), or a scenario-registry generator
+    (:mod:`repro.scenarios`) streaming a non-host column set through the
+    same probe machinery.  ``profile`` optionally overrides the
     reducer-factory set the runner streams with (required whenever the
     generator's columns are not the host resources); ``seed_offset``
     shifts the run seed so reseeded controls share one entry point with
@@ -150,18 +150,10 @@ class Scenario:
     """
 
     key: str
-    make_parameters: "Callable[[], ModelParameters] | None" = None
+    make_generator: "Callable[[], Any]"
     seed_offset: int = 0
     description: str = ""
-    make_generator: "Callable[[], Any] | None" = None
     profile: "Callable[[], dict[str, ReducerFactory]] | None" = None
-
-    def __post_init__(self) -> None:
-        if (self.make_parameters is None) == (self.make_generator is None):
-            raise ValueError(
-                f"scenario {self.key!r}: set exactly one of make_parameters "
-                f"and make_generator"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +161,14 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _paper_parameters() -> ModelParameters:
-    return ModelParameters.paper_reference()
-
-
-def _decoupled_parameters() -> ModelParameters:
+def _decoupled_generator() -> CorrelatedHostGenerator:
     """Identity correlation: kills the (mem/core, Whet, Dhry) coupling."""
-    return ModelParameters.paper_reference().with_correlation(np.eye(3))
+    return CorrelatedHostGenerator(
+        ModelParameters.paper_reference().with_correlation(np.eye(3))
+    )
 
 
-def _single_core_parameters() -> ModelParameters:
+def _single_core_generator() -> CorrelatedHostGenerator:
     """Collapse the core chain so (nearly) every host has one core.
 
     A huge constant 1:2 ratio starves every multi-core class, so the core
@@ -191,15 +181,15 @@ def _single_core_parameters() -> ModelParameters:
         class_values=chain.class_values,
         ratio_laws=(ExponentialLaw(1e9, 0.0),) + tuple(chain.ratio_laws[1:]),
     )
-    return replace(base, core_chain=collapsed)
+    return CorrelatedHostGenerator(replace(base, core_chain=collapsed))
 
 
-def _speed_doubled_parameters() -> ModelParameters:
+def _speed_doubled_generator() -> CorrelatedHostGenerator:
     """Double the Dhrystone mean law: moment and quantile pins must trip."""
     base = ModelParameters.paper_reference()
     law = base.dhrystone_mean
-    return replace(
-        base, dhrystone_mean=ExponentialLaw(2.0 * law.a, law.b, r=law.r)
+    return CorrelatedHostGenerator(
+        replace(base, dhrystone_mean=ExponentialLaw(2.0 * law.a, law.b, r=law.r))
     )
 
 
@@ -211,27 +201,27 @@ SCENARIOS: "dict[str, Scenario]" = {
     for scenario in (
         Scenario(
             "paper",
-            _paper_parameters,
+            CorrelatedHostGenerator,
             description="the paper's Table X reference parameters",
         ),
         Scenario(
             "decoupled",
-            _decoupled_parameters,
+            _decoupled_generator,
             description="identity (mem/core, Whet, Dhry) correlation matrix",
         ),
         Scenario(
             "single_core",
-            _single_core_parameters,
+            _single_core_generator,
             description="core chain collapsed to single-core hosts",
         ),
         Scenario(
             "speed_doubled",
-            _speed_doubled_parameters,
+            _speed_doubled_generator,
             description="Dhrystone mean trend law doubled",
         ),
         Scenario(
             "reseeded",
-            _paper_parameters,
+            CorrelatedHostGenerator,
             seed_offset=1,
             description="paper parameters under a shifted seed",
         ),
@@ -562,14 +552,16 @@ def check_distributed_digest_matches_paper(ctx) -> "list[CheckResult]":
 
 
 def check_distributed_hardened(ctx) -> "list[CheckResult]":
-    """The hardened transport: token-authed digest plus sane metrics.
+    """The distributed run's digest plus a consistent metrics document.
 
     The run behind ``ctx.distributed_metrics()`` is the same memoised
-    token-authed export the digest probe uses, so this costs no extra
-    fleet pass — it checks that the observability document the
-    coordinator emits is internally consistent: every lease carries a
-    timing, heartbeat-gap histograms account for every frame, and the
-    requeue/steal/drain counters exist.
+    pool-slot export the digest probe uses, so this costs no extra fleet
+    pass — it checks that the observability document the coordinator
+    emits is internally consistent: every lease carries a timing, each
+    worker's heartbeat-gap histogram sums to its frame count, and the
+    requeue/steal/drain counters exist.  Pool slots open no socket, so
+    the run's token is never checked and every histogram sums 0 frames:
+    the authenticated socket transport is not covered here.
     """
     digest = ctx.distributed_fleet_digest()
     single = ctx.fleet_digest(shards=1)
@@ -589,7 +581,7 @@ def check_distributed_hardened(ctx) -> "list[CheckResult]":
         for name in ("requeued_leases", "stolen_leases", "drained_workers")
     )
     return [
-        CheckResult("token-authed distributed digest", digest,
+        CheckResult("distributed digest", digest,
                     f"streamed shards=1 digest {single}", digest == single),
         CheckResult("metrics envelope kind", metrics.get("kind"),
                     "FleetDistributedMetrics",
@@ -642,8 +634,7 @@ PROBES: "dict[str, Probe]" = {}
 def register_scenario(scenario: Scenario) -> Scenario:
     """Validate and register one fleet scenario (returns it, for chaining).
 
-    Raises :class:`ValueError` on an empty or duplicate key; the
-    builder-exclusivity invariant is enforced by the dataclass itself.
+    Raises :class:`ValueError` on an empty or duplicate key.
     """
     if not scenario.key:
         raise ValueError("scenario key must be non-empty")
@@ -791,8 +782,9 @@ def _register_builtin_probes() -> None:
         tier="full",
         scenario="paper",
         check=check_distributed_hardened,
-        description="the token-authed distributed path keeps the digest and "
-                    "emits an internally consistent metrics document",
+        description="the distributed backend (two pool slots, no socket) "
+                    "keeps the digest and emits an internally consistent "
+                    "metrics document",
     ))
 
     # --- known-false controls ---------------------------------------------
@@ -904,8 +896,7 @@ def _register_builtin_probes() -> None:
         check=check_distributed_digest_matches_paper,
         expect="fail",
         control_of="determinism/distributed-hardened",
-        description="a shifted seed must change the token-authed "
-                    "distributed digest too",
+        description="a shifted seed must change the distributed digest too",
     ))
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.generator import CorrelatedHostGenerator
 from repro.engine.distributed import export_fleet_distributed
 from repro.engine.reduce import (
     VALIDATION_PROFILE_NAMES,
@@ -50,22 +49,15 @@ CANONICAL_DATE = "2010-09-01"
 #: (seconds), the full tier the scheduled million-host job.
 TIER_SIZES: "dict[str, int]" = {"fast": 50_000, "full": 1_000_000}
 
-_SCENARIOS_LOADED = False
-
-
 def _ensure_scenarios_registered() -> None:
-    """Import the scenario registry once, for its registration side effects.
+    """Import :mod:`repro.scenarios` for its registration side effects.
 
-    :mod:`repro.scenarios` registers its validation scenarios and probes
-    on import, but itself imports this package — so the probe registry is
-    completed lazily at the two entry points (:class:`ValidationRun` and
+    It registers its validation scenarios and probes on import, but itself
+    imports this package — so the probe registry is completed lazily at
+    the two entry points (:class:`ValidationRun` and
     :func:`select_probes`) instead of at module import.
     """
-    global _SCENARIOS_LOADED
-    if not _SCENARIOS_LOADED:
-        import repro.scenarios  # noqa: F401  (registration side effects)
-
-        _SCENARIOS_LOADED = True
+    import repro.scenarios  # noqa: F401  (registration side effects)
 
 
 class ValidationRun:
@@ -135,13 +127,7 @@ class ValidationRun:
 
     def generator(self, scenario_key: str):
         if scenario_key not in self._generators:
-            scenario = self.scenario(scenario_key)
-            if scenario.make_generator is not None:
-                self._generators[scenario_key] = scenario.make_generator()
-            else:
-                self._generators[scenario_key] = CorrelatedHostGenerator(
-                    scenario.make_parameters()
-                )
+            self._generators[scenario_key] = self.scenario(scenario_key).make_generator()
         return self._generators[scenario_key]
 
     def factories(self, scenario_key: str) -> dict:
@@ -230,12 +216,14 @@ class ValidationRun:
         return self._ks[key]
 
     def _distributed_run(self, scenario_key: str) -> "tuple[str, dict]":
-        """One memoised hardened distributed export per scenario.
+        """One memoised distributed export per scenario.
 
-        The run exercises the hardened transport deliberately — token
-        auth armed (a throwaway per-run token) — so the digest probe and
-        the metrics probe both cover the production path at the cost of
-        a single export.
+        The run uses ``distributed_workers`` pool slots, so the digest
+        probe and the metrics probe share one export of the coordinator's
+        lease scheduling, journal and metrics.  Pool slots open no socket:
+        the throwaway per-run token is passed but never checked, and no
+        frame crosses a socket, so the authenticated transport is not
+        exercised here.
         """
         if scenario_key not in self._distributed:
             scenario = self.scenario(scenario_key)
@@ -261,7 +249,7 @@ class ValidationRun:
         return self._distributed[scenario_key]
 
     def distributed_fleet_digest(self, scenario_key: str) -> str:
-        """Fleet digest reported by the (token-authed) distributed backend."""
+        """Fleet digest reported by the distributed backend."""
         return self._distributed_run(scenario_key)[0]
 
     def distributed_metrics(self, scenario_key: str) -> dict:

@@ -76,8 +76,6 @@ def derive_bands(
     Streams one shards=1 pass per seed through the canonical validation
     profile — the identical path the probes measure through.
     """
-    from repro.core.generator import CorrelatedHostGenerator
-
     if size is None:
         size = TIER_SIZES["fast"]
     if seeds is None:
@@ -85,9 +83,7 @@ def derive_bands(
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to estimate across-seed spread")
     keys = list(_probes.PIN_BANDS) if metrics is None else list(metrics)
-    generator = CorrelatedHostGenerator(
-        _probes.SCENARIOS["paper"].make_parameters()
-    )
+    generator = _probes.SCENARIOS["paper"].make_generator()
     when = year_fraction(parse_date(date))
     samples: "dict[str, list[float]]" = {key: [] for key in keys}
     for seed in seeds:

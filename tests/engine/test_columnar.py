@@ -210,3 +210,23 @@ class TestColumnarRejections:
         )
         with pytest.raises(ValueError, match="expected file for column"):
             read_columnar_export(str(out / "manifest.json"))
+
+    def test_reader_rejects_a_reordered_scenario_header(self, tmp_path):
+        """The header names the columns: a scenario export whose manifest
+        header was reordered no longer matches its column files."""
+        import dataclasses
+
+        from repro.scenarios import AvailabilityScenarioGenerator
+
+        out = tmp_path / "reordered"
+        manifest = export_fleet(
+            AvailabilityScenarioGenerator(), SEPT_2010, 100, SEED, str(out),
+            fmt=COLUMNAR_FORMAT,
+        )
+        _, columns = read_columnar_export(str(out / "manifest.json"))
+        assert list(columns) == ["fraction", "on_hours", "off_hours", "duty_cycle"]
+        dataclasses.replace(
+            manifest, header="on_hours,fraction,off_hours,duty_cycle\n"
+        ).save(str(out / "manifest.json"))
+        with pytest.raises(ValueError):
+            read_columnar_export(str(out / "manifest.json"))

@@ -243,6 +243,31 @@ class TestOneBlockLoop:
                 names.add(getattr(node, "id", getattr(node, "attr", None)))
             assert "HostPopulation" not in names, path.name
 
+    def test_engine_modules_never_import_the_model_or_the_scenarios(self):
+        """A generator reaches the engine as an object, and a peer rebuilds
+        one through :mod:`repro.registry`: no engine module imports
+        ``repro.core`` or ``repro.scenarios``, at module level or inside
+        a function."""
+        import ast
+        import pathlib
+
+        import repro.engine
+
+        package = pathlib.Path(repro.engine.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 5
+        for path in modules:
+            imported = []
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    imported.append(node.module or "")
+                elif isinstance(node, ast.Import):
+                    imported += [alias.name for alias in node.names]
+            for name in imported:
+                assert not name.startswith(("repro.core", "repro.scenarios")), (
+                    path.name, name
+                )
+
 
 class TestSeedHandling:
     def test_seed_sequence_and_generator_inputs_agree(self, paper_generator):

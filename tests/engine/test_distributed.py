@@ -592,6 +592,94 @@ class TestServeWorker:
         assert len(data) == block["bytes"]
         assert list(named.iterdir()) == []
 
+    @staticmethod
+    def _serve(max_jobs: int):
+        """A serve_worker thread; returns ``(thread, port, served)``."""
+        ports: "queue.Queue[int]" = queue.Queue()
+        served = {}
+
+        def run():
+            served["jobs"] = serve_worker(
+                port=0, max_jobs=max_jobs, on_bound=ports.put
+            )
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, ports.get(timeout=30), served
+
+    def test_peer_rebuilds_the_full_chain_generator(self, tmp_path):
+        """The job frame names a non-default per-core cap, so a peer
+        exports the full-chain fleet, not the default-cap one."""
+        from repro.core.generator import CorrelatedHostGenerator
+
+        full_chain = CorrelatedHostGenerator(percore_max_mb=None)
+        thread, port, _ = self._serve(max_jobs=1)
+        result = export_fleet_distributed(
+            full_chain, SEPT_2010, SIZE, SEED, str(tmp_path / "peer"),
+            workers=0, connect=[("127.0.0.1", port)],
+        )
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        local = export_fleet(full_chain, SEPT_2010, SIZE, SEED, str(tmp_path / "local"))
+        default = export_fleet(
+            CorrelatedHostGenerator(), SEPT_2010, SIZE, SEED, str(tmp_path / "default")
+        )
+        assert result.manifest.payload_sha256 == local.payload_sha256
+        assert local.payload_sha256 != default.payload_sha256
+
+    def test_unregistered_wire_generator_is_refused(
+        self, tmp_path, paper_generator, golden
+    ):
+        """A job naming no registered family fails the export in one line
+        carrying the peer's refusal, and the peer serves its next job."""
+
+        class Unregistered:
+            wire_name = "NoSuchFamily"
+            schema = paper_generator.schema
+            parameters = paper_generator.parameters
+
+            def generate(self, when, size, rng):
+                return paper_generator.generate(when, size, rng)
+
+        thread, port, served = self._serve(max_jobs=2)
+        with pytest.raises(RuntimeError) as raised:
+            export_fleet_distributed(
+                Unregistered(), SEPT_2010, SIZE, SEED, str(tmp_path / "refused"),
+                workers=0, connect=[("127.0.0.1", port)],
+            )
+        message = str(raised.value)
+        assert len(message.splitlines()) == 1
+        assert "refused the job: unknown wire generator 'NoSuchFamily'" in message
+        result = export_fleet_distributed(
+            paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path / "next"),
+            workers=0, connect=[("127.0.0.1", port)], quantiles=True,
+        )
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert served["jobs"] == 2
+        assert result.manifest.to_json() == golden[1].manifest.to_json()
+
+    def test_malformed_params_get_the_malformed_job_error(self, paper_params):
+        thread, port, _ = self._serve(max_jobs=1)
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as peer:
+            assert recv_frame(peer)["type"] == "hello"
+            root = np.random.SeedSequence(SEED)
+            send_frame(peer, {
+                "type": "job", "protocol": PROTOCOL_VERSION,
+                "generator": "CorrelatedHostGenerator", "params": "{not json",
+                "when": SEPT_2010, "size": RNG_BLOCK_SIZE,
+                "chunk_size": RNG_BLOCK_SIZE, "entropy": str(root.entropy),
+                "spawn_key": [], "block_size": RNG_BLOCK_SIZE, "format": "csv",
+                "reducers": [], "worker_timeout": 60.0, "lease_depth": 1,
+            })
+            frame = recv_frame(peer)
+            while frame["type"] == "heartbeat":
+                frame = recv_frame(peer)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert frame["type"] == "error"
+        assert frame["message"].startswith("malformed job: ")
+
 
 def _make_coordinator(leases, size=16_384, lease_depth=1):
     from repro.engine.distributed import _Coordinator

@@ -291,6 +291,46 @@ class TestResumeRejections:
         assert verify_manifest(str(tmp_path / "manifest.json")).ok
         assert resumed.resumed_blocks == 2
 
+    @pytest.mark.parametrize("cap, other", [(None, 2048.0), (2048.0, None)])
+    def test_percore_cap_mismatch_rejected(self, tmp_path, cap, other):
+        """Two host generators that differ only in their per-core-memory
+        cap are two fleets: neither resumes the other's export."""
+        from repro.core.generator import CorrelatedHostGenerator
+
+        with _interrupted_after(3):
+            export_fleet_blocks(
+                CorrelatedHostGenerator(percore_max_mb=cap), SEPT_2010, SIZE,
+                7, str(tmp_path), shards=1, checkpoint_every=1,
+            )
+        with pytest.raises(StateError, match="do not match the interrupted export"):
+            resume_export(CorrelatedHostGenerator(percore_max_mb=other), str(tmp_path))
+        resumed = resume_export(CorrelatedHostGenerator(percore_max_mb=cap), str(tmp_path))
+        whole = export_fleet(
+            CorrelatedHostGenerator(percore_max_mb=cap), SEPT_2010, SIZE, 7,
+            str(tmp_path / "whole"),
+        )
+        assert resumed.manifest.payload_sha256 == whole.payload_sha256
+
+    def test_default_plan_fingerprint_is_the_parameter_json(
+        self, tmp_path, paper_generator, paper_params
+    ):
+        """A default-cap host plan pins the sha256 of the parameter JSON,
+        the bytes older builds pinned."""
+        import hashlib
+
+        with _interrupted_after(1):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                shards=1, checkpoint_every=1,
+            )
+        plan = json.loads((tmp_path / writer.PLAN_NAME).read_text())
+        assert plan["generator_sha256"] == hashlib.sha256(
+            paper_params.to_json().encode("utf-8")
+        ).hexdigest()
+        assert plan["generator_sha256"] == (
+            "718488b15942411106a4ba82936a7831dc81ab0e4336dad0995b59912c422c0d"
+        )
+
     @pytest.mark.parametrize(
         "mutate, match",
         [

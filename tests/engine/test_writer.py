@@ -227,6 +227,58 @@ class TestCsvExport:
         assert payload["format"] == "csv"
 
 
+class TestHashPasses:
+    """sha256 input bytes per payload byte of one-shard exports, which run
+    in this process: as many passes as the format needs."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        import types
+
+        import repro.engine.writer as writer
+
+        counted = [0]
+
+        def sha256(data=b""):
+            digest = hashlib.sha256()
+
+            class Counting:
+                def update(self, piece):
+                    counted[0] += len(piece)
+                    digest.update(piece)
+
+                def hexdigest(self):
+                    return digest.hexdigest()
+
+            counting = Counting()
+            counting.update(data)
+            return counting
+
+        monkeypatch.setattr(writer, "hashlib", types.SimpleNamespace(sha256=sha256))
+        return counted
+
+    @staticmethod
+    def _passes(counted, manifest) -> float:
+        return counted[0] / sum(segment.bytes for segment in manifest.segments)
+
+    def test_shard_layout_hashes_the_payload_once(
+        self, hashed, paper_generator, tmp_path
+    ):
+        manifest = export_fleet(paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path))
+        assert self._passes(hashed, manifest) == 1.0
+
+    def test_block_layout_hashes_its_entries_and_the_payload(
+        self, hashed, paper_generator, paper_params, tmp_path
+    ):
+        from repro.engine import export_fleet_blocks
+
+        result = export_fleet_blocks(
+            paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path), checkpoint_every=2
+        )
+        hashed[0] -= len(paper_params.to_json())  # the plan's fingerprint
+        assert self._passes(hashed, result.manifest) == 2.0
+
+
 class TestNpzExport:
     """Row-segment npz is retired: exports refuse it, while npz exports an
     older build wrote still verify (compact_export refuses them, see

@@ -144,6 +144,23 @@ class TestChaosArgumentErrors:
         assert code == 2
         assert "--runs" in captured.err
 
+    def test_scenario_with_params_is_exit_2_before_any_leg(self, tmp_path, capsys):
+        """A scenario's generator comes from its spec, so ``--params``
+        would be dropped: one usage line, and no leg runs."""
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        code = main(
+            chaos_argv(
+                tmp_path / "chaos", "writer.block.done",
+                "--scenario", "availability", "--params", str(params),
+            )
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("fleet chaos: --params")
+        assert not (tmp_path / "chaos").exists()
+
 
 class TestExportDirHints:
     """The non-empty-dir refusal names what it found and how to proceed."""

@@ -105,6 +105,35 @@ class TestScenarioRunExport:
         assert "--force" in capsys.readouterr().err
 
 
+class TestHostsScenario:
+    """``hosts`` is the host model as a scenario, and ``fleet export`` is
+    its export."""
+
+    @staticmethod
+    def _digest(out: str) -> str:
+        return [line for line in out.splitlines() if "fleet sha256" in line][0].split()[-1]
+
+    def test_summary_prints_the_fleet_digest(self, capsys):
+        assert main(["fleet", "scenario", "list"]) == 0
+        assert capsys.readouterr().out.startswith("hosts ")
+        assert main(["fleet", "scenario", "run", "hosts", *SIZE]) == 0
+        summary = capsys.readouterr().out
+        assert "disk_gb" in summary and "statistics sha256:" in summary
+        assert main(["fleet", *SIZE, "--digest"]) == 0
+        assert self._digest(summary) == self._digest(capsys.readouterr().out)
+        assert main(["fleet", "scenario", "compare", "hosts", *SIZE, "--shards", "1", "2"]) == 0
+
+    def test_export_writes_the_fleet_export_manifest(self, tmp_path, capsys):
+        for command in (["fleet", "export"], ["fleet", "scenario", "run", "hosts"]):
+            out_dir = tmp_path / command[-1]
+            assert main(
+                [*command, *SIZE, "--checkpoint-every", "1", "--out-dir", str(out_dir)]
+            ) == 0
+        assert (tmp_path / "export" / "manifest.json").read_bytes() == (
+            tmp_path / "hosts" / "manifest.json"
+        ).read_bytes()
+
+
 class TestScenarioCompare:
     def test_identical_digests_exit_zero(self, capsys):
         assert main(
