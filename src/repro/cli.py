@@ -907,6 +907,15 @@ def _dispatch_fleet(args: argparse.Namespace) -> int:
         sys.stderr.write(f"fleet: {error}\n")
         return 2
     command = getattr(args, "fleet_command", None)
+    if args.params and command not in (None, "summary", "export", "chaos"):
+        # The parent parser takes --params before any subcommand; one that
+        # has no host fleet to generate would silently drop it.
+        if command == "scenario":
+            command += f" {args.scenario_command}"
+        sys.stderr.write(
+            f"fleet {command}: --params applies to the host fleet only; drop it\n"
+        )
+        return 2
     if command == "export":
         return _cmd_fleet_scenario_run(args)
     if command == "compact":

@@ -156,7 +156,9 @@ from repro.engine.writer import (
     DISTRIBUTED_PLAN_NAME,
     FleetManifest,
     _append_journal,
+    _block_name,
     _decode_entries,
+    _digest_files,
     _finish_run,
     _grid_cells,
     _journal_line,
@@ -1449,19 +1451,25 @@ def _run_distributed(
 
     done = [coordinator.completed[lease] for lease in sorted(coordinator.completed)]
     entries = [entry for lease_entries, _ in done for entry in lease_entries]
-    payload_hash = hashlib.sha256()
-    for entry in entries:
-        data = _read_matching_block(out_dir, entry)
-        if data is None:
+    paths = [os.path.join(out_dir, _block_name(entry["index"])) for entry in entries]
+    sized = [
+        os.path.exists(path) and os.path.getsize(path) == entry["bytes"]
+        for path, entry in zip(paths, entries)
+    ]
+    digests, payload_sha256 = _digest_files(
+        [path for path, ok in zip(paths, sized) if ok]
+    )
+    file_digests = iter(digests)
+    for entry, ok in zip(entries, sized):
+        if not ok or next(file_digests) != entry["sha256"]:
             raise RuntimeError(
                 f"block {entry['index']} on disk does not match the digest its "
                 "worker reported; refusing to finalise a corrupt export"
             )
-        payload_hash.update(data)
     manifest, statistics = _finish_run(
         generator, plan, root, out_dir, factories,
         [((0, block_count(size)), entries)], [reducers for _, reducers in done],
-        max(1, coordinator.workers_seen), elapsed, payload_hash.hexdigest(),
+        max(1, coordinator.workers_seen), elapsed, payload_sha256,
     )
     metrics = make_envelope(
         DISTRIBUTED_METRICS_KIND,

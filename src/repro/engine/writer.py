@@ -57,7 +57,9 @@ import hashlib
 import io
 import json
 import os
+import queue
 import re
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -150,15 +152,65 @@ def write_population_csv(population, handle) -> None:
 def _hash_file_into(path: str, *hashes) -> None:
     """Stream a file through one or more hash objects in 1 MiB pieces.
 
-    Verification-oriented: the row-segment writers hash bytes *as they
-    produce them*, so this re-read only runs where one hash must span
-    bytes other processes wrote (multi-worker payloads, column files) and
-    in :func:`verify_manifest`.
+    The one-pass re-read: the row-segment writers hash bytes *as they
+    produce them*, so this only runs where one hash must span bytes other
+    processes wrote (:func:`_payload_sha256`) and where
+    :func:`_digest_files` hashes a single file.
     """
     with open(path, "rb") as handle:
         for piece in iter(lambda: handle.read(1 << 20), b""):
             for digest in hashes:
                 digest.update(piece)
+
+
+def _digest_files(paths: "list[str]") -> "tuple[list[str], str]":
+    """Each file's sha256 hexdigest and the sha256 of their concatenation,
+    reading every file once.
+
+    Zero or one file is hashed once: a one-file concatenation *is* the
+    file, so that digest is both values.  More files feed each 1 MiB piece
+    to the file's sha256 here and to the payload sha256 in one helper
+    thread; hashlib releases the GIL on buffers this large, so the two
+    digests run on two cores.  The helper is joined on every exit path, so
+    no thread outlives the call (or is alive when a pool forks), and an
+    error in either thread is raised here.
+    """
+    if len(paths) <= 1:
+        digest = hashlib.sha256()
+        for path in paths:
+            _hash_file_into(path, digest)
+        return [digest.hexdigest()] * len(paths), digest.hexdigest()
+    payload = hashlib.sha256()
+    # At most four pieces (4 MiB) wait for the payload thread.
+    pieces: "queue.Queue[bytes | None]" = queue.Queue(4)
+    failed: "list[Exception]" = []
+
+    def hash_payload() -> None:
+        try:
+            for piece in iter(pieces.get, None):
+                payload.update(piece)
+        except Exception as error:  # raised in the caller after the join
+            failed.append(error)
+            for _ in iter(pieces.get, None):  # never leave the reader blocked
+                pass
+
+    helper = threading.Thread(target=hash_payload, name="payload-sha256")
+    helper.start()
+    digests: "list[str]" = []
+    try:
+        for path in paths:
+            digest = hashlib.sha256()
+            with open(path, "rb") as handle:
+                for piece in iter(lambda: handle.read(1 << 20), b""):
+                    pieces.put(piece)
+                    digest.update(piece)
+            digests.append(digest.hexdigest())
+    finally:
+        pieces.put(None)
+        helper.join()
+    if failed:
+        raise failed[0]
+    return digests, payload.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -208,7 +260,11 @@ class FleetManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "FleetManifest":
-        payload = json.loads(text)
+        return cls._from_payload(json.loads(text))
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "FleetManifest":
+        """The manifest of a parsed JSON object, which it consumes."""
         segments = tuple(SegmentRecord(**s) for s in payload.pop("segments"))
         payload["spawn_key"] = tuple(payload["spawn_key"])
         return cls(segments=segments, **payload)
@@ -454,7 +510,8 @@ def _write_columns(tasks: "list[BlockTask]", start_method):
 
     The parent creates each column file at full size, the tasks' workers
     fill their rows in place (:func:`_fill_columnar_rows`), then the
-    parent hashes the files in column order.  ``.npy`` v1.0 bytes are a
+    parent reads the files once, in column order, for their own and the
+    payload digests (:func:`_digest_files`).  ``.npy`` v1.0 bytes are a
     pure function of dtype, shape and data, so ``payload_sha256`` pins
     the columnar export exactly as it pins CSV — and is identical for
     every shard count.  The manifest's ``header`` records the column
@@ -473,24 +530,23 @@ def _write_columns(tasks: "list[BlockTask]", start_method):
                 version=(1, 0),
             )
         results = fan_out(_fill_columnar_rows, tasks, start_method)
-        payload_hash = hashlib.sha256()
-        segments: "list[SegmentRecord]" = []
-        for column, name in enumerate(names):
-            path = os.path.join(fleet.out_dir, name)
-            file_hash = hashlib.sha256()
-            _hash_file_into(path, file_hash, payload_hash)
-            segments.append(
-                _block_segment(
-                    name, column, range(block_count(fleet.size)), fleet.size,
-                    file_hash.hexdigest(), os.path.getsize(path),
-                )
+        paths = [os.path.join(fleet.out_dir, name) for name in names]
+        file_digests, payload_sha256 = _digest_files(paths)
+        segments = [
+            _block_segment(
+                name, column, range(block_count(fleet.size)), fleet.size, digest,
+                os.path.getsize(path),
             )
+            for column, (name, path, digest) in enumerate(
+                zip(names, paths, file_digests)
+            )
+        ]
     except BaseException:
         for name in names:
             _remove_quiet(os.path.join(fleet.out_dir, name))
         raise
     digests = [entry for shard_digests in results for entry in shard_digests]
-    return segments, payload_hash.hexdigest(), digests
+    return segments, payload_sha256, digests
 
 
 def read_columnar_export(manifest_path: str) -> "tuple[FleetManifest, dict]":
@@ -1351,6 +1407,29 @@ def _finish_run(
     return manifest, statistics
 
 
+def _segment_file(base: str, name) -> str:
+    """The path of segment ``name`` of the export in directory ``base``.
+
+    A manifest may come from elsewhere, so verify and compact read only a
+    plain file name (no separator, not ``.`` or ``..``) that names a
+    regular file: never a path out of ``base``, nor a device or FIFO whose
+    reads need not end.  Raises ``ValueError`` naming the segment
+    otherwise; a missing file is left for the caller to name.
+    """
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or os.path.basename(name) != name
+    ):
+        raise ValueError(
+            f"segment {name!r} is not a file name in the export directory"
+        )
+    path = os.path.join(base, name)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"segment {name} is not a regular file")
+    return path
+
+
 def compact_export(
     manifest_path: str,
     out_dir: str,
@@ -1406,7 +1485,7 @@ def compact_export(
                         f"manifest {manifest_path} lists no segment for "
                         f"block {index}"
                     )
-                with open(os.path.join(base, record.path), "rb") as handle:
+                with open(_segment_file(base, record.path), "rb") as handle:
                     for piece in iter(lambda: handle.read(1 << 20), b""):
                         out_handle.write(piece)
                         segment_hash.update(piece)
@@ -1459,9 +1538,14 @@ class VerificationReport:
 def verify_manifest(manifest_path: str) -> VerificationReport:
     """Re-hash every segment of an export against its manifest.
 
-    Checks the manifest schema version, each segment file's sha256 and the
-    manifest-order concatenated ``payload_sha256``; a missing file, a
-    flipped byte or a reordered segment list all surface as problems.
+    Checks the manifest schema version; that each segment is a regular
+    file named in the manifest's directory (:func:`_segment_file`), of its
+    recorded size and sha256; and the manifest-order concatenated
+    ``payload_sha256``.  A missing file, a flipped byte or a reordered
+    segment list all surface as problems, in segment order.  Each file is
+    read once (:func:`_digest_files`): a one-segment export in one pass,
+    whose digest is the segment's and the payload's, a larger one with the
+    segment and payload digests on two threads.
     """
     def _failure(problem: str) -> VerificationReport:
         return VerificationReport(ok=False, segments_checked=0, problems=(problem,))
@@ -1479,39 +1563,51 @@ def verify_manifest(manifest_path: str) -> VerificationReport:
             f"manifest version {version!r} is not the supported {MANIFEST_VERSION}"
         )
     try:
-        manifest = FleetManifest.from_json(json.dumps(payload))
+        manifest = FleetManifest._from_payload(payload)
     except (KeyError, TypeError, ValueError) as error:
         return _failure(f"manifest {manifest_path} is malformed: {error}")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    problems: "list[str]" = []
-    payload_hash = hashlib.sha256()
+    # Each segment's path or size problem, or None for one to hash.
+    found: "list[str | None]" = []
+    hashed: "list[str]" = []
     checked = 0
     for segment in manifest.segments:
-        path = os.path.join(base, segment.path)
-        if not os.path.exists(path):
-            problems.append(f"segment {segment.path} is missing")
+        try:
+            path = _segment_file(base, segment.path)
+        except ValueError as error:
+            found.append(str(error))
             continue
+        if not os.path.exists(path):
+            found.append(f"segment {segment.path} is missing")
+            continue
+        checked += 1
         actual = os.path.getsize(path)
         if segment.bytes >= 0 and actual != segment.bytes:
             # A partial write is the common corruption of an interrupted
             # copy; name it (and the exact byte counts) instead of leaving
             # only a generic digest mismatch.
-            checked += 1
             kind = "truncated" if actual < segment.bytes else "oversized"
-            problems.append(
+            found.append(
                 f"segment {segment.path} is {kind}: {actual} of "
                 f"{segment.bytes} expected bytes"
             )
             continue
-        file_hash = hashlib.sha256()
-        _hash_file_into(path, file_hash, payload_hash)
-        checked += 1
-        if file_hash.hexdigest() != segment.sha256:
-            problems.append(
-                f"segment {segment.path} sha256 mismatch "
-                f"(expected {segment.sha256[:12]}…, got {file_hash.hexdigest()[:12]}…)"
-            )
-    if not problems and payload_hash.hexdigest() != manifest.payload_sha256:
+        found.append(None)
+        hashed.append(path)
+    digests, payload_sha256 = _digest_files(hashed)
+    file_digests = iter(digests)
+    problems: "list[str]" = []
+    for segment, problem in zip(manifest.segments, found):
+        if problem is None:
+            digest = next(file_digests)
+            if digest != segment.sha256:
+                problem = (
+                    f"segment {segment.path} sha256 mismatch "
+                    f"(expected {segment.sha256[:12]}…, got {digest[:12]}…)"
+                )
+        if problem is not None:
+            problems.append(problem)
+    if not problems and payload_sha256 != manifest.payload_sha256:
         problems.append("concatenated payload sha256 mismatch")
     return VerificationReport(
         ok=not problems, segments_checked=checked, problems=tuple(problems)

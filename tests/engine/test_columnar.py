@@ -179,6 +179,46 @@ class TestColumnarEdges:
             )
         assert sorted(path.name for path in out.iterdir()) == []
 
+    def test_column_digests_leave_no_thread(self, paper_generator, tmp_path):
+        """The parent reads the column files once, the payload digest on a
+        helper thread that is joined before the manifest is written."""
+        import hashlib
+        import threading
+
+        before = threading.active_count()
+        manifest = export_fleet(
+            paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path), fmt=COLUMNAR_FORMAT
+        )
+        assert threading.active_count() == before
+        files = [(tmp_path / segment.path).read_bytes() for segment in manifest.segments]
+        assert [segment.sha256 for segment in manifest.segments] == [
+            hashlib.sha256(data).hexdigest() for data in files
+        ]
+        assert manifest.payload_sha256 == hashlib.sha256(b"".join(files)).hexdigest()
+
+    def test_read_error_in_the_digest_pass_fails_the_export(
+        self, paper_generator, tmp_path, monkeypatch
+    ):
+        import builtins
+        import threading
+
+        import repro.engine.writer as writer
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            if str(path).endswith("-whetstone.npy"):
+                raise OSError(5, "injected read error")
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(writer, "open", failing_open, raising=False)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="injected read error"):
+            export_fleet(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                fmt=COLUMNAR_FORMAT,
+            )
+        assert threading.active_count() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == []
+
 
 class TestColumnarRejections:
     def test_reader_rejects_row_layout_manifest(self, paper_generator, tmp_path):

@@ -253,6 +253,43 @@ class TestDistributedByteIdentity:
         assert verify_manifest(str(tmp_path / "manifest.json")).ok
 
 
+class TestFinalisationRefusesChangedBlocks:
+    """Finalisation reads every block file once, against the digest its
+    worker reported, before any manifest is written."""
+
+    @pytest.mark.parametrize("change", ["flipped", "resized"])
+    def test_block_changed_before_finalisation_is_refused(
+        self, tmp_path, paper_generator, monkeypatch, change
+    ):
+        import repro.engine.distributed as distributed
+
+        out = tmp_path / "dist"
+        run = distributed._Coordinator.run
+
+        def run_then_change_block_2(coordinator):
+            run(coordinator)
+            path = out / "block-000002.csv"
+            data = bytearray(path.read_bytes())
+            if change == "flipped":
+                data[len(data) // 2] ^= 1
+            else:
+                data += b"0\n"
+            path.write_bytes(bytes(data))
+
+        monkeypatch.setattr(distributed._Coordinator, "run", run_then_change_block_2)
+        before = set(threading.enumerate())
+        with pytest.raises(
+            RuntimeError,
+            match=r"^block 2 on disk does not match the digest its worker "
+            r"reported; refusing to finalise a corrupt export$",
+        ):
+            export_fleet_distributed(
+                paper_generator, SEPT_2010, SIZE, SEED, str(out), workers=2
+            )
+        assert not (out / "manifest.json").exists()
+        assert set(threading.enumerate()) == before
+
+
 class TestWorkerFailure:
     def test_sigkilled_worker_blocks_are_reassigned(
         self, tmp_path, paper_generator, golden, worker_sigkill_after_block

@@ -922,3 +922,35 @@ class TestParamsFile:
         assert captured.err.startswith(f"{command}: --params {params_file}: ")
         assert "Traceback" not in captured.err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("scenario run", ["scenario", "run", "availability", "--size", "100"]),
+            ("scenario compare", ["scenario", "compare", "lifetimes", "--size", "100"]),
+            ("validate", ["validate", "--list"]),
+            ("verify", ["verify", "MANIFEST"]),
+            ("compact", ["compact", "MANIFEST", "--out-dir", "OUT"]),
+            ("serve-worker", ["serve-worker", "--port", "0"]),
+        ],
+        ids=[
+            "scenario-run", "scenario-compare", "validate", "verify", "compact",
+            "serve-worker",
+        ],
+    )
+    def test_fleet_subcommand_without_a_host_fleet_refuses_params(
+        self, tmp_path, capsys, command, argv
+    ):
+        """Only ``fleet``, ``fleet export`` and ``fleet chaos`` generate
+        the host fleet; the rest would drop ``--params`` without a word."""
+        out_dir = tmp_path / "out"
+        names = {"MANIFEST": str(tmp_path / "manifest.json"), "OUT": str(out_dir)}
+        argv = [names.get(arg, arg) for arg in argv]
+        params = tmp_path / "missing.json"
+        assert main(["fleet", "--params", str(params), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"fleet {command}: --params applies to the host fleet only; drop it\n"
+        )
+        assert not out_dir.exists()
